@@ -43,7 +43,7 @@ from .bridge import Tokenizer, as_byte_model
 from .ensemble import EnsembleSpec, ExpertPanel
 from .inference import SamplerConfig
 from .lmcore import Alphabet, SequenceModel
-from .remote import RemoteModel
+from .remote import DEFAULT_DEFECT_TOL, RemoteModel
 from .toy import NGramModel, PFSAModel, TableModel, fit_ngram, load_corpus
 
 KNOWN_METHODS = ("smc", "sis", "is", "local")
@@ -143,6 +143,8 @@ def build_expert(
             alphabet=alphabet,
             timeout=spec.get("timeout", 5.0),
             retries=spec.get("retries", 3),
+            backoff=spec.get("backoff", 0.05),
+            defect_tol=spec.get("defect_tol", DEFAULT_DEFECT_TOL),
         )
     raise ValueError(f"unknown expert type {kind!r}")
 

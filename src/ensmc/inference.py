@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ensemble import (
+# ``log_potential_columns`` is no longer called here; it stays a module
+# attribute because the layer tracer in bench/tracing.py wraps it.
+from .ensemble import (  # noqa: F401
     EnsembleSpec,
     ExpertPanel,
-    epsilon_shift,
     log_potential_columns,
     log_string_potential,
 )
@@ -144,6 +145,22 @@ class SamplerConfig:
 # -- shaping functions --------------------------------------------------
 
 
+class PrefixNode(NamedTuple):
+    """Everything the samplers need at one prefix ``x``, built once.
+
+    ``block`` is one ``(K + 1, |Σ| + 1)`` log-domain array. Row ``k < K``
+    is expert ``k``'s prefix mass at ``x`` plus its ``log_next(x)`` row
+    (all ``LOG_ZERO`` once the expert's prefix mass is zero), so entry
+    ``a`` is the expert's prefix mass at ``x + a`` and the end-marker
+    entry its complete-string mass at ``x``. Row ``K`` is the operator
+    applied down those columns. ``base`` is the operator applied to the
+    experts' prefix masses at ``x`` (the prefix potential).
+    """
+
+    block: np.ndarray
+    base: float
+
+
 class PrefixPotentialShaping:
     """Default shaping: the ensemble operator applied to expert prefix masses.
 
@@ -155,8 +172,13 @@ class PrefixPotentialShaping:
     is never shifted), which restores an escape route through prefixes a
     consensus operator annihilated.
 
-    Rows are memoized per context; one instance can be shared across
-    runs over the same (spec, panel).
+    Prefixes are cached as a trie of :class:`PrefixNode`: a child
+    ``x + a`` reads its experts' prefix masses from column ``a`` of the
+    parent's block (the same float additions ``prefix_log_prob``
+    performs), so each new prefix costs one ``log_next`` row per live
+    expert. A prefix whose parent was never built (a direct query) walks
+    the experts' prefixes once instead. One instance can be shared
+    across runs over the same (spec, panel).
     """
 
     def __init__(self, spec: EnsembleSpec, panel: ExpertPanel, epsilon: float | None = None):
@@ -166,20 +188,30 @@ class PrefixPotentialShaping:
         self.panel = panel
         self.epsilon = epsilon
         self._log_eps = math.log(epsilon) if epsilon is not None else None
-        self._memo: dict[str, tuple[np.ndarray, np.ndarray, float]] = {}
+        self._nodes: dict[str, PrefixNode] = {}
 
-    def _entry(self, x: str) -> tuple[np.ndarray, np.ndarray, float]:
-        entry = self._memo.get(x)
-        if entry is None:
+    def _node(self, x: str) -> PrefixNode:
+        node = self._nodes.get(x)
+        if node is not None:
+            return node
+        k = len(self.panel)
+        parent = self._nodes.get(x[:-1]) if x and x[-1] in self.panel.alphabet else None
+        if parent is not None:
+            prefixes = parent.block[:k, self.panel.alphabet.index[x[-1]]].copy()
+        elif x:
             prefixes = np.array([prefix_log_prob(m, x) for m in self.panel])
-            base = self.spec.combine(prefixes)
-            if np.isneginf(prefixes).all():
-                cols = np.full(self.panel.alphabet.size + 1, LOG_ZERO)
-            else:
-                cols = log_potential_columns(self.spec, self.panel, x, prefixes)
-            entry = (prefixes, cols, base)
-            self._memo[x] = entry
-        return entry
+        else:
+            prefixes = np.zeros(k)
+        block = np.full((k + 1, self.panel.alphabet.size + 1), LOG_ZERO)
+        live = prefixes != LOG_ZERO
+        for j, model in enumerate(self.panel):
+            if live[j]:
+                block[j] = prefixes[j] + model.log_next(x)
+        if live.any():
+            block[k] = self.spec.combine_columns(block[:k])
+        node = PrefixNode(block, self.spec.combine(prefixes))
+        self._nodes[x] = node
+        return node
 
     def _shift(self, log_v: float) -> float:
         if self._log_eps is None:
@@ -188,16 +220,25 @@ class PrefixPotentialShaping:
 
     def log_value(self, x: str) -> float:
         """Shaping potential of the prefix ``x`` (shifted if configured)."""
-        return self._shift(self._entry(x)[2])
+        return self._shift(self._node(x).base)
 
     def log_target(self, x: str) -> float:
         """Unnormalized log target of the complete string ``x`` (never shifted)."""
-        _, cols, _ = self._entry(x)
-        return float(cols[self.panel.alphabet.eos_index])
+        return float(self._node(x).block[-1, self.panel.alphabet.eos_index])
+
+    def log_string_target(self, x: str) -> float:
+        """The target of ``x`` as the operator on the experts' string masses.
+
+        Bit-identical to :func:`~ensmc.ensemble.log_string_potential`; it
+        may differ from :meth:`log_target` in the last bits, because the
+        operator's reductions round differently on a single column.
+        """
+        return self.spec.combine(self._node(x).block[:-1, self.panel.alphabet.eos_index])
 
     def log_row(self, x: str) -> np.ndarray:
-        _, cols, base = self._entry(x)
-        denom = self._shift(base)
+        node = self._node(x)
+        cols = node.block[-1]
+        denom = self._shift(node.base)
         if denom == LOG_ZERO:
             raise DeadPrefixError(f"prefix {x!r} has zero shaping potential")
         row = cols - denom

@@ -38,6 +38,9 @@ from .lmcore import ROW_TOL, Alphabet, SequenceModel, string_log_prob
 from .logtools import LOG_ZERO, logsumexp
 
 DEFAULT_DEFECT_TOL = 1e-2
+#: Seconds between the serving thread's shutdown checks; ``stop`` waits
+#: for at most one of them.
+POLL_INTERVAL_S = 0.05
 
 
 class RemoteModel(SequenceModel):
@@ -224,7 +227,9 @@ class ModelServer:
                 self._send(200, reply)
 
         self._httpd = ThreadingHTTPServer((self._host, self._port), Handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
         return self
 

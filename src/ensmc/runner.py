@@ -22,7 +22,6 @@ from .config import ExperimentConfig, build_panel, build_predicate
 from .errors import DeadPrefixError, DegenerateRunError
 from .inference import (
     ShapingProposalModel,
-    ensemble_log_target,
     importance_sample,
     local_sample,
     make_shaping,
@@ -95,7 +94,7 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
                     else:
                         proposal_model = panel[int(cfg.proposal.partition(":")[2])]
                     est = importance_sample(
-                        ensemble_log_target(spec, panel),
+                        shaping.log_string_target,
                         proposal_model,
                         particles=cfg.particles,
                         max_len=cfg.max_len,

@@ -19,11 +19,13 @@ from ensmc import (
     Particle,
     PrefixPotentialShaping,
     SamplerConfig,
+    SequenceModel,
     TableModel,
     cond_next,
     ensemble_log_target,
     enumerate_ensemble,
     ess,
+    fit_ngram,
     importance_sample,
     local_sample,
     log_string_potential,
@@ -160,6 +162,76 @@ class TestPrefixShaping:
         shaping = PrefixPotentialShaping(EnsembleSpec.geometric(2), panel, epsilon=0.1)
         assert shaping.log_row("")[2] == LOG_ZERO
         assert shaping.log_row("a")[2] == LOG_ZERO
+
+
+class ContextLog(SequenceModel):
+    """Wraps a model and records every context its rows are asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+        self.contexts = []
+
+    def log_next(self, context):
+        self.contexts.append(context)
+        return self.inner.log_next(context)
+
+
+class TestPrefixNodeCache:
+    def long_panel(self):
+        alphabet = Alphabet("abc")
+        corpora = (
+            ["abc" * 12, "cab" * 10, "bca" * 11],
+            ["aabbcc" * 6, "abcabc" * 5, "bbccaa" * 5],
+        )
+        return ExpertPanel(
+            [ContextLog(fit_ngram(c, order=3, smoothing=0.5, alphabet=alphabet)) for c in corpora]
+        )
+
+    @pytest.mark.parametrize("run", [sis, smc])
+    def test_row_calls_bounded_by_distinct_prefixes(self, run):
+        """Each new prefix costs one row per expert, not one per symbol of it."""
+        panel = self.long_panel()
+        shaping = PrefixPotentialShaping(EnsembleSpec.geometric(2), panel)
+        visited = set()
+        log_row = shaping.log_row
+        shaping.log_row = lambda x: visited.add(x) or log_row(x)
+        config = SamplerConfig(particles=24, max_len=40, seed=3)
+        run(EnsembleSpec.geometric(2), panel, config, shaping=shaping)
+        # The strings are long enough that re-walking every prefix would
+        # cost many times more rows than there are prefixes.
+        assert max(len(x) for x in visited) >= 12
+        for model in panel:
+            assert len(model.contexts) <= len(visited)
+            assert len(set(model.contexts)) == len(model.contexts)
+
+    def test_direct_and_incremental_queries_agree_bitwise(self):
+        spec = EnsembleSpec.power(0.5, [0.3, 0.7])
+        incremental = PrefixPotentialShaping(spec, self.long_panel())
+        direct = PrefixPotentialShaping(spec, self.long_panel())
+        x = "abcabcaabbc"
+        for t in range(len(x) + 1):
+            incremental.log_row(x[:t])
+        for y in (x, x[:4], "cab"):
+            for shaping in (incremental, direct):
+                assert np.array_equal(shaping.log_row(y), incremental.log_row(y))
+                assert shaping.log_value(y) == incremental.log_value(y)
+                assert shaping.log_target(y) == incremental.log_target(y)
+                assert shaping.log_string_target(y) == log_string_potential(
+                    spec, shaping.panel, y
+                )
+
+    def test_dead_experts_are_not_queried(self):
+        alphabet = Alphabet("ab")
+        panel = ExpertPanel([
+            ContextLog(TableModel({"a": 0.5, "ab": 0.5}, alphabet=alphabet)),
+            ContextLog(TableModel({"a": 0.5, "b": 0.5}, alphabet=alphabet)),
+        ])
+        shaping = PrefixPotentialShaping(EnsembleSpec.maximum(2), panel)
+        for x in ("", "a", "ab"):
+            shaping.log_row(x)
+        assert shaping.log_target("ab") == math.log(0.5)
+        assert [m.contexts for m in panel] == [["", "a", "ab"], ["", "a"]]
 
 
 class TestOptimalProposal:

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -25,6 +26,8 @@ from ensmc import (
     enumerate_ensemble,
     string_log_prob,
 )
+from ensmc.config import build_expert
+from ensmc.remote import POLL_INTERVAL_S
 
 
 @contextlib.contextmanager
@@ -59,7 +62,7 @@ def scripted_server(respond):
             self._reply("POST")
 
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(target=httpd.serve_forever, args=(POLL_INTERVAL_S,), daemon=True)
     thread.start()
     try:
         host, port = httpd.server_address[:2]
@@ -114,6 +117,12 @@ class TestLoopback:
         assert got.strings == want.strings
         assert np.array_equal(got.log_values, want.log_values)
         assert got.log_z == want.log_z
+
+    def test_stop_returns_promptly(self):
+        server = ModelServer(TableModel(GEO_P1)).start()
+        t0 = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - t0 < 0.25
 
     def test_explicit_alphabet_skips_fetch(self):
         calls = []
@@ -171,6 +180,21 @@ class TestRowValidation:
             remote = RemoteModel(url, alphabet=self.alphabet(), defect_tol=0.1)
             row = remote.log_next("")
             assert_allclose(np.exp(row).sum(), 1.0, rtol=1e-12)
+            assert remote.defects == [("", pytest.approx(1.05, rel=1e-9))]
+
+    def test_config_keys_reach_the_client(self):
+        def respond(method, path, payload):
+            return 200, {
+                "log_probs": {"a": math.log(0.5), "b": math.log(0.3)},
+                "eos_log_prob": math.log(0.25),
+            }
+
+        with scripted_server(respond) as url:
+            spec = {"type": "remote", "url": url, "backoff": 0.001, "defect_tol": 0.1}
+            remote = build_expert(spec, self.alphabet(), ".")
+            assert remote.backoff == 0.001
+            # Within the configured tolerance (but not the default 1e-2).
+            remote.log_next("")
             assert remote.defects == [("", pytest.approx(1.05, rel=1e-9))]
 
     def test_unknown_symbol_rejected(self):
