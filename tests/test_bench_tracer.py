@@ -5,7 +5,7 @@ suite, and not only in the benchmark's own self-test."""
 import importlib.util
 from pathlib import Path
 
-from ensmc import inference, lmcore
+from ensmc import inference
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -17,25 +17,16 @@ def load_tracing():
     return module
 
 
-def test_every_trace_target_exists_and_is_restored():
-    originals = (
-        inference.prefix_log_prob,
-        inference.log_potential_columns,
-        inference.PrefixPotentialShaping.log_row,
-        inference.PrefixPotentialShaping.log_target,
-        lmcore.draw_index,
-    )
+def test_install_wraps_every_target_and_uninstall_restores_them():
+    names = ("prefix_log_prob", "log_potential_columns", "draw_index")
+    before = {name: getattr(inference, name) for name in names}
+    log_row = inference.PrefixPotentialShaping.log_row
     tracer = load_tracing().Tracer()
-    tracer.install()
+    tracer.install()  # raises LookupError when a target is missing
     try:
-        assert inference.prefix_log_prob is not originals[0]
-        assert inference.PrefixPotentialShaping.log_row is not originals[2]
+        assert all(getattr(inference, name) is not fn for name, fn in before.items())
+        assert inference.PrefixPotentialShaping.log_row is not log_row
     finally:
         tracer.uninstall()
-    assert (
-        inference.prefix_log_prob,
-        inference.log_potential_columns,
-        inference.PrefixPotentialShaping.log_row,
-        inference.PrefixPotentialShaping.log_target,
-        lmcore.draw_index,
-    ) == originals
+    assert {name: getattr(inference, name) for name in names} == before
+    assert inference.PrefixPotentialShaping.log_row is log_row
