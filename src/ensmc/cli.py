@@ -94,13 +94,7 @@ def _cmd_sample(args) -> int:
 def _cmd_enumerate(args) -> int:
     config = load_config(args.config)
     panel, spec = build_panel(config)
-    oracle_cfg = config.oracle or {}
-    table = enumerate_ensemble(
-        spec,
-        panel,
-        max_len=oracle_cfg.get("max_len", config.sampler.max_len),
-        max_nodes=oracle_cfg.get("max_nodes", 500_000),
-    )
+    table = enumerate_ensemble(spec, panel, **config.oracle_limits())
     if args.out:
         dump_table(table, args.out)
     z = float(np.exp(table.log_z))
@@ -120,13 +114,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_check(args) -> int:
     config = load_config(args.config)
     panel, spec = build_panel(config)
-    oracle_cfg = config.oracle or {}
-    table = enumerate_ensemble(
-        spec,
-        panel,
-        max_len=oracle_cfg.get("max_len", config.sampler.max_len),
-        max_nodes=oracle_cfg.get("max_nodes", 500_000),
-    )
+    table = enumerate_ensemble(spec, panel, **config.oracle_limits())
     estimate = smc(spec, panel, config.sampler)
     report = compare_to_oracle(estimate, table)
     print(json.dumps(report, allow_nan=False))
@@ -151,14 +139,8 @@ def _cmd_intersect(args) -> int:
     predicate = build_predicate(config.predicate)
     if predicate is None:
         raise EnsmcError("intersect needs a 'predicate' in the config")
-    oracle_cfg = config.oracle or {}
     report = intersection_report(
-        panel,
-        predicate,
-        max_len=oracle_cfg.get("max_len", config.sampler.max_len),
-        weights=config.weights,
-        top=args.top,
-        max_nodes=oracle_cfg.get("max_nodes"),
+        panel, predicate, weights=config.weights, top=args.top, **config.oracle_limits()
     )
     print(json.dumps(report, allow_nan=False))
     return 0

@@ -43,6 +43,7 @@ from .bridge import Tokenizer, as_byte_model
 from .ensemble import EnsembleSpec, ExpertPanel
 from .inference import SamplerConfig
 from .lmcore import Alphabet, SequenceModel
+from .oracle import DEFAULT_NODE_CAP
 from .remote import DEFAULT_DEFECT_TOL, RemoteModel
 from .toy import NGramModel, PFSAModel, TableModel, fit_ngram, load_corpus
 
@@ -70,6 +71,15 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
+
+    def oracle_limits(self) -> dict:
+        """The oracle's ``max_len``/``max_nodes``: the ``oracle`` block's
+        values, else the sampler's horizon and ``DEFAULT_NODE_CAP``."""
+        oracle = self.oracle or {}
+        return {
+            "max_len": oracle.get("max_len", self.sampler.max_len),
+            "max_nodes": oracle.get("max_nodes", DEFAULT_NODE_CAP),
+        }
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

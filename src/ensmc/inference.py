@@ -413,9 +413,16 @@ def _resample(particles: list[Particle], seed: int, round_no: int) -> list[Parti
     probs = probs / probs.sum()
     rng = _rng(seed, _STREAM_RESAMPLE, round_no)
     new_log_w = float(log_total) - math.log(m)
+    # M inverse-CDF draws at once: the same doubles, products and strict
+    # comparisons as M ``draw_index`` calls, so the same ancestors.
+    cum = np.cumsum(probs)
+    u = rng.random(m)
+    u *= cum[-1]
+    idx = np.searchsorted(cum, u, side="right")
+    idx[idx >= m] = np.flatnonzero(probs > 0.0)[-1]
     out = []
-    for _ in range(m):
-        src = particles[draw_index(rng, probs)]
+    for i in idx:
+        src = particles[i]
         out.append(
             Particle(
                 x=src.x,

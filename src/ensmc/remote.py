@@ -13,6 +13,16 @@ Protocol (all bodies JSON, UTF-8):
   422 with ``{"error": "<message>"}``; the client raises
   UndefinedConditionalError without retrying.
 
+A request body larger than ``MAX_BODY_BYTES``, or one whose
+``Content-Length`` is missing, not an integer or negative, gets HTTP 413 or
+400 with ``{"error": ...}`` and the server closes the connection.
+
+Transport: HTTP/1.1 with persistent connections. Each client thread keeps
+one connection per ``RemoteModel`` and reuses it for every row; the server
+closes a connection after ``IDLE_TIMEOUT_S`` idle seconds. A request that
+fails on a reused connection because the server had closed it is resent
+once on a fresh connection; that resend is not a retry and does not sleep.
+
 Client behavior: transport failures, HTTP 5xx, and unparseable bodies
 are retried with exponential backoff (``retries`` attempts total); after
 that, ExpertUnavailableError. Returned rows are checked for
@@ -24,12 +34,14 @@ so retries and re-queries cannot change an answer already used.
 """
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -41,6 +53,18 @@ DEFAULT_DEFECT_TOL = 1e-2
 #: Seconds between the serving thread's shutdown checks; ``stop`` waits
 #: for at most one of them.
 POLL_INTERVAL_S = 0.05
+#: Seconds a served connection may sit idle before the server closes it,
+#: so an abandoned connection frees its handler thread.
+IDLE_TIMEOUT_S = 30.0
+#: Largest request body the server reads.
+MAX_BODY_BYTES = 1 << 20
+
+
+def _close_all(connections: dict) -> None:
+    for thread in list(connections):
+        conn = connections.pop(thread, None)
+        if conn is not None:
+            conn.close()
 
 
 class RemoteModel(SequenceModel):
@@ -58,6 +82,14 @@ class RemoteModel(SequenceModel):
         if retries < 1:
             raise ValueError("retries must be >= 1")
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https"):
+            raise ValueError(f"remote expert URL must be http or https: {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._netloc = url.netloc
+        self._path_prefix = url.path
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -65,7 +97,16 @@ class RemoteModel(SequenceModel):
         #: (context, linear-domain row sum) pairs for every renormalized row.
         self.defects: list[tuple[str, float]] = []
         self._cache: dict[str, np.ndarray] = {}
+        # One kept-alive connection per calling thread (keyed by thread id),
+        # since concurrent read-only use must stay safe. They are closed
+        # with the model, or by ``close``.
+        self._connections: dict[int, http.client.HTTPConnection] = {}
+        weakref.finalize(self, _close_all, self._connections)
         self.alphabet = alphabet if alphabet is not None else self._fetch_alphabet()
+
+    def close(self) -> None:
+        """Close the model's open connections; a later row opens a new one."""
+        _close_all(self._connections)
 
     # -- transport ------------------------------------------------------
 
@@ -75,35 +116,69 @@ class RemoteModel(SequenceModel):
         for attempt in range(self.retries):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
-            req = urllib.request.Request(
-                self.base_url + path,
-                data=body,
-                method=method,
-                headers={"Content-Type": "application/json"},
-            )
             try:
-                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    return json.loads(resp.read().decode("utf-8"))
-            except urllib.error.HTTPError as exc:
-                if exc.code == 422:
-                    detail = ""
-                    try:
-                        detail = json.loads(exc.read().decode("utf-8")).get("error", "")
-                    except Exception:
-                        pass
-                    raise UndefinedConditionalError(
-                        detail or f"server rejected the context ({path})"
-                    )
-                if 400 <= exc.code < 500:
-                    raise ExpertUnavailableError(
-                        f"{method} {path} failed with HTTP {exc.code}"
-                    )
+                status, data = self._exchange(method, self._path_prefix + path, body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
-            except (urllib.error.URLError, OSError, ValueError) as exc:
-                last_error = exc
+                continue
+            if 200 <= status < 300:
+                try:
+                    return json.loads(data.decode("utf-8"))
+                except ValueError as exc:
+                    last_error = exc
+                    continue
+            if status == 422:
+                detail = ""
+                try:
+                    detail = json.loads(data.decode("utf-8")).get("error", "")
+                except Exception:
+                    pass
+                raise UndefinedConditionalError(
+                    detail or f"server rejected the context ({path})"
+                )
+            if 400 <= status < 500:
+                raise ExpertUnavailableError(f"{method} {path} failed with HTTP {status}")
+            last_error = ExpertUnavailableError(f"HTTP {status}")
         raise ExpertUnavailableError(
             f"{method} {path} failed after {self.retries} attempts: {last_error}"
         )
+
+    def _exchange(self, method: str, url_path: str, body: bytes | None) -> tuple[int, bytes]:
+        """One request on this thread's connection: ``(status, whole body)``.
+
+        The body is read for every status, so the connection stays usable.
+        """
+        thread = threading.get_ident()
+        conn = self._connections.get(thread)
+        reused = conn is not None
+        if not reused:
+            conn = self._connections[thread] = self._connection_class(
+                self._netloc, timeout=self.timeout
+            )
+        try:
+            conn.request(
+                method, url_path, body=body, headers={"Content-Type": "application/json"}
+            )
+            resp = conn.getresponse()
+            data = resp.read()
+        except (ConnectionResetError, BrokenPipeError):
+            # Also http.client.RemoteDisconnected. On a reused connection this
+            # means the server closed it while idle: resend once, fresh. Both
+            # endpoints are pure functions, so a resend is safe.
+            self._drop(thread, conn)
+            if not reused:
+                raise
+            return self._exchange(method, url_path, body)
+        except BaseException:
+            self._drop(thread, conn)
+            raise
+        if resp.will_close:
+            self._drop(thread, conn)
+        return resp.status, data
+
+    def _drop(self, thread: int, conn: http.client.HTTPConnection) -> None:
+        self._connections.pop(thread, None)
+        conn.close()
 
     def _fetch_alphabet(self) -> Alphabet:
         reply = self._request("GET", "/alphabet")
@@ -157,18 +232,56 @@ class RemoteModel(SequenceModel):
         return float(value)
 
 
+class _Server(ThreadingHTTPServer):
+    """A threaded HTTP server whose ``server_close`` also ends open connections.
+
+    Each kept-alive connection has a daemon handler thread, which
+    ``server_close`` neither waits for nor stops. Without this, a client
+    holding a connection would go on getting rows from a stopped server
+    for up to ``IDLE_TIMEOUT_S``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        # Forget the socket before it is closed, so server_close never
+        # touches a closed (or reused) descriptor.
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        with self._lock:
+            for sock in self._connections:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        super().server_close()
+
+
 class ModelServer:
     """Serve a local model over the wire protocol (loopback demos, tests).
 
-    Runs a threaded HTTP server; use as a context manager or call
-    ``start``/``stop``. ``url`` gives the base URL once started.
+    Runs a threaded HTTP/1.1 server with one handler thread per client
+    connection; use as a context manager or call ``start``/``stop``.
+    ``stop`` also closes open connections. ``url`` gives the base URL
+    once started.
     """
 
     def __init__(self, model: SequenceModel, host: str = "127.0.0.1", port: int = 0):
         self.model = model
         self._host = host
         self._port = port
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: _Server | None = None
         self._thread: threading.Thread | None = None
 
     @property
@@ -183,14 +296,22 @@ class ModelServer:
         alphabet = model.alphabet
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # Headers and body are separate writes; with Nagle's algorithm the
+            # body waits for the client's delayed ACK (about 40 ms a row).
+            disable_nagle_algorithm = True
+            timeout = IDLE_TIMEOUT_S
+
             def log_message(self, *args):  # keep test output quiet
                 pass
 
-            def _send(self, code: int, payload: dict) -> None:
+            def _send(self, code: int, payload: dict, close: bool = False) -> None:
                 body = json.dumps(payload).encode("utf-8")
                 self.send_response(code)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                if close:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
 
@@ -200,13 +321,34 @@ class ModelServer:
                 else:
                     self._send(404, {"error": "unknown path"})
 
+            def _read_body(self) -> bytes | None:
+                """The request body, or None once a 400/413 reply is sent.
+
+                An unread body would be parsed as the next request, so an
+                error reply here also closes the connection.
+                """
+                try:
+                    length = int(self.headers["Content-Length"])
+                except (TypeError, ValueError):  # missing or not an integer
+                    length = -1
+                if not 0 <= length <= MAX_BODY_BYTES:
+                    self._send(
+                        413 if length > MAX_BODY_BYTES else 400,
+                        {"error": f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]"},
+                        close=True,
+                    )
+                    return None
+                return self.rfile.read(length)
+
             def do_POST(self):
+                body = self._read_body()
+                if body is None:
+                    return
                 if self.path != "/next":
                     self._send(404, {"error": "unknown path"})
                     return
                 try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                    payload = json.loads(self.rfile.read(length).decode("utf-8"))
+                    payload = json.loads(body.decode("utf-8"))
                     context = payload["context"]
                     row = model.log_next(context)
                 except UndefinedConditionalError as exc:
@@ -226,7 +368,7 @@ class ModelServer:
                     reply["eos_log_prob"] = float(eos)
                 self._send(200, reply)
 
-        self._httpd = ThreadingHTTPServer((self._host, self._port), Handler)
+        self._httpd = _Server((self._host, self._port), Handler)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
         )

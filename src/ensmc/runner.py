@@ -125,14 +125,8 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
             record["wall_time_s"] = time.perf_counter() - t0
             records.append(record)
     if config.oracle is not None:
-        oracle_cfg = dict(config.oracle)
         t0 = time.perf_counter()
-        table = enumerate_ensemble(
-            spec,
-            panel,
-            max_len=oracle_cfg.get("max_len", config.sampler.max_len),
-            max_nodes=oracle_cfg.get("max_nodes", 500_000),
-        )
+        table = enumerate_ensemble(spec, panel, **config.oracle_limits())
         record = {
             "schema_version": SCHEMA_VERSION,
             "method": "oracle",

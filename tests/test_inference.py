@@ -34,8 +34,9 @@ from ensmc import (
     sis,
     smc,
 )
-from ensmc.inference import _resample, make_proposal
-from ensmc.logtools import log_normalize
+from ensmc.inference import _STREAM_RESAMPLE, _resample, _rng, make_proposal
+from ensmc.lmcore import draw_index
+from ensmc.logtools import log_normalize, logsumexp
 
 
 def particle_states(estimate):
@@ -343,6 +344,25 @@ class TestResampling:
         for x, w in (("a", 4 / 9), ("b", 3 / 9), ("c", 2 / 9)):
             se = math.sqrt(w * (1 - w) / total)
             assert abs(counts[x] / total - w) < 5 * se
+
+    def test_ancestors_match_one_draw_index_per_particle(self):
+        """The batched draw is the per-particle loop, bit for bit."""
+        gen = np.random.default_rng(7)
+        for trial in range(200):
+            m = int(gen.integers(1, 40))
+            log_w = gen.normal(size=m) * 3.0
+            log_w[gen.random(m) < 0.3] = LOG_ZERO
+            log_w[int(gen.integers(m))] = 0.0
+            pop = [
+                Particle(x=str(i), log_w=float(w), active=True, completed=False, log_proposal=0.0)
+                for i, w in enumerate(log_w)
+            ]
+            probs = np.exp(log_w - logsumexp(log_w))
+            probs = probs / probs.sum()
+            rng = _rng(trial, _STREAM_RESAMPLE, 3)
+            want = [str(draw_index(rng, probs)) for _ in range(m)]
+            got = [p.x for p in _resample(pop, seed=trial, round_no=3)]
+            assert got == want
 
     def test_greedy_threshold_triggers_resampling(self, geo_panel, geo_spec):
         config = SamplerConfig(

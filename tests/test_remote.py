@@ -1,6 +1,9 @@
 import contextlib
+import http.client
+import itertools
 import json
 import math
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -24,10 +27,11 @@ from ensmc import (
     check_remote,
     cond_next,
     enumerate_ensemble,
+    fit_ngram,
     string_log_prob,
 )
 from ensmc.config import build_expert
-from ensmc.remote import POLL_INTERVAL_S
+from ensmc.remote import MAX_BODY_BYTES, POLL_INTERVAL_S
 
 
 @contextlib.contextmanager
@@ -314,3 +318,186 @@ class TestSampling:
             assert_allclose(np.exp(row).sum(), 1.0, rtol=1e-12)
             table = enumerate_ensemble(geo_spec, panel, max_len=3)
             assert math.isfinite(table.log_z)
+
+
+def contexts_up_to(max_len):
+    return ["".join(p) for n in range(max_len + 1) for p in itertools.product("ab", repeat=n)]
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Count the TCP connections the client opens during a test."""
+    opened = []
+    connect = http.client.HTTPConnection.connect
+
+    def counting_connect(self):
+        opened.append(self.port)
+        connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+    return opened
+
+
+class TestKeepAlive:
+    def test_many_rows_share_one_connection(self, connects):
+        local = fit_ngram(["abab", "ba", "aab"], order=2, smoothing=0.1)
+        contexts = contexts_up_to(3)
+        with ModelServer(local) as server:
+            remote = RemoteModel(server.url)
+            for context in contexts:
+                assert np.array_equal(remote.log_next(context), local.log_next(context))
+        assert len(connects) == 1
+
+    def test_rows_are_not_held_back_by_delayed_acks(self):
+        # With Nagle's algorithm on the server's sockets, each kept-alive
+        # reply waits for the client's delayed ACK: about 40 ms a row.
+        local = fit_ngram(["abab", "ba", "aab"], order=2, smoothing=0.1)
+        contexts = contexts_up_to(5)
+        with ModelServer(local) as server:
+            remote = RemoteModel(server.url)
+            t0 = time.perf_counter()
+            for context in contexts[:40]:
+                remote.log_next(context)
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_422_then_row_on_the_same_connection(self, connects):
+        local = TableModel(GEO_P1)
+        with ModelServer(local) as server:
+            remote = RemoteModel(server.url, retries=1)
+            with pytest.raises(UndefinedConditionalError) as info:
+                remote.log_next("ab")
+            assert str(info.value)
+            assert np.array_equal(remote.log_next("a"), local.log_next("a"))
+        assert len(connects) == 1
+
+    def test_server_closed_connection_reopened_without_a_retry(self, connects, monkeypatch):
+        monkeypatch.setattr("ensmc.remote.IDLE_TIMEOUT_S", 0.05)
+        local = TableModel(GEO_P1)
+        with ModelServer(local) as server:
+            # One attempt and a long backoff: a retry would fail, a sleep would show.
+            remote = RemoteModel(server.url, retries=1, backoff=10.0)
+            remote.log_next("")
+            time.sleep(0.3)  # the server drops the idle connection
+            t0 = time.perf_counter()
+            assert np.array_equal(remote.log_next("a"), local.log_next("a"))
+            assert time.perf_counter() - t0 < 1.0
+        assert len(connects) == 2
+
+    def test_threads_sharing_one_model_get_exact_rows(self, connects):
+        local = fit_ngram(["abab", "ba", "aab"], order=3, smoothing=0.1)
+        contexts = contexts_up_to(4)
+        threads = 4
+        got = [dict() for _ in range(threads)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ModelServer(local) as server:
+                remote = RemoteModel(server.url)
+
+                def work(i):
+                    # Each worker starts elsewhere; odd ones walk backwards.
+                    order = contexts[i:] + contexts[:i]
+                    for context in order[:: -1 if i % 2 else 1]:
+                        got[i][context] = remote.log_next(context)
+
+                workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in workers)
+        finally:
+            sys.setswitchinterval(switch)
+        for rows in got:
+            assert rows.keys() == set(contexts)
+            for context, row in rows.items():
+                assert np.array_equal(row, local.log_next(context))
+        # The alphabet fetch on this thread, then one connection per worker.
+        assert len(connects) == 1 + threads
+
+    def test_close_then_a_row_opens_a_new_connection(self, connects):
+        local = TableModel(GEO_P1)
+        with ModelServer(local) as server:
+            remote = RemoteModel(server.url)
+            remote.close()
+            assert np.array_equal(remote.log_next(""), local.log_next(""))
+            remote.close()
+        assert len(connects) == 2
+
+    def test_base_url_path_prefix_is_kept(self):
+        paths = []
+
+        def respond(method, path, payload):
+            paths.append(path)
+            return 200, {"log_probs": {"a": math.log(0.5)}, "eos_log_prob": math.log(0.5)}
+
+        with scripted_server(respond) as url:
+            RemoteModel(url + "/experts/e0/", alphabet=Alphabet("a")).log_next("")
+        assert paths == ["/experts/e0/next"]
+
+    def test_non_http_url_rejected(self):
+        with pytest.raises(ValueError):
+            RemoteModel("ftp://127.0.0.1:1", alphabet=Alphabet("a"))
+
+    def test_stop_returns_promptly_with_an_idle_client_connection(self):
+        server = ModelServer(TableModel(GEO_P1)).start()
+        remote = RemoteModel(server.url)
+        remote.log_next("")  # the connection now stays open, idle
+        t0 = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - t0 < 0.25
+
+
+    def test_stopped_server_serves_no_kept_alive_connection(self):
+        server = ModelServer(TableModel(GEO_P1)).start()
+        remote = RemoteModel(server.url, retries=1)
+        remote.log_next("")
+        server.stop()
+        with pytest.raises(ExpertUnavailableError):
+            remote.log_next("a")
+
+
+class TestRequestBodyBound:
+    @pytest.mark.parametrize(
+        "length, code",
+        [
+            (None, 400),
+            ("twelve", 400),
+            ("-1", 400),
+            (str(MAX_BODY_BYTES + 1), 413),
+        ],
+    )
+    def test_bad_content_length_rejected_and_connection_closed(self, length, code):
+        with ModelServer(TableModel(GEO_P1)) as server:
+            host, port = server.url.removeprefix("http://").split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+            try:
+                conn.putrequest("POST", "/next")
+                if length is not None:
+                    conn.putheader("Content-Length", length)
+                conn.endheaders()
+                resp = conn.getresponse()
+                body = json.loads(resp.read().decode("utf-8"))
+            finally:
+                conn.close()
+            assert resp.status == code
+            assert body["error"]
+            assert resp.will_close
+            # The server still serves new connections.
+            assert RemoteModel(server.url).log_next("")[0] == math.log(GEO_P1["a"])
+
+    def test_body_at_the_bound_is_read(self):
+        payload = json.dumps({"context": ""}).encode("utf-8")
+        payload += b" " * (MAX_BODY_BYTES - len(payload))
+        local = TableModel(GEO_P1)
+        with ModelServer(local) as server:
+            host, port = server.url.removeprefix("http://").split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+            try:
+                conn.request("POST", "/next", body=payload)
+                resp = conn.getresponse()
+                reply = json.loads(resp.read().decode("utf-8"))
+            finally:
+                conn.close()
+        assert resp.status == 200
+        assert reply["log_probs"]

@@ -31,6 +31,7 @@ from ensmc import (
     summarize_records,
     write_records,
 )
+from ensmc.oracle import DEFAULT_NODE_CAP
 
 BASE_CONFIG = {
     "experts": [
@@ -88,6 +89,15 @@ class TestConfigLoading:
     def test_sampler_validation_applies(self):
         with pytest.raises(ValueError):
             config_from_dict({**BASE_CONFIG, "sampler": {"particles": 0}})
+
+    def test_oracle_limits_default_to_horizon_and_node_cap(self):
+        bare = {k: v for k, v in BASE_CONFIG.items() if k != "oracle"}
+        assert config_from_dict(bare).oracle_limits() == {
+            "max_len": 4,
+            "max_nodes": DEFAULT_NODE_CAP,
+        }
+        given = config_from_dict({**bare, "oracle": {"max_len": 3, "max_nodes": 7}})
+        assert given.oracle_limits() == {"max_len": 3, "max_nodes": 7}
 
 
 class TestBuilders:
