@@ -321,13 +321,3 @@ def as_byte_model(
 ) -> TokenToByteModel:
     """Wrap a token-level model as its exact byte-level marginal."""
     return TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
-
-
-def byte_log_prob(token_model: SequenceModel, tokenizer: Tokenizer, x: str) -> float:
-    """One-off complete-string log probability under the byte marginal."""
-    return TokenToByteModel(token_model, tokenizer).string_log_prob(x)
-
-
-def byte_prefix_log_prob(token_model: SequenceModel, tokenizer: Tokenizer, x: str) -> float:
-    """One-off prefix log mass under the byte marginal."""
-    return TokenToByteModel(token_model, tokenizer).prefix_log_prob(x)

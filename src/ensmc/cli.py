@@ -99,10 +99,7 @@ def _cmd_enumerate(args) -> int:
         dump_table(table, args.out)
     z = float(np.exp(table.log_z))
     residual = (
-        "0"
-        if table.is_complete
-        else ("unknown" if np.isposinf(table.log_residual_bound)
-              else repr(float(np.exp(table.log_residual_bound))))
+        "0" if table.is_complete else repr(float(np.exp(table.log_residual_bound)))
     )
     print(
         f"strings={len(table.strings)} Z={z!r} residual<={residual} "

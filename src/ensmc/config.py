@@ -27,6 +27,9 @@ Shape (all keys except ``experts`` optional)::
     }
 
 Relative paths are resolved against the config file's directory.
+Unknown keys are rejected with a ValueError that names them: at the top
+level, in ``sampler`` and ``oracle``, in each expert object (per
+``type``), and in the ``operator`` and ``predicate`` objects.
 ``weights`` defaults to uniform. ``alphabet`` may be omitted when every
 expert determines its own (tables, files); it is required for n-grams
 fit from a corpus. The ``regex`` predicate uses full-string matching.
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -48,6 +51,25 @@ from .remote import DEFAULT_DEFECT_TOL, RemoteModel
 from .toy import NGramModel, PFSAModel, TableModel, fit_ngram, load_corpus
 
 KNOWN_METHODS = ("smc", "sis", "is", "local")
+
+#: The fields each expert ``type`` reads, besides ``type`` itself.
+EXPERT_FIELDS = {
+    "table": {"entries"},
+    "ngram": {"corpus", "order", "smoothing"},
+    "ngram_file": {"path"},
+    "pfsa": {"start", "transitions", "stops"},
+    "tokenized": {"tokenizer", "model", "log_floor"},
+    "remote": {"url", "alphabet", "timeout", "retries", "backoff", "defect_tol"},
+}
+
+
+def _check_keys(obj, allowed, what: str) -> None:
+    """Reject a non-object, or an object with keys outside ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -90,22 +112,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
-    known = {
+    _check_keys(raw, {
         "experts", "operator", "weights", "alphabet", "sampler",
         "oracle", "predicate", "methods", "repeats",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    sampler = SamplerConfig(**raw.get("sampler", {}))
+    }, "config")
+    sampler = raw.get("sampler", {})
+    _check_keys(sampler, {f.name for f in fields(SamplerConfig)}, "sampler")
+    if raw.get("oracle") is not None:
+        _check_keys(raw["oracle"], {"max_len", "max_nodes"}, "oracle")
     return ExperimentConfig(
         experts=tuple(raw.get("experts", ())),
         operator=raw.get("operator", "product"),
         weights=tuple(raw["weights"]) if raw.get("weights") is not None else None,
         alphabet=raw.get("alphabet"),
-        sampler=sampler,
+        sampler=SamplerConfig(**sampler),
         oracle=raw.get("oracle"),
         predicate=raw.get("predicate"),
         methods=tuple(raw.get("methods", ("smc",))),
@@ -120,6 +140,9 @@ def build_expert(
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError(f"expert spec must be an object with a 'type': {spec!r}")
     kind = spec["type"]
+    if kind not in EXPERT_FIELDS:
+        raise ValueError(f"unknown expert type {kind!r}")
+    _check_keys(spec, EXPERT_FIELDS[kind] | {"type"}, f"{kind} expert")
     if kind == "table":
         return TableModel(dict(spec["entries"]), alphabet=alphabet)
     if kind == "ngram":
@@ -150,13 +173,12 @@ def build_expert(
     if kind == "remote":
         return RemoteModel(
             spec["url"],
-            alphabet=alphabet,
+            alphabet=Alphabet(tuple(spec["alphabet"])) if spec.get("alphabet") else alphabet,
             timeout=spec.get("timeout", 5.0),
             retries=spec.get("retries", 3),
             backoff=spec.get("backoff", 0.05),
             defect_tol=spec.get("defect_tol", DEFAULT_DEFECT_TOL),
         )
-    raise ValueError(f"unknown expert type {kind!r}")
 
 
 def build_panel(config: ExperimentConfig) -> tuple[ExpertPanel, EnsembleSpec]:
@@ -171,9 +193,11 @@ def build_panel(config: ExperimentConfig) -> tuple[ExpertPanel, EnsembleSpec]:
     elif isinstance(op, dict):
         kind = op.get("kind")
         if kind == "power":
+            _check_keys(op, {"kind", "tau"}, "power operator")
             spec = EnsembleSpec.power(op["tau"], weights=weights)
         elif kind in ("minimum", "maximum", "geometric", "product",
                       "sum", "harmonic", "quadratic"):
+            _check_keys(op, {"kind"}, f"{kind} operator")
             spec = EnsembleSpec.from_name(kind, weights=weights)
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
@@ -191,9 +215,11 @@ def build_predicate(spec: dict | None) -> Callable[[str], bool] | None:
         return None
     kind = spec.get("kind")
     if kind == "in_set":
+        _check_keys(spec, {"kind", "strings"}, "in_set predicate")
         allowed = frozenset(spec["strings"])
         return lambda x: x in allowed
     if kind == "regex":
+        _check_keys(spec, {"kind", "pattern"}, "regex predicate")
         pattern = re.compile(spec["pattern"])
         return lambda x: pattern.fullmatch(x) is not None
     raise ValueError(f"unknown predicate kind {kind!r}")

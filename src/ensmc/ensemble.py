@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DeadPrefixError
 from .lmcore import Alphabet, SequenceModel, prefix_log_prob, string_log_prob
-from .logtools import LOG_ZERO, logsumexp, safe_log
+from .logtools import LOG_ZERO, logsumexp
 
 WEIGHT_TOL = 1e-12
 
@@ -67,22 +66,6 @@ class ExpertPanel:
         return self.models[k]
 
 
-@dataclass(frozen=True)
-class CustomOperator:
-    """A user-registered combination function on linear-domain values.
-
-    ``fn`` maps the surviving experts' linear probabilities to a single
-    nonnegative value. ``annihilative`` declares whether zero output on
-    a prefix guarantees zero on all its extensions; it is reported by
-    :func:`check_annihilative` and is False unless the author can prove
-    it.
-    """
-
-    name: str
-    fn: Callable[[np.ndarray], float]
-    annihilative: bool = False
-
-
 def _normalize_weights(weights) -> tuple[float, ...]:
     """Coerce to a point on the simplex.
 
@@ -111,12 +94,11 @@ def _normalize_weights(weights) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Operator (power tau / geometric / minimum / maximum / custom) plus weights."""
+    """Operator (power tau / geometric / minimum / maximum) plus weights."""
 
     kind: str
     weights: tuple[float, ...]
     tau: float | None = None
-    custom: CustomOperator | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _normalize_weights(self.weights))
@@ -129,9 +111,6 @@ class EnsembleSpec:
         elif self.kind in ("geometric", "minimum", "maximum"):
             if self.tau is not None:
                 raise ValueError(f"{self.kind} operator takes no tau")
-        elif self.kind == "custom":
-            if self.custom is None:
-                raise ValueError("custom operator spec needs a CustomOperator")
         else:
             raise ValueError(f"unknown operator kind {self.kind!r}")
 
@@ -202,18 +181,6 @@ class EnsembleSpec:
             out = np.where(any_zero[None, :], 0.0, m).T @ w
             out[any_zero] = LOG_ZERO
             return out
-        if self.kind == "custom":
-            vals = np.exp(m)
-            out = np.empty(m.shape[1])
-            for j in range(m.shape[1]):
-                y = float(self.custom.fn(vals[:, j]))
-                if not y >= 0.0:
-                    raise ValueError(
-                        f"custom operator {self.custom.name!r} returned {y!r}; "
-                        "potentials must be nonnegative"
-                    )
-                out[j] = safe_log(y)
-            return out
         # power: shifted weighted log-sum-exp on tau * log-values.
         tau = self.tau
         if tau < 0.0:
@@ -227,44 +194,11 @@ class EnsembleSpec:
         return out
 
 
-def check_annihilative(spec: EnsembleSpec) -> tuple[bool, str]:
-    """Whether zero potential on a prefix forces zero on all extensions.
-
-    Returns ``(flag, case)`` where ``case`` names the argument that
-    justifies the flag. Every generalized-mean operator is annihilative;
-    custom operators report whatever they declared, so non-mean
-    combinations (e.g. a contrastive difference) can be rejected or
-    repaired via :func:`epsilon_shift` before sampling.
-    """
-    if spec.kind == "minimum":
-        return True, "limit tau -> -inf: the minimum is 0 iff some input is 0"
-    if spec.kind == "maximum":
-        return True, "limit tau -> +inf: the maximum is 0 iff every input is 0"
-    if spec.kind == "geometric":
-        return True, "limit tau -> 0: the weighted product is 0 iff some input is 0"
-    if spec.kind == "power":
-        if spec.tau < 0.0:
-            return True, "tau < 0: by the continuity convention, any zero input gives 0"
-        return True, "tau > 0: the weighted power sum is 0 iff every input is 0"
-    return spec.custom.annihilative, f"declared by custom operator {spec.custom.name!r}"
-
-
 def is_consensus(spec: EnsembleSpec) -> bool:
     """True for operators that zero out whenever any expert does (tau <= 0)."""
     return spec.kind in ("minimum", "geometric") or (
         spec.kind == "power" and spec.tau is not None and spec.tau < 0.0
     )
-
-
-def epsilon_shift(value: float, eps: float) -> float:
-    """The additive repair |value| + eps making a potential strictly positive.
-
-    Applied to shaping values so annihilated prefixes keep an escape
-    route; the sampling target itself is never shifted.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be > 0")
-    return abs(value) + eps
 
 
 # -- potentials of a (spec, panel) pair --------------------------------
@@ -273,11 +207,6 @@ def epsilon_shift(value: float, eps: float) -> float:
 def log_string_potential(spec: EnsembleSpec, panel: ExpertPanel, x: str) -> float:
     """Unnormalized log target of a complete string."""
     return spec.combine([string_log_prob(m, x) for m in panel])
-
-
-def log_prefix_potential(spec: EnsembleSpec, panel: ExpertPanel, x: str) -> float:
-    """Operator applied to the experts' prefix probabilities (the shaping value)."""
-    return spec.combine([prefix_log_prob(m, x) for m in panel])
 
 
 def log_potential_columns(
@@ -302,15 +231,3 @@ def log_potential_columns(
         if expert_prefixes[k] != LOG_ZERO:
             logmat[k] = expert_prefixes[k] + m.log_next(x)
     return spec.combine_columns(logmat)
-
-
-def log_next_potentials(spec: EnsembleSpec, panel: ExpertPanel, x: str) -> np.ndarray:
-    """Next-step shaping row at ``x``: potential columns over the prefix potential.
-
-    Raises DeadPrefixError when the prefix potential of ``x`` is zero
-    (the conditional row does not exist).
-    """
-    base = log_prefix_potential(spec, panel, x)
-    if base == LOG_ZERO:
-        raise DeadPrefixError(f"prefix {x!r} has zero potential under {spec.kind}")
-    return log_potential_columns(spec, panel, x) - base

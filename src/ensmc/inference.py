@@ -350,19 +350,19 @@ def make_shaping(
     eps = config.epsilon if config.shaping == "epsilon-shift" else None
     return PrefixPotentialShaping(spec, panel, epsilon=eps)
 
+
+def proposal_expert(panel: ExpertPanel, config: SamplerConfig) -> SequenceModel:
+    """The expert an ``"expert:<k>"`` proposal names, with ``k`` bounds-checked."""
+    k = int(config.proposal.partition(":")[2])
+    if k >= len(panel):
+        raise ValueError(f"proposal {config.proposal!r}: panel has {len(panel)} experts")
+    return panel[k]
+
+
 def make_proposal(panel: ExpertPanel, config: SamplerConfig, shaping):
     if config.proposal == "optimal":
         return OptimalProposal(shaping)
-    _, _, idx = config.proposal.partition(":")
-    k = int(idx)
-    if k >= len(panel):
-        raise ValueError(f"proposal {config.proposal!r}: panel has {len(panel)} experts")
-    return ExpertProposal(panel[k])
-
-
-def optimal_proposal_row(spec: EnsembleSpec, panel: ExpertPanel, x: str) -> np.ndarray:
-    """One-off locally optimal proposal row at a prefix (normalized, log domain)."""
-    return OptimalProposal(PrefixPotentialShaping(spec, panel)).log_row(x)
+    return ExpertProposal(proposal_expert(panel, config))
 
 
 def one_step_weight_variance(log_potentials, log_proposal) -> float:

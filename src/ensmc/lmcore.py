@@ -26,7 +26,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import UndefinedConditionalError
 from .logtools import LOG_ZERO, log_row
 
 #: Reserved key naming the end marker in dict-shaped distributions.
@@ -140,16 +139,6 @@ class SequenceModel(abc.ABC):
         """
 
 
-def cond_next(model: SequenceModel, x: str) -> np.ndarray:
-    """Next-symbol log distribution at ``x``, guarding against dead prefixes."""
-    model.alphabet.check_string(x)
-    if prefix_log_prob(model, x) == LOG_ZERO:
-        raise UndefinedConditionalError(
-            f"context {x!r} has zero probability; conditional undefined"
-        )
-    return model.log_next(x)
-
-
 def prefix_log_prob(model: SequenceModel, x: str) -> float:
     """Log probability that a draw from the model starts with ``x``."""
     model.alphabet.check_string(x)
@@ -185,19 +174,6 @@ def draw_index(rng: np.random.Generator, probs: np.ndarray) -> int:
     if idx >= len(probs):
         idx = int(np.flatnonzero(probs > 0.0)[-1])
     return idx
-
-
-def ancestral_sample(
-    model: SequenceModel, rng: np.random.Generator, max_len: int
-) -> tuple[str, bool]:
-    """Draw one string by repeated conditional sampling.
-
-    Returns ``(string, completed)``; ``completed`` is False when the
-    draw hit ``max_len`` before the end marker (truncation is always
-    flagged, never silent).
-    """
-    x, _, completed = sample_with_log_prob(model, rng, max_len)
-    return x, completed
 
 
 def sample_with_log_prob(

@@ -61,10 +61,4 @@ def log_normalize(logs: np.ndarray) -> np.ndarray:
     return logs - total
 
 
-def exp_normalize(logs: np.ndarray) -> np.ndarray:
-    """Linear-domain normalized probabilities from a log-domain vector."""
-    shifted = np.exp(log_normalize(logs))
-    return shifted / shifted.sum()
-
-
-__all__ = ["LOG_ZERO", "safe_log", "log_row", "log_normalize", "exp_normalize", "logsumexp"]
+__all__ = ["LOG_ZERO", "safe_log", "log_row", "log_normalize", "logsumexp"]

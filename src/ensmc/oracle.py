@@ -38,8 +38,7 @@ class ExactTable:
 
     ``strings`` is sorted; ``log_values`` aligns with it;
     ``log_residual_bound`` upper-bounds the log mass of strings longer
-    than the horizon (``-inf`` when the support is proven complete,
-    ``+inf`` when no sound bound exists, e.g. custom operators).
+    than the horizon (``-inf`` when the support is proven complete).
     """
 
     alphabet: Alphabet
@@ -95,8 +94,6 @@ class ExactTable:
 def _operator_label(spec: EnsembleSpec) -> str:
     if spec.kind == "power":
         return f"power(tau={spec.tau!r})"
-    if spec.kind == "custom":
-        return f"custom({spec.custom.name})"
     return spec.kind
 
 
@@ -111,8 +108,8 @@ def enumerate_ensemble(
     """Exhaustive DFS over all strings up to ``max_len``.
 
     Pruning is only applied where sound: a subtree is dropped when every
-    surviving expert has zero prefix mass (all operators except custom),
-    or when a consensus operator already annihilated the prefix.
+    surviving expert has zero prefix mass, or when a consensus operator
+    already annihilated the prefix.
 
     The residual bound over the frontier (prefixes one symbol beyond the
     horizon) uses the operator applied to the experts' prefix masses for
@@ -120,8 +117,7 @@ def enumerate_ensemble(
     hence superadditive, which makes that a sound per-subtree upper
     bound. For tau > 1 and maximum that bound is not sound (the operator
     is subadditive), so the conservative sum of surviving experts'
-    prefix masses is used instead. Custom operators get ``+inf`` unless
-    the frontier is provably empty.
+    prefix masses is used instead.
 
     Exceeding any budget raises EnumerationBudgetError before partial
     results are returned.
@@ -140,18 +136,13 @@ def enumerate_ensemble(
     k = len(panel)
     active = np.asarray(spec.weights) > 0.0
     consensus = is_consensus(spec)
-    custom = spec.kind == "custom"
-    custom_floor = None
-    if custom:
-        custom_floor = float(spec.custom.fn(np.zeros(int(active.sum()))))
 
     entries: dict[str, float] = {}
     residual_terms: list[float] = []
-    residual_unknown = False
     nodes = 0
 
     def visit(x: str, prefixes: np.ndarray) -> None:
-        nonlocal nodes, residual_unknown
+        nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise EnumerationBudgetError(f"enumeration exceeded {max_nodes} nodes")
@@ -164,15 +155,12 @@ def enumerate_ensemble(
             entries[x] = float(cols[eos])
         for j, sym in enumerate(alphabet.symbols):
             child = logmat[:, j]
-            child_dead = np.isneginf(child[active]).all()
-            if child_dead and not (custom and custom_floor > 0.0):
+            if np.isneginf(child[active]).all():
                 continue
             if consensus and cols[j] == LOG_ZERO:
                 continue
             if len(x) < max_len:
                 visit(x + sym, child)
-            elif custom:
-                residual_unknown = True
             elif spec.kind == "maximum" or (spec.kind == "power" and spec.tau > 1.0):
                 residual_terms.append(float(logsumexp(child[active])))
             else:
@@ -187,9 +175,7 @@ def enumerate_ensemble(
             "target has no support within the horizon; nothing to normalize"
         )
     log_z = float(logsumexp(log_values))
-    if residual_unknown:
-        log_residual = math.inf
-    elif residual_terms:
+    if residual_terms:
         log_residual = float(logsumexp(np.array(residual_terms)))
     else:
         log_residual = LOG_ZERO

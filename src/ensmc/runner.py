@@ -25,6 +25,7 @@ from .inference import (
     importance_sample,
     local_sample,
     make_shaping,
+    proposal_expert,
     sis,
     smc,
 )
@@ -39,8 +40,6 @@ def _describe_operator(spec) -> dict:
     out = {"kind": spec.kind}
     if spec.tau is not None:
         out["tau"] = spec.tau
-    if spec.custom is not None:
-        out["custom"] = spec.custom.name
     return out
 
 
@@ -92,7 +91,7 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
                     if cfg.proposal == "optimal":
                         proposal_model = ShapingProposalModel(shaping, panel)
                     else:
-                        proposal_model = panel[int(cfg.proposal.partition(":")[2])]
+                        proposal_model = proposal_expert(panel, cfg)
                     est = importance_sample(
                         shaping.log_string_target,
                         proposal_model,

@@ -11,15 +11,13 @@ from ensmc import (
     SequenceModel,
     TableModel,
     Tokenizer,
-    TokenToByteModel,
     UndefinedConditionalError,
     as_byte_model,
-    byte_log_prob,
-    byte_prefix_log_prob,
     check_model,
     prefix_log_prob,
     string_log_prob,
 )
+from ensmc.bridge import TokenToByteModel
 
 
 def segmentation_log_prob(token_model, tokenizer, x):
@@ -193,11 +191,17 @@ class TestByteMarginal:
         with pytest.raises(UndefinedConditionalError):
             byte_model.log_next("aa")
 
-    def test_convenience_helpers_match_methods(self, bridge_fixture):
+    def test_fresh_model_matches_warm_methods(self, bridge_fixture):
+        """A one-off query on a new model equals one on a model whose
+        frontier cache other queries have already filled."""
         token_model, tokenizer = bridge_fixture
-        byte_model = as_byte_model(token_model, tokenizer)
-        assert byte_log_prob(token_model, tokenizer, "ab") == byte_model.string_log_prob("ab")
-        assert byte_prefix_log_prob(token_model, tokenizer, "ab") == byte_model.prefix_log_prob("ab")
+        warm = as_byte_model(token_model, tokenizer)
+        check_model(warm, ["", "a", "b", "ab", "ba", "abab"])
+        for x in ("ab", "ba", "abab"):
+            fresh = TokenToByteModel(token_model, tokenizer)
+            assert fresh.string_log_prob(x) == warm.string_log_prob(x)
+            fresh = TokenToByteModel(token_model, tokenizer)
+            assert fresh.prefix_log_prob(x) == warm.prefix_log_prob(x)
 
     def test_row_requests_are_memoized(self, bridge_fixture):
         token_model, tokenizer = bridge_fixture

@@ -6,21 +6,16 @@ from numpy.testing import assert_allclose
 
 from ensmc import (
     LOG_ZERO,
-    CustomOperator,
     DeadPrefixError,
     EnsembleSpec,
     ExpertPanel,
+    PrefixPotentialShaping,
     TableModel,
-    check_annihilative,
-    epsilon_shift,
     is_consensus,
-    log_next_potentials,
-    log_prefix_potential,
-    log_string_potential,
     prefix_log_prob,
     string_log_prob,
 )
-from ensmc.ensemble import log_potential_columns
+from ensmc.ensemble import log_potential_columns, log_string_potential
 
 
 def _logs(values):
@@ -238,38 +233,19 @@ class TestLimits:
                 assert abs(m - g) <= abs(tau) * np.ptp(u) ** 2 / 8 + 1e-12
 
 
-class TestCustomOperator:
-    def test_custom_matches_callable(self):
-        contrast = CustomOperator("excess", lambda v: max(v[0] - v[1], 0.0))
-        spec = EnsembleSpec("custom", (0.5, 0.5), custom=contrast)
-        assert_allclose(math.exp(spec.combine(_logs([0.7, 0.2]))), 0.5, rtol=1e-12)
-        assert spec.combine(_logs([0.2, 0.7])) == LOG_ZERO
-
-    def test_negative_output_rejected(self):
-        bad = CustomOperator("bad", lambda v: -1.0)
-        spec = EnsembleSpec("custom", (1.0,), custom=bad)
-        with pytest.raises(ValueError):
-            spec.combine(_logs([0.5]))
-
-    def test_annihilativity_report(self):
-        contrast = CustomOperator("excess", lambda v: max(v[0] - v[1], 0.0))
-        flag, case = check_annihilative(EnsembleSpec("custom", (0.5, 0.5), custom=contrast))
-        assert flag is False and "excess" in case
-        for spec in (EnsembleSpec.minimum(2), EnsembleSpec.geometric(2),
-                     EnsembleSpec.power(-1, 2), EnsembleSpec.power(2, 2),
-                     EnsembleSpec.maximum(2)):
-            flag, _ = check_annihilative(spec)
-            assert flag is True
-
-
 class TestEpsilonShift:
-    def test_shift_value(self):
-        assert epsilon_shift(0.0, 1e-4) == 1e-4
-        assert epsilon_shift(-0.3, 1e-4) == pytest.approx(0.3 + 1e-4, rel=1e-15)
+    """The shaping's additive repair: a prefix potential v becomes v + eps."""
 
-    def test_rejects_nonpositive_eps(self):
+    def test_shift_value(self, geo_panel, geo_spec):
+        shaping = PrefixPotentialShaping(geo_spec, geo_panel, epsilon=1e-4)
+        # "ab" is dead under the product, so its potential is eps alone.
+        assert math.exp(shaping.log_value("ab")) == pytest.approx(1e-4, rel=1e-13)
+        want = math.sqrt(0.5 * 0.25) + 1e-4
+        assert math.exp(shaping.log_value("a")) == pytest.approx(want, rel=1e-13)
+
+    def test_rejects_nonpositive_eps(self, geo_panel, geo_spec):
         with pytest.raises(ValueError):
-            epsilon_shift(0.5, 0.0)
+            PrefixPotentialShaping(geo_spec, geo_panel, epsilon=0.0)
 
 
 class TestPotentials:
@@ -280,7 +256,10 @@ class TestPotentials:
         )
 
     def test_prefix_potential_combines_expert_prefix_probs(self, geo_panel, geo_spec):
-        assert_allclose(math.exp(log_prefix_potential(geo_spec, geo_panel, "")), 1.0)
+        shaping = PrefixPotentialShaping(geo_spec, geo_panel)
+        assert_allclose(math.exp(shaping.log_value("")), 1.0)
+        want = math.sqrt(0.5 * 0.25)
+        assert_allclose(math.exp(shaping.log_value("a")), want, rtol=1e-12)
 
     def test_columns_layout(self, make_random_panel):
         """Column a holds the potential of x+a; the last column is phi(x)."""
@@ -313,7 +292,7 @@ class TestPotentials:
     def test_next_potentials_dead_prefix_raises(self, geo_panel):
         spec = EnsembleSpec.minimum(2)
         with pytest.raises(DeadPrefixError):
-            log_next_potentials(spec, geo_panel, "ab")
+            PrefixPotentialShaping(spec, geo_panel).log_row("ab")
 
 
 class TestExpertPanel:

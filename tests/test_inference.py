@@ -21,19 +21,17 @@ from ensmc import (
     SamplerConfig,
     SequenceModel,
     TableModel,
-    cond_next,
     ensemble_log_target,
     enumerate_ensemble,
     ess,
     fit_ngram,
     importance_sample,
     local_sample,
-    log_string_potential,
     one_step_weight_variance,
-    optimal_proposal_row,
     sis,
     smc,
 )
+from ensmc.ensemble import log_string_potential
 from ensmc.inference import _STREAM_RESAMPLE, _resample, _rng, make_proposal
 from ensmc.lmcore import draw_index
 from ensmc.logtools import log_normalize, logsumexp
@@ -237,7 +235,7 @@ class TestPrefixNodeCache:
 
 class TestOptimalProposal:
     def test_rows_normalized_to_target_conditional(self, geo_panel, geo_spec):
-        row = optimal_proposal_row(geo_spec, geo_panel, "")
+        row = OptimalProposal(PrefixPotentialShaping(geo_spec, geo_panel)).log_row("")
         want = np.log([math.sqrt(0.125), math.sqrt(0.075), math.sqrt(0.1)]) - math.log(
             GEO_Z
         )
@@ -262,7 +260,7 @@ class TestOptimalProposal:
         )
         spec = EnsembleSpec.geometric(2)
         with pytest.raises(DeadPrefixError):
-            optimal_proposal_row(spec, panel, "a")
+            OptimalProposal(PrefixPotentialShaping(spec, panel)).log_row("a")
 
 
 class TestDeterminism:
@@ -566,7 +564,7 @@ class TestLocalSample:
             log_p = 0.0
             for i, ch in enumerate(draw.x + "$"):
                 prefix = draw.x[:i]
-                rows = np.stack([cond_next(m, prefix) for m in mis_panel])
+                rows = np.stack([m.log_next(prefix) for m in mis_panel])
                 local = log_normalize(spec.combine_columns(rows))
                 idx = (
                     mis_panel.alphabet.eos_index

@@ -8,14 +8,10 @@ from ensmc import (
     Alphabet,
     TableModel,
     UndefinedConditionalError,
-    ancestral_sample,
-    cond_next,
     prefix_log_prob,
-    sample_with_log_prob,
     string_log_prob,
-    validate_log_row,
 )
-from ensmc.lmcore import draw_index
+from ensmc.lmcore import draw_index, sample_with_log_prob, validate_log_row
 
 
 class TestAlphabet:
@@ -111,12 +107,12 @@ class TestCondNext:
     def test_dead_context_raises(self):
         model = TableModel({"a": 1.0}, alphabet=Alphabet("ab"))
         with pytest.raises(UndefinedConditionalError):
-            cond_next(model, "b")
+            model.log_next("b")
 
     def test_live_context_row_normalized(self, make_random_table):
         rng = np.random.default_rng(7)
         model = make_random_table(rng)
-        row = cond_next(model, "")
+        row = model.log_next("")
         assert_allclose(np.exp(row).sum(), 1.0, rtol=1e-12)
 
 
@@ -154,8 +150,9 @@ class TestSampling:
 
     def test_truncation_is_flagged(self):
         model = TableModel({"aaaa": 1.0})
-        x, completed = ancestral_sample(model, np.random.default_rng(0), max_len=2)
+        x, log_p, completed = sample_with_log_prob(model, np.random.default_rng(0), max_len=2)
         assert x == "aa" and not completed
+        assert log_p == prefix_log_prob(model, "aa")
 
     def test_negative_max_len_rejected(self, make_random_table):
         model = make_random_table(np.random.default_rng(11))

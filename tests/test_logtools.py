@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ensmc.logtools import LOG_ZERO, exp_normalize, log_normalize, log_row, safe_log
+from ensmc.logtools import LOG_ZERO, log_normalize, log_row, safe_log
 
 
 class TestSafeLog:
@@ -42,9 +42,3 @@ class TestLogNormalize:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             log_normalize(np.array([LOG_ZERO, LOG_ZERO]))
-
-
-class TestExpNormalize:
-    def test_returns_linear_simplex_point(self):
-        out = exp_normalize(np.array([0.0, np.log(3.0)]))
-        assert_allclose(out, [0.25, 0.75], rtol=1e-12)

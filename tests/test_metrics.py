@@ -8,19 +8,21 @@ from ensmc import (
     Alphabet,
     EnsembleSpec,
     ExpertPanel,
-    LocalSample,
     SamplerConfig,
     TableModel,
+    empirical_distribution,
+    enumerate_ensemble,
+    mixture_identity,
+    smc,
+)
+from ensmc.inference import LocalSample
+from ensmc.metrics import (
     as_distribution,
     compare_to_oracle,
     correlation_report,
-    empirical_distribution,
-    enumerate_ensemble,
     expected_accuracy,
     intersection_report,
-    mixture_identity,
     rank_displacement,
-    smc,
 )
 
 

@@ -15,16 +15,14 @@ from ensmc import (
     ExpertPanel,
     PFSAModel,
     TableModel,
-    alpha_divergence,
     dump_table,
     enumerate_ensemble,
-    kl_divergence,
     load_table,
     minimize_divergence_simplex,
-    model_log_probs,
     string_log_prob,
     total_variation,
 )
+from ensmc.oracle import alpha_divergence, kl_divergence, model_log_probs
 
 
 def brute_force_table(spec, panel, max_len):

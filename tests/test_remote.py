@@ -25,7 +25,6 @@ from ensmc import (
     TableModel,
     UndefinedConditionalError,
     check_remote,
-    cond_next,
     enumerate_ensemble,
     fit_ngram,
     string_log_prob,
@@ -314,7 +313,7 @@ class TestSampling:
         """A remote expert slots into a panel anywhere a local one does."""
         with ModelServer(TableModel(GEO_P2)) as server:
             panel = ExpertPanel([TableModel(GEO_P1), RemoteModel(server.url)])
-            row = cond_next(panel[1], "")
+            row = panel[1].log_next("")
             assert_allclose(np.exp(row).sum(), 1.0, rtol=1e-12)
             table = enumerate_ensemble(geo_spec, panel, max_len=3)
             assert math.isfinite(table.log_z)

@@ -17,10 +17,7 @@ from ensmc import (
     SamplerConfig,
     TableModel,
     Tokenizer,
-    TokenToByteModel,
     build_expert,
-    build_panel,
-    build_predicate,
     config_from_dict,
     fit_ngram,
     load_config,
@@ -28,10 +25,11 @@ from ensmc import (
     main,
     read_records,
     run_experiment,
-    summarize_records,
-    write_records,
 )
+from ensmc.bridge import TokenToByteModel
+from ensmc.config import build_panel, build_predicate
 from ensmc.oracle import DEFAULT_NODE_CAP
+from ensmc.runner import summarize_records, write_records
 
 BASE_CONFIG = {
     "experts": [
@@ -89,6 +87,26 @@ class TestConfigLoading:
     def test_sampler_validation_applies(self):
         with pytest.raises(ValueError):
             config_from_dict({**BASE_CONFIG, "sampler": {"particles": 0}})
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"sampler": {"particle": 4}}, "particle"),
+        ({"sampler": {"particles": 4, "max_len": 4, "sed": 1}}, "sed"),
+        ({"oracle": {"maxlen": 3}}, "maxlen"),
+        ({"experts": [{"type": "table", "entries": GEO_P1, "wieght": 2},
+                      {"type": "table", "entries": GEO_P2}]}, "wieght"),
+        ({"experts": [{"type": "table", "entries": GEO_P1},
+                      {"type": "remote", "url": "http://127.0.0.1:1", "order": 2}]},
+         "order"),
+        ({"operator": {"kind": "power", "tau": 0.5, "tua": 1.0}}, "tua"),
+        ({"operator": {"kind": "minimum", "tau": 1.0}}, "tau"),
+        ({"predicate": {"kind": "regex", "pattern": "a", "strings": ["a"]}}, "strings"),
+    ])
+    def test_unknown_nested_keys_named(self, tmp_path, capsys, overrides, key):
+        """An unknown key anywhere is a ValueError naming it, so the CLI
+        reports it and exits 2 before any run."""
+        assert main(["sample", str(write_config(tmp_path, overrides))]) == 2
+        captured = capsys.readouterr()
+        assert repr(key) in captured.err and captured.out == ""
 
     def test_oracle_limits_default_to_horizon_and_node_cap(self):
         bare = {k: v for k, v in BASE_CONFIG.items() if k != "oracle"}
@@ -184,6 +202,14 @@ class TestBuilders:
             assert isinstance(model, RemoteModel)
             assert model.alphabet.symbols == ("a", "b")
 
+    def test_build_expert_remote_alphabet_field(self):
+        """A remote expert's own ``alphabet`` wins over the top-level one;
+        given either, the client asks the server for nothing."""
+        spec = {"type": "remote", "url": "http://127.0.0.1:1", "alphabet": "xy"}
+        assert build_expert(spec, Alphabet("ab"), ".").alphabet == Alphabet("xy")
+        del spec["alphabet"]
+        assert build_expert(spec, Alphabet("ab"), ".").alphabet == Alphabet("ab")
+
     def test_unknown_expert_type_rejected(self):
         with pytest.raises(ValueError):
             build_expert({"type": "markov"}, None, ".")
@@ -232,6 +258,17 @@ class TestRunner:
             return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in records]
 
         assert strip(run_experiment(config)) == strip(run_experiment(config))
+
+    @pytest.mark.parametrize("method", ["smc", "sis", "is"])
+    def test_expert_proposal_index_bounds_checked(self, method):
+        """Every method resolves ``expert:<k>`` through one bounds check."""
+        raw = {
+            **BASE_CONFIG,
+            "methods": [method],
+            "sampler": {**BASE_CONFIG["sampler"], "proposal": "expert:5"},
+        }
+        with pytest.raises(ValueError, match="panel has 2 experts"):
+            run_experiment(config_from_dict(raw))
 
     def test_sampler_accuracy_approaches_oracle(self):
         raw = {**BASE_CONFIG, "sampler": {"particles": 4096, "max_len": 4}, "repeats": 1}

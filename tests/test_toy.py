@@ -11,9 +11,9 @@ from ensmc import (
     UndefinedConditionalError,
     check_model,
     fit_ngram,
-    load_corpus,
     string_log_prob,
 )
+from ensmc.toy import load_corpus
 
 
 class TestLoadCorpus:
