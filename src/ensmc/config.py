@@ -59,7 +59,7 @@ EXPERT_FIELDS = {
     "ngram_file": {"path"},
     "pfsa": {"start", "transitions", "stops"},
     "tokenized": {"tokenizer", "model", "log_floor"},
-    "remote": {"url", "alphabet", "timeout", "retries", "backoff", "defect_tol"},
+    "remote": {"url", "timeout", "retries", "backoff", "defect_tol"},
 }
 
 
@@ -173,7 +173,7 @@ def build_expert(
     if kind == "remote":
         return RemoteModel(
             spec["url"],
-            alphabet=Alphabet(tuple(spec["alphabet"])) if spec.get("alphabet") else alphabet,
+            alphabet=alphabet,
             timeout=spec.get("timeout", 5.0),
             retries=spec.get("retries", 3),
             backoff=spec.get("backoff", 0.05),

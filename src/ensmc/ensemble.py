@@ -213,19 +213,16 @@ def log_potential_columns(
     spec: EnsembleSpec,
     panel: ExpertPanel,
     x: str,
-    expert_prefixes: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Unnormalized one-step potentials after prefix ``x``.
 
     Entry ``a`` is the prefix potential of ``x + a``; the end-marker
     entry is the string potential of ``x`` itself. Dividing by the
     prefix potential of ``x`` gives the next-step shaping distribution
-    (not necessarily normalized). ``expert_prefixes`` may pass
-    precomputed per-expert prefix log probabilities at ``x``.
+    (not necessarily normalized).
     """
     eos = panel.alphabet.eos_index
-    if expert_prefixes is None:
-        expert_prefixes = [prefix_log_prob(m, x) for m in panel]
+    expert_prefixes = [prefix_log_prob(m, x) for m in panel]
     logmat = np.full((len(panel), eos + 1), LOG_ZERO)
     for k, m in enumerate(panel):
         if expert_prefixes[k] != LOG_ZERO:

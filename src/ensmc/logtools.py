@@ -37,13 +37,6 @@ def logsumexp(a, axis=None, b=None):
     return _logsumexp_nd(a, axis=axis, b=b)
 
 
-def safe_log(p: float) -> float:
-    """log(p) with safe_log(0) == -inf; negative input is invalid."""
-    if p < 0.0:
-        raise ValueError(f"negative probability: {p!r}")
-    return math.log(p) if p > 0.0 else LOG_ZERO
-
-
 def log_row(probs) -> np.ndarray:
     """Elementwise safe log of a linear-domain vector."""
     probs = np.asarray(probs, dtype=float)
@@ -61,4 +54,4 @@ def log_normalize(logs: np.ndarray) -> np.ndarray:
     return logs - total
 
 
-__all__ = ["LOG_ZERO", "safe_log", "log_row", "log_normalize", "logsumexp"]
+__all__ = ["LOG_ZERO", "log_row", "log_normalize", "logsumexp"]

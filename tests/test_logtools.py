@@ -2,20 +2,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ensmc.logtools import LOG_ZERO, log_normalize, log_row, safe_log
+from ensmc.logtools import LOG_ZERO, log_normalize, log_row
 
 
 class TestSafeLog:
+    """``log_row`` on a single probability."""
+
     def test_zero_maps_to_log_zero(self):
         """Exact zero probability becomes -inf, not an error."""
-        assert safe_log(0.0) == LOG_ZERO
+        assert log_row(0.0) == LOG_ZERO
 
     def test_positive_is_plain_log(self):
-        assert_allclose(safe_log(0.25), np.log(0.25), rtol=1e-15)
+        assert_allclose(log_row(0.25), np.log(0.25), rtol=1e-15)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            safe_log(-1e-9)
+            log_row(-1e-9)
 
 
 class TestLogRow:

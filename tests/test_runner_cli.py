@@ -97,6 +97,9 @@ class TestConfigLoading:
         ({"experts": [{"type": "table", "entries": GEO_P1},
                       {"type": "remote", "url": "http://127.0.0.1:1", "order": 2}]},
          "order"),
+        ({"experts": [{"type": "table", "entries": GEO_P1},
+                      {"type": "remote", "url": "http://127.0.0.1:1", "alphabet": "ab"}]},
+         "alphabet"),
         ({"operator": {"kind": "power", "tau": 0.5, "tua": 1.0}}, "tua"),
         ({"operator": {"kind": "minimum", "tau": 1.0}}, "tau"),
         ({"predicate": {"kind": "regex", "pattern": "a", "strings": ["a"]}}, "strings"),
@@ -201,14 +204,6 @@ class TestBuilders:
             model = build_expert({"type": "remote", "url": server.url}, None, ".")
             assert isinstance(model, RemoteModel)
             assert model.alphabet.symbols == ("a", "b")
-
-    def test_build_expert_remote_alphabet_field(self):
-        """A remote expert's own ``alphabet`` wins over the top-level one;
-        given either, the client asks the server for nothing."""
-        spec = {"type": "remote", "url": "http://127.0.0.1:1", "alphabet": "xy"}
-        assert build_expert(spec, Alphabet("ab"), ".").alphabet == Alphabet("xy")
-        del spec["alphabet"]
-        assert build_expert(spec, Alphabet("ab"), ".").alphabet == Alphabet("ab")
 
     def test_unknown_expert_type_rejected(self):
         with pytest.raises(ValueError):
