@@ -29,6 +29,7 @@ construction.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +208,7 @@ class TokenToByteModel(SequenceModel):
         self.alphabet = tokenizer.byte_alphabet
         self.log_floor = log_floor
         self.log_dropped_bound = LOG_ZERO
+        self._dropped_lock = threading.Lock()
         self._frontiers: dict[str, _Frontier] = {
             "": _Frontier(entries=(("", "", 0.0),))
         }
@@ -265,7 +267,12 @@ class TokenToByteModel(SequenceModel):
             kept = tuple(e for e in entries if e[2] >= cut)
             for _, _, w in entries:
                 if w < cut:
-                    self.log_dropped_bound = float(np.logaddexp(self.log_dropped_bound, w))
+                    # Read-modify-write: two threads pruning at once
+                    # would otherwise lose a term and undercut the bound.
+                    with self._dropped_lock:
+                        self.log_dropped_bound = float(
+                            np.logaddexp(self.log_dropped_bound, w)
+                        )
             entries = kept
         return _Frontier(entries=entries)
 

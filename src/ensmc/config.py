@@ -66,7 +66,7 @@ EXPERT_FIELDS = {
 def _check_keys(obj, allowed, what: str) -> None:
     """Reject a non-object, or an object with keys outside ``allowed``."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+        raise ValueError(f"{what!r} must be a JSON object, got {obj!r}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
@@ -88,8 +88,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.experts:
             raise ValueError("config needs at least one expert")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        if not isinstance(self.repeats, int) or self.repeats < 1:
+            raise ValueError(f"'repeats' must be an integer >= 1, got {self.repeats!r}")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
@@ -121,17 +121,30 @@ def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     if raw.get("oracle") is not None:
         _check_keys(raw["oracle"], {"max_len", "max_nodes"}, "oracle")
     return ExperimentConfig(
-        experts=tuple(raw.get("experts", ())),
+        experts=_list_value(raw, "experts", ()),
         operator=raw.get("operator", "product"),
-        weights=tuple(raw["weights"]) if raw.get("weights") is not None else None,
+        weights=_list_value(raw, "weights", None),
         alphabet=raw.get("alphabet"),
         sampler=SamplerConfig(**sampler),
         oracle=raw.get("oracle"),
         predicate=raw.get("predicate"),
-        methods=tuple(raw.get("methods", ("smc",))),
+        methods=_list_value(raw, "methods", ("smc",)),
         repeats=raw.get("repeats", 1),
         base_dir=Path(base_dir),
     )
+
+
+def _list_value(raw: dict, key: str, default):
+    """``raw[key]`` as a tuple, or ``default`` when the key is absent.
+
+    A value that is not a list is rejected with a ValueError naming ``key``.
+    """
+    value = raw.get(key, default)
+    if value is default:
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key!r} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def build_expert(
@@ -213,6 +226,7 @@ def build_panel(config: ExperimentConfig) -> tuple[ExpertPanel, EnsembleSpec]:
 def build_predicate(spec: dict | None) -> Callable[[str], bool] | None:
     if spec is None:
         return None
+    _check_keys(spec, {"kind", "strings", "pattern"}, "predicate")
     kind = spec.get("kind")
     if kind == "in_set":
         _check_keys(spec, {"kind", "strings"}, "in_set predicate")

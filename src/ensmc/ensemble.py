@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .lmcore import Alphabet, SequenceModel, prefix_log_prob, string_log_prob
-from .logtools import LOG_ZERO, logsumexp
+from .logtools import LOG_ZERO, weighted_logsumexp_columns
 
 WEIGHT_TOL = 1e-12
 
@@ -185,11 +185,10 @@ class EnsembleSpec:
         tau = self.tau
         if tau < 0.0:
             scaled = np.where(any_zero[None, :], 0.0, tau * m)
-            out = logsumexp(scaled, b=w[:, None], axis=0) / tau
+            out = weighted_logsumexp_columns(scaled, w) / tau
             out[any_zero] = LOG_ZERO
             return out
-        with np.errstate(invalid="ignore"):
-            out = logsumexp(tau * m, b=w[:, None], axis=0) / tau
+        out = weighted_logsumexp_columns(tau * m, w) / tau
         out[np.isneginf(m).all(axis=0)] = LOG_ZERO
         return out
 

@@ -1,40 +1,60 @@
 """Small log-domain helpers.
 
 Probabilities are kept as natural logs throughout the package; exact zero
-is float('-inf'). Plain 1-D sums of log values use the local max-shifted
-reduction below (scipy's logsumexp spends most of its time on dispatch
-overhead at the few-element row sizes this package works with); weighted
-and axis reductions delegate to scipy.
+is float('-inf'). Two reductions live here: a max-shifted sum of a 1-D
+vector, and a weighted sum down the columns of a (K, n) matrix, which
+is the one kernel the power operators need.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import logsumexp as _logsumexp_nd
 
 LOG_ZERO = float("-inf")
 
 
-def logsumexp(a, axis=None, b=None):
-    """Max-shifted ``log(sum(exp(a)))``; a Python float for plain 1-D input.
+def logsumexp(a) -> float:
+    """Max-shifted ``log(sum(exp(a)))`` over all of ``a``, as a Python float.
 
-    With ``axis`` or weights ``b`` this defers to scipy and keeps its
-    semantics. The fast path computes the identical shifted reduction:
-    an empty or all-zero-probability input gives -inf.
+    The package calls it on 1-D vectors. An empty or all-zero-probability
+    input gives -inf.
     """
-    if axis is None and b is None:
-        arr = np.asarray(a, dtype=float)
-        if arr.ndim == 1:
-            if not arr.size:
-                return LOG_ZERO
-            m = float(arr.max())
-            if not math.isfinite(m):
-                # All -inf (sum is zero), a +inf entry, or a nan: in each
-                # case the max already equals the reduction.
-                return m
-            return m + math.log(float(np.exp(arr - m).sum()))
-    return _logsumexp_nd(a, axis=axis, b=b)
+    arr = np.asarray(a, dtype=float)
+    if not arr.size:
+        return LOG_ZERO
+    m = float(arr.max())
+    if not math.isfinite(m):
+        # All -inf (sum is zero), a +inf entry, or a nan: in each case
+        # the max already equals the reduction.
+        return m
+    return m + math.log(float(np.exp(arr - m).sum()))
+
+
+def weighted_logsumexp_columns(a, w) -> np.ndarray:
+    """``log(sum_k w[k] * exp(a[k, j]))`` for each column j of a (K, n) matrix.
+
+    ``w`` holds K nonnegative weights. The steps are those of scipy 1.17's
+    real-valued ``logsumexp(a, b=w[:, None], axis=0)``, so the two agree
+    to the bit: a zero-weight entry counts as -inf; the entries tied at a
+    column's max leave the sum ``s`` and contribute their total weight
+    ``m``, giving ``log1p(s / m) + log(m) + max``; a column where that is
+    not finite falls back to the direct ``log(sum(w * exp(a)))``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.broadcast_to(np.asarray(w, dtype=float)[:, None], a.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log((b * np.exp(a)).sum(axis=0))
+        a = a.copy(order="K")  # the memory layout sets the order of the sums
+        a[b == 0.0] = LOG_ZERO
+        a_max = a.max(axis=0)
+        tied = a == a_max
+        m = (b * tied).sum(axis=0)
+        a[tied] = LOG_ZERO
+        s = (b * np.exp(a - a_max)).sum(axis=0)
+        s = np.where(s == 0.0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    return np.where(np.isfinite(out), out, direct)
 
 
 def log_row(probs) -> np.ndarray:
@@ -54,4 +74,5 @@ def log_normalize(logs: np.ndarray) -> np.ndarray:
     return logs - total
 
 
-__all__ = ["LOG_ZERO", "log_row", "log_normalize", "logsumexp"]
+__all__ = ["LOG_ZERO", "log_row", "log_normalize", "logsumexp",
+           "weighted_logsumexp_columns"]

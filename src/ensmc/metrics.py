@@ -8,12 +8,12 @@ particle :class:`~ensmc.inference.Estimate`, or an enumerated
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
-from scipy import stats
 
 from .ensemble import EnsembleSpec, ExpertPanel
+from .errors import DegenerateRunError
 from .inference import Estimate, LocalSample
 from .oracle import ExactTable, enumerate_ensemble, model_log_probs, total_variation
 
@@ -126,71 +126,6 @@ def intersection_report(
     }
 
 
-def rank_displacement(scores_a: dict[str, float], scores_b: dict[str, float]) -> float:
-    """Mean absolute rank difference between two scorings of the same strings.
-
-    Ranks are averaged over ties; the dicts must cover the same keys.
-    """
-    if set(scores_a) != set(scores_b):
-        raise ValueError("scorings cover different strings")
-    keys = sorted(scores_a)
-    if not keys:
-        raise ValueError("empty scorings")
-    ra = stats.rankdata([scores_a[k] for k in keys])
-    rb = stats.rankdata([scores_b[k] for k in keys])
-    return float(np.mean(np.abs(ra - rb)))
-
-
-def correlation_report(
-    pairs: Sequence[tuple[Sequence[float], Sequence[float]]],
-) -> dict:
-    """Agreement between two scorers across instances, two complementary views.
-
-    ``pairs`` holds per-instance aligned score vectors (a, b). Reported:
-
-    * per-instance Spearman rank correlation, with instances where
-      either vector is constant (correlation undefined) recorded as None
-      and counted in ``undefined``;
-    * pooled Pearson correlation after z-scoring scores within each
-      instance, which weights instances by size instead of equally.
-
-    The two views answer different questions (typical within-instance
-    agreement vs. overall standardized agreement), so both are labeled
-    explicitly rather than collapsed into one number.
-    """
-    per: list[float | None] = []
-    pooled_a: list[np.ndarray] = []
-    pooled_b: list[np.ndarray] = []
-    undefined = 0
-    for a, b in pairs:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("each pair must hold two aligned 1-d score vectors")
-        if len(a) < 2 or np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
-            per.append(None)
-            undefined += 1
-            continue
-        rho = stats.spearmanr(a, b).statistic
-        per.append(float(rho))
-        pooled_a.append((a - a.mean()) / a.std())
-        pooled_b.append((b - b.mean()) / b.std())
-    defined = [r for r in per if r is not None]
-    if pooled_a:
-        pearson = float(
-            stats.pearsonr(np.concatenate(pooled_a), np.concatenate(pooled_b)).statistic
-        )
-    else:
-        pearson = None
-    return {
-        "per_instance_spearman": per,
-        "mean_spearman": float(np.mean(defined)) if defined else None,
-        "pooled_zscored_pearson": pearson,
-        "instances": len(per),
-        "undefined": undefined,
-    }
-
-
 def compare_to_oracle(estimate: Estimate, table: ExactTable) -> dict:
     """Sampler-vs-enumeration agreement: normalizer gap and TVD."""
     z_hat = float(np.exp(estimate.log_z_hat))
@@ -203,6 +138,6 @@ def compare_to_oracle(estimate: Estimate, table: ExactTable) -> dict:
     }
     try:
         out["tvd"] = total_variation(estimate.distribution(), table.probs())
-    except Exception:
+    except DegenerateRunError:
         out["tvd"] = None
     return out

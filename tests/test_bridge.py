@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ensmc import (
     UndefinedConditionalError,
     as_byte_model,
     check_model,
+    fit_ngram,
     prefix_log_prob,
     string_log_prob,
 )
@@ -237,6 +240,67 @@ class TestFloorPruning:
         byte_model = as_byte_model(token_model, tokenizer)
         byte_model.string_log_prob("abab")
         assert byte_model.log_dropped_bound == LOG_ZERO
+
+    def test_concurrent_pruning_loses_no_dropped_mass(self):
+        """Threads pruning disjoint subtrees at once add up the same
+        dropped-mass bound as one thread querying the same prefixes."""
+        tokenizer = Tokenizer(Alphabet("ABCDEFGHIJ"), {
+            "A": "a", "B": "b", "C": "c", "D": "d", "E": "ab",
+            "F": "bc", "G": "cd", "H": "da", "I": "abc", "J": "bcd",
+        })
+        token_model = fit_ngram(
+            ["AEB", "IJ", "CGH", "FDA", "JIE", "HB"], order=2, smoothing=0.3,
+            alphabet=tokenizer.token_alphabet,
+        )
+        roots = ["".join(p) for p in itertools.product("abcd", repeat=2)]
+        subtrees = [
+            [root + "".join(t) for n in range(1, 4)
+             for t in itertools.product("abcd", repeat=n)]
+            for root in roots
+        ]
+
+        def pruned_model():
+            model = as_byte_model(token_model, tokenizer, log_floor=math.log(0.3))
+            for x in ["", *"abcd", *roots]:
+                model.prefix_log_prob(x)
+            return model
+
+        serial = pruned_model()
+        for prefixes in subtrees:
+            for x in prefixes:
+                serial.prefix_log_prob(x)
+        assert serial.log_dropped_bound > LOG_ZERO
+
+        shared = pruned_model()
+        errors = []
+
+        def work(prefixes):
+            try:
+                for x in prefixes:
+                    shared.prefix_log_prob(x)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(subtrees[i] + subtrees[i + 8],))
+            for i in range(8)
+        ]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert_allclose(
+            math.exp(shared.log_dropped_bound),
+            math.exp(serial.log_dropped_bound),
+            rtol=1e-12,
+        )
 
     def test_loose_floor_changes_nothing(self, bridge_fixture):
         token_model, tokenizer = bridge_fixture

@@ -1,8 +1,18 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp as scipy_logsumexp
 
-from ensmc.logtools import LOG_ZERO, log_normalize, log_row
+from ensmc import EnsembleSpec
+from ensmc.logtools import (
+    LOG_ZERO,
+    log_normalize,
+    log_row,
+    weighted_logsumexp_columns,
+)
 
 
 class TestSafeLog:
@@ -44,3 +54,76 @@ class TestLogNormalize:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             log_normalize(np.array([LOG_ZERO, LOG_ZERO]))
+
+
+def random_columns(rng, k, n):
+    """(k, n) log values with -inf entries, exact ties and mixed scales."""
+    a = rng.normal(scale=rng.choice([0.5, 20.0, 400.0]), size=(k, n))
+    if rng.random() < 0.5:
+        a = np.round(a)  # many ties, some at the column max
+    if k > 1:
+        tied = rng.random(n) < 0.3
+        a[1, tied] = a[0, tied]
+    a[rng.random((k, n)) < 0.25] = LOG_ZERO
+    return a
+
+
+def random_weights(rng, k):
+    w = rng.dirichlet(np.ones(k))
+    w[rng.random(k) < 0.3] = 0.0
+    return w
+
+
+class TestWeightedColumns:
+    """``weighted_logsumexp_columns`` against scipy, bit for bit."""
+
+    def test_matches_scipy_bytes(self):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            k = int(rng.integers(1, 5))
+            a = random_columns(rng, k, 64)
+            w = random_weights(rng, k)
+            ours = weighted_logsumexp_columns(a, w)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = scipy_logsumexp(a, b=w[:, None], axis=0)
+            assert ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("tau", [-50.0, -3.0, -0.5, 0.5, 1.0, 2.0, 50.0])
+    def test_power_operator_matches_scipy_bytes(self, tau):
+        """The power branches of ``combine_columns`` give what they gave
+        when they called scipy's weighted logsumexp."""
+        rng = np.random.default_rng(int(abs(tau) * 10) + (tau < 0))
+        for _ in range(100):
+            k = int(rng.integers(1, 5))
+            w = random_weights(rng, k)
+            if not w.any():
+                w[0] = 1.0
+            spec = EnsembleSpec.power(tau, w)
+            log_matrix = random_columns(rng, k, 32)
+            log_matrix[log_matrix > 0.0] *= -1.0
+            active = np.asarray(spec.weights) > 0.0
+            m = log_matrix[active]
+            wa = np.asarray(spec.weights)[active]
+            any_zero = np.isneginf(m).any(axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if tau < 0.0:
+                    scaled = np.where(any_zero[None, :], 0.0, tau * m)
+                    ref = scipy_logsumexp(scaled, b=wa[:, None], axis=0) / tau
+                    ref[any_zero] = LOG_ZERO
+                else:
+                    ref = scipy_logsumexp(tau * m, b=wa[:, None], axis=0) / tau
+                    ref[np.isneginf(m).all(axis=0)] = LOG_ZERO
+            assert spec.combine_columns(log_matrix).tobytes() == ref.tobytes()
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy alone: importing it pulls in no scipy."""
+    code = (
+        "import sys, ensmc; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -15,14 +15,12 @@ from ensmc import (
     mixture_identity,
     smc,
 )
-from ensmc.inference import LocalSample
+from ensmc.inference import Diagnostics, Estimate, LocalSample, Particle
 from ensmc.metrics import (
     as_distribution,
     compare_to_oracle,
-    correlation_report,
     expected_accuracy,
     intersection_report,
-    rank_displacement,
 )
 
 
@@ -121,68 +119,6 @@ class TestIntersectionReport:
         assert report["top_strings"][0]["p"] >= report["top_strings"][1]["p"]
 
 
-class TestRankDisplacement:
-    def test_hand_value(self):
-        a = {"x": 1.0, "y": 2.0, "z": 3.0}
-        b = {"x": 3.0, "y": 2.0, "z": 1.0}
-        assert rank_displacement(a, b) == pytest.approx(4.0 / 3.0)
-
-    def test_identical_rankings_zero(self):
-        a = {"x": 0.1, "y": 0.7, "z": 0.2}
-        assert rank_displacement(a, a) == 0.0
-
-    def test_ties_share_average_ranks(self):
-        a = {"x": 1.0, "y": 1.0}
-        b = {"x": 0.0, "y": 5.0}
-        # Tied scores rank 1.5 each against ranks 1 and 2: mean gap 0.5.
-        assert rank_displacement(a, b) == pytest.approx(0.5)
-
-    def test_key_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rank_displacement({"x": 1.0}, {"y": 1.0})
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rank_displacement({}, {})
-
-
-class TestCorrelationReport:
-    def test_perfect_and_inverted_agreement(self):
-        report = correlation_report(
-            [([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]), ([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])]
-        )
-        assert report["per_instance_spearman"] == [pytest.approx(1.0), pytest.approx(-1.0)]
-        assert report["mean_spearman"] == pytest.approx(0.0)
-        assert report["instances"] == 2
-        assert report["undefined"] == 0
-
-    def test_constant_vectors_are_undefined(self):
-        report = correlation_report(
-            [([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), ([1.0, 2.0], [5.0, 6.0])]
-        )
-        assert report["per_instance_spearman"][0] is None
-        assert report["undefined"] == 1
-        assert report["mean_spearman"] == pytest.approx(1.0)
-
-    def test_pooled_view_weights_by_size(self):
-        # One long discordant instance and one short concordant one: the
-        # per-instance mean treats them equally, pooling does not.
-        long_a = list(range(10))
-        long_b = list(reversed(range(10)))
-        report = correlation_report([(long_a, long_b), ([0.0, 1.0], [0.0, 1.0])])
-        assert report["mean_spearman"] == pytest.approx(0.0)
-        assert report["pooled_zscored_pearson"] < -0.5
-
-    def test_all_undefined_reports_none(self):
-        report = correlation_report([([1.0, 1.0], [2.0, 3.0])])
-        assert report["mean_spearman"] is None
-        assert report["pooled_zscored_pearson"] is None
-
-    def test_misaligned_vectors_rejected(self):
-        with pytest.raises(ValueError):
-            correlation_report([([1.0, 2.0], [1.0, 2.0, 3.0])])
-
-
 class TestCompareToOracle:
     def test_fields_and_agreement(self, geo_panel, geo_spec):
         table = enumerate_ensemble(geo_spec, geo_panel, max_len=3)
@@ -194,3 +130,16 @@ class TestCompareToOracle:
         )
         assert report["rel_error"] < 0.05
         assert 0.0 <= report["tvd"] <= 1.0
+
+    def test_all_zero_weights_report_no_tvd(self, geo_panel, geo_spec):
+        """A population with no weight has no distribution to compare;
+        the report says so instead of failing."""
+        table = enumerate_ensemble(geo_spec, geo_panel, max_len=3)
+        dead = Estimate(
+            particles=[Particle(x="a", log_w=-math.inf, active=False, completed=True)],
+            log_z_hat=-math.inf,
+            diagnostics=Diagnostics(),
+        )
+        report = compare_to_oracle(dead, table)
+        assert report["tvd"] is None
+        assert report["z_hat"] == 0.0

@@ -103,9 +103,15 @@ class TestConfigLoading:
         ({"operator": {"kind": "power", "tau": 0.5, "tua": 1.0}}, "tua"),
         ({"operator": {"kind": "minimum", "tau": 1.0}}, "tau"),
         ({"predicate": {"kind": "regex", "pattern": "a", "strings": ["a"]}}, "strings"),
+        ({"predicate": "a"}, "predicate"),
+        ({"weights": 5}, "weights"),
+        ({"methods": 5}, "methods"),
+        ({"experts": 5}, "experts"),
+        ({"repeats": "2"}, "repeats"),
     ])
     def test_unknown_nested_keys_named(self, tmp_path, capsys, overrides, key):
-        """An unknown key anywhere is a ValueError naming it, so the CLI
+        """An unknown key anywhere, or a known key holding a value of the
+        wrong JSON type, is a ValueError naming the key, so the CLI
         reports it and exits 2 before any run."""
         assert main(["sample", str(write_config(tmp_path, overrides))]) == 2
         captured = capsys.readouterr()
