@@ -208,7 +208,9 @@ class TokenToByteModel(SequenceModel):
         self.alphabet = tokenizer.byte_alphabet
         self.log_floor = log_floor
         self.log_dropped_bound = LOG_ZERO
-        self._dropped_lock = threading.Lock()
+        # Guards the frontier cache and the bound: a frontier's pruned
+        # terms count once, when that frontier is the one stored.
+        self._lock = threading.Lock()
         self._frontiers: dict[str, _Frontier] = {
             "": _Frontier(entries=(("", "", 0.0),))
         }
@@ -234,11 +236,18 @@ class TokenToByteModel(SequenceModel):
             start -= 1
         frontier = self._frontiers[x[:start]]
         for t in range(start, len(x)):
-            frontier = self._advance(frontier, x[t])
-            self._frontiers[x[: t + 1]] = frontier
+            computed, dropped = self._advance(frontier, x[t])
+            with self._lock:
+                frontier = self._frontiers.setdefault(x[: t + 1], computed)
+                if frontier is computed:
+                    for w in dropped:
+                        self.log_dropped_bound = float(
+                            np.logaddexp(self.log_dropped_bound, w)
+                        )
         return frontier
 
-    def _advance(self, frontier: _Frontier, byte: str) -> _Frontier:
+    def _advance(self, frontier: _Frontier, byte: str) -> tuple[_Frontier, list[float]]:
+        """The frontier one byte on, and the weights its pruning dropped."""
         out: dict[str, tuple[str, float]] = {}
         for context, tail, log_w in frontier.entries:
             node = self.tokenizer.node_at(tail + byte)
@@ -261,20 +270,12 @@ class TokenToByteModel(SequenceModel):
         entries = tuple(
             (ctx, tail, w) for ctx, (tail, w) in sorted(out.items())
         )
+        dropped = []
         if self.log_floor is not None and entries:
-            best = max(w for _, _, w in entries)
-            cut = best + self.log_floor
-            kept = tuple(e for e in entries if e[2] >= cut)
-            for _, _, w in entries:
-                if w < cut:
-                    # Read-modify-write: two threads pruning at once
-                    # would otherwise lose a term and undercut the bound.
-                    with self._dropped_lock:
-                        self.log_dropped_bound = float(
-                            np.logaddexp(self.log_dropped_bound, w)
-                        )
-            entries = kept
-        return _Frontier(entries=entries)
+            cut = max(w for _, _, w in entries) + self.log_floor
+            dropped = [w for _, _, w in entries if w < cut]
+            entries = tuple(e for e in entries if e[2] >= cut)
+        return _Frontier(entries=entries), dropped
 
     def _prefix_and_stop(self, x: str) -> tuple[float, float]:
         """(log prefix mass, log complete-string mass) at byte prefix ``x``."""

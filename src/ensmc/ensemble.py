@@ -113,6 +113,10 @@ class EnsembleSpec:
                 raise ValueError(f"{self.kind} operator takes no tau")
         else:
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        # Fixed per spec, and combine_columns runs once per prefix node.
+        weights = np.asarray(self.weights)
+        object.__setattr__(self, "_active", weights > 0.0)
+        object.__setattr__(self, "_active_weights", weights[weights > 0.0])
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -154,9 +158,6 @@ class EnsembleSpec:
     def k(self) -> int:
         return len(self.weights)
 
-    def _active(self) -> np.ndarray:
-        return np.asarray(self.weights) > 0.0
-
     # -- evaluation -----------------------------------------------------
     def combine(self, log_values) -> float:
         """Apply the operator to one vector of log-domain values."""
@@ -167,11 +168,16 @@ class EnsembleSpec:
         log_matrix = np.asarray(log_matrix, dtype=float)
         if log_matrix.ndim != 2 or log_matrix.shape[0] != self.k:
             raise ValueError(f"expected a ({self.k}, n) matrix, got {log_matrix.shape}")
-        if (log_matrix == np.inf).any() or np.isnan(log_matrix).any():
+        # One reduction: the max is +inf or nan exactly when some entry is.
+        if log_matrix.size and not log_matrix.max() < np.inf:
             raise ValueError("values must be finite or -inf in log domain")
-        active = self._active()
-        m = log_matrix[active]
-        w = np.asarray(self.weights)[active]
+        # Without zero weights, no masked copy; a C-ordered matrix, as the
+        # mask would give, because the layout sets the order of the sums.
+        if len(self._active_weights) == self.k:
+            m = np.ascontiguousarray(log_matrix)
+        else:
+            m = log_matrix[self._active]
+        w = self._active_weights
         if self.kind == "minimum":
             return m.min(axis=0)
         if self.kind == "maximum":

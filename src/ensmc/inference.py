@@ -7,12 +7,21 @@ the proposal before the full string is scored). Weight bookkeeping is
 entirely in log domain; ``float('-inf')`` marks dead particles, which
 contribute zero mass and are never extended.
 
-Randomness: every draw comes from a generator derived from the run seed
-by counter-based key splitting — particle draws are keyed by
+Randomness: every draw comes from a stream derived from the run seed by
+counter-based key splitting — particle draws are keyed by
 ``(round, particle index)`` and resampling by ``(round,)`` — so runs are
 reproducible bit-for-bit, adding particles does not perturb existing
 streams, and a resampling pass that never fires leaves the sequential
-sampler's draws untouched.
+sampler's draws untouched. The streams are numpy's
+``default_rng(SeedSequence(seed, spawn_key=key))``, derived by
+:mod:`ensmc.streams` without building a generator per particle.
+
+Population: the sequential samplers hold the particles as arrays (the
+prefix strings, weights, proposal log probabilities and status flags).
+Each round derives the uniforms of all active particles at once and
+draws once per distinct prefix: particles on one prefix share its
+shaping and proposal rows and one cumulative sum. ``Estimate.particles``
+is built when the run ends.
 
 Degeneracy: a finished run whose particles all carry zero weight still
 returns an Estimate (its normalizer estimate is exactly zero, which can
@@ -22,7 +31,7 @@ DegenerateRunError instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,7 +45,14 @@ from .ensemble import (  # noqa: F401
     log_string_potential,
 )
 from .errors import DeadPrefixError, DegenerateRunError, UndefinedConditionalError
-from .lmcore import SequenceModel, draw_index, prefix_log_prob, sample_with_log_prob
+from . import streams
+from .lmcore import (
+    SequenceModel,
+    draw_index,
+    draw_indices,
+    prefix_log_prob,
+    sample_with_log_prob,
+)
 from .logtools import LOG_ZERO, log_normalize, logsumexp
 
 _STREAM_PARTICLE = 0
@@ -45,7 +61,8 @@ _STREAM_IID = 2
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    """The generator ``default_rng(SeedSequence(seed, spawn_key=key))``."""
+    return streams.pool(seed, *key).generator()
 
 
 @dataclass
@@ -405,34 +422,22 @@ def _finalize(
     return Estimate(particles=particles, log_z_hat=log_z_hat, diagnostics=diagnostics)
 
 
-def _resample(particles: list[Particle], seed: int, round_no: int) -> list[Particle]:
-    m = len(particles)
-    lw = np.array([p.log_w for p in particles])
-    log_total = logsumexp(lw)
-    probs = np.exp(lw - log_total)
+def _ancestors(log_w: np.ndarray, seed: int, round_no: int) -> tuple[np.ndarray, float]:
+    """Multinomial resampling: the ancestor of each new particle, and the
+    weight every new particle carries (the preserved total over M)."""
+    m = len(log_w)
+    log_total = logsumexp(log_w)
+    probs = np.exp(log_w - log_total)
     probs = probs / probs.sum()
-    rng = _rng(seed, _STREAM_RESAMPLE, round_no)
-    new_log_w = float(log_total) - math.log(m)
-    # M inverse-CDF draws at once: the same doubles, products and strict
-    # comparisons as M ``draw_index`` calls, so the same ancestors.
-    cum = np.cumsum(probs)
-    u = rng.random(m)
-    u *= cum[-1]
-    idx = np.searchsorted(cum, u, side="right")
-    idx[idx >= m] = np.flatnonzero(probs > 0.0)[-1]
-    out = []
-    for i in idx:
-        src = particles[i]
-        out.append(
-            Particle(
-                x=src.x,
-                log_w=new_log_w,
-                active=src.active,
-                completed=src.completed,
-                log_proposal=src.log_proposal,
-            )
-        )
-    return out
+    # One inverse-CDF draw per particle from the round's resampling stream.
+    idx = draw_indices(probs, _rng(seed, _STREAM_RESAMPLE, round_no).random(m))
+    return idx, float(log_total) - math.log(m)
+
+
+def _resample(particles: list[Particle], seed: int, round_no: int) -> list[Particle]:
+    """:func:`_ancestors` applied to a list of particles."""
+    idx, new_log_w = _ancestors(np.array([p.log_w for p in particles]), seed, round_no)
+    return [replace(particles[i], log_w=new_log_w) for i in idx]
 
 
 def _sequential(
@@ -445,55 +450,91 @@ def _sequential(
 ) -> Estimate:
     alphabet = panel.alphabet
     eos = alphabet.eos_index
+    symbols = alphabet.symbols
     if shaping is None:
         shaping = make_shaping(spec, panel, config)
     if proposal is None:
         proposal = make_proposal(panel, config, shaping)
     m_total = config.particles
     init = shaping.log_value("")
-    particles = [
-        Particle(x="", log_w=init, active=init > LOG_ZERO) for _ in range(m_total)
-    ]
+    xs = [""] * m_total
+    log_w = np.full(m_total, init, dtype=float)
+    log_proposal = np.zeros(m_total)
+    active = np.full(m_total, init > LOG_ZERO)
+    completed = np.zeros(m_total, dtype=bool)
+    particle_streams = streams.pool(config.seed, _STREAM_PARTICLE)
+    u = np.empty(m_total)
     diag = Diagnostics()
     resampled = False
     round_no = 0
-    while any(p.active for p in particles):
-        for m, p in enumerate(particles):
-            if not p.active:
-                continue
-            rng = _rng(config.seed, _STREAM_PARTICLE, round_no, m)
+    while active.any():
+        live = np.flatnonzero(active)
+        u[live] = streams.uniforms(particle_streams.extend(round_no), live)
+        groups: dict[str, list[int]] = {}
+        for i in live.tolist():
+            groups.setdefault(xs[i], []).append(i)
+        for x, ids in groups.items():
             try:
-                shaping_row = shaping.log_row(p.x)
-                proposal_row = proposal.log_row(p.x)
+                shaping_row = shaping.log_row(x)
+                proposal_row = proposal.log_row(x)
             except DeadPrefixError:
-                p.log_w = LOG_ZERO
-                p.active = False
+                log_w[ids] = LOG_ZERO
+                active[ids] = False
                 continue
             probs = np.exp(proposal_row)
-            idx = draw_index(rng, probs)
-            p.log_proposal += proposal_row[idx]
-            p.log_w += shaping_row[idx] - proposal_row[idx]
-            if idx == eos:
-                p.active = False
-                p.completed = True
+            at_horizon = len(x) + 1 >= config.max_len
+            if len(ids) == 1:
+                # One particle: scalar updates, cheaper than fancy indexing.
+                i = ids[0]
+                j = int(draw_indices(probs, u[i]))
+                log_proposal[i] += proposal_row[j]
+                log_w[i] += shaping_row[j] - proposal_row[j]
+                if j == eos:
+                    active[i] = False
+                    completed[i] = True
+                    continue
+                xs[i] = x + symbols[j]
+                if log_w[i] == LOG_ZERO:
+                    active[i] = False
+                elif at_horizon:
+                    log_w[i] = LOG_ZERO
+                    active[i] = False
+                    diag.truncated += 1
                 continue
-            p.x += alphabet.symbols[idx]
-            if p.log_w == LOG_ZERO:
-                p.active = False
-            elif len(p.x) >= config.max_len:
-                p.log_w = LOG_ZERO
-                p.active = False
-                diag.truncated += 1
-        lw = [p.log_w for p in particles]
-        alive_mass = logsumexp(np.array(lw)) > LOG_ZERO
-        ess_val = ess(lw) if alive_mass else 0.0
+            ids = np.array(ids)
+            idx = draw_indices(probs, u[ids])
+            log_proposal[ids] += proposal_row[idx]
+            log_w[ids] += shaping_row[idx] - proposal_row[idx]
+            stop = idx == eos
+            completed[ids[stop]] = True
+            grown = ids[~stop]
+            children = [x + s for s in symbols]
+            for i, j in zip(grown.tolist(), idx[~stop].tolist()):
+                xs[i] = children[j]
+            if at_horizon:
+                diag.truncated += int(np.count_nonzero(log_w[grown] != LOG_ZERO))
+                log_w[grown] = LOG_ZERO
+            active[ids] = ~stop & (log_w[ids] != LOG_ZERO)
+        alive_mass = logsumexp(log_w) > LOG_ZERO
+        ess_val = ess(log_w) if alive_mass else 0.0
         diag.ess_trace.append(ess_val)
         if resample and alive_mass and ess_val < config.resample_threshold * m_total:
-            particles = _resample(particles, config.seed, round_no)
+            idx, new_log_w = _ancestors(log_w, config.seed, round_no)
+            xs = [xs[i] for i in idx.tolist()]
+            log_w = np.full(m_total, new_log_w)
+            log_proposal = log_proposal[idx]
+            active = active[idx]
+            completed = completed[idx]
             diag.resample_rounds.append(round_no)
             resampled = True
         round_no += 1
     diag.rounds = round_no
+    particles = [
+        Particle(x=x, log_w=w, active=a, completed=c, log_proposal=lp)
+        for x, w, a, c, lp in zip(
+            xs, log_w.tolist(), active.tolist(), completed.tolist(), log_proposal.tolist()
+        )
+    ]
     debug_target = None
     if config.debug_check_weights and not resampled:
         debug_target = shaping.log_target
@@ -544,9 +585,10 @@ def importance_sample(
     if particles < 1:
         raise ValueError("particles must be a positive integer")
     diag = Diagnostics(rounds=1)
+    iid_streams = streams.pool(seed, _STREAM_IID)
     out = []
     for m in range(particles):
-        rng = _rng(seed, _STREAM_IID, m)
+        rng = iid_streams.extend(m).generator()
         x, log_r, completed = sample_with_log_prob(proposal_model, rng, max_len)
         if completed:
             log_w = log_target(x) - log_r
@@ -619,9 +661,10 @@ def local_sample(
             memo[x] = got
         return got
 
+    iid_streams = streams.pool(seed, _STREAM_IID)
     out = []
     for m in range(particles):
-        rng = _rng(seed, _STREAM_IID, m)
+        rng = iid_streams.extend(m).generator()
         x = ""
         live = np.ones(len(panel), dtype=bool)
         log_local = 0.0

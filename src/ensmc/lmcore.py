@@ -176,6 +176,22 @@ def draw_index(rng: np.random.Generator, probs: np.ndarray) -> int:
     return idx
 
 
+def draw_indices(probs: np.ndarray, u):
+    """:func:`draw_index` for given uniforms: the index each ``u`` selects.
+
+    ``u`` is one double or an array of them. Each index comes from the
+    same cumulative sums, product and strict comparison as a
+    ``draw_index`` call whose generator returned that ``u``, with the
+    same fallback to the last positive cell.
+    """
+    cum = np.cumsum(probs)
+    idx = np.searchsorted(cum, u * cum[-1], side="right")
+    over = idx >= len(probs)
+    if over.any():
+        idx = np.where(over, np.flatnonzero(probs > 0.0)[-1], idx)
+    return idx
+
+
 def sample_with_log_prob(
     model: SequenceModel, rng: np.random.Generator, max_len: int
 ) -> tuple[str, float, bool]:

@@ -302,6 +302,53 @@ class TestFloorPruning:
             rtol=1e-12,
         )
 
+    def test_shared_prefixes_count_each_frontier_once(self):
+        """Threads querying the same prefixes at once keep one frontier per
+        prefix and add its dropped terms once: the bound one thread gets."""
+        tokenizer = Tokenizer(Alphabet("ABCDEFGHIJ"), {
+            "A": "a", "B": "b", "C": "c", "D": "d", "E": "ab",
+            "F": "bc", "G": "cd", "H": "da", "I": "abc", "J": "bcd",
+        })
+        token_model = fit_ngram(
+            ["AEB", "IJ", "CGH", "FDA", "JIE", "HB"], order=2, smoothing=0.3,
+            alphabet=tokenizer.token_alphabet,
+        )
+        prefixes = ["".join(t) for n in range(1, 6)
+                    for t in itertools.product("abcd", repeat=n)]
+        floor = math.log(0.3)
+        serial = as_byte_model(token_model, tokenizer, log_floor=floor)
+        for x in prefixes:
+            serial.prefix_log_prob(x)
+        assert serial.log_dropped_bound > LOG_ZERO
+
+        shared = as_byte_model(token_model, tokenizer, log_floor=floor)
+        errors = []
+
+        def work():
+            try:
+                for x in prefixes:
+                    shared.prefix_log_prob(x)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert_allclose(
+            math.exp(shared.log_dropped_bound),
+            math.exp(serial.log_dropped_bound),
+            rtol=1e-12,
+        )
+
     def test_loose_floor_changes_nothing(self, bridge_fixture):
         token_model, tokenizer = bridge_fixture
         exact = as_byte_model(token_model, tokenizer)

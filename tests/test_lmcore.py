@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ensmc import (
@@ -11,7 +13,7 @@ from ensmc import (
     prefix_log_prob,
     string_log_prob,
 )
-from ensmc.lmcore import draw_index, sample_with_log_prob, validate_log_row
+from ensmc.lmcore import draw_index, draw_indices, sample_with_log_prob, validate_log_row
 
 
 class TestAlphabet:
@@ -137,6 +139,59 @@ class TestDrawIndex:
         a = [draw_index(np.random.default_rng(1), probs) for _ in range(1)]
         b = [draw_index(np.random.default_rng(1), probs) for _ in range(1)]
         assert a == b
+
+
+class _FixedUniform:
+    """A generator stand-in whose ``random()`` returns the given double."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+#: Uniforms that ``Generator.random()`` can return, weighted toward the
+#: top of [0, 1), where ``u * cum[-1]`` may round up to ``cum[-1]``.
+_UNIFORMS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(0, 64).map(lambda k: 1.0 - (k + 1) * 2.0**-53),
+    st.just(0.0),
+)
+
+
+@st.composite
+def _rows(draw):
+    """Linear-domain rows with zero cells and cumulative sums short of 1:
+    normalized, scaled just below 1, or scaled down to subnormal cells,
+    where ``u * cum[-1]`` rounds to ``cum[-1]`` and the fallback runs."""
+    n = draw(st.integers(1, 12))
+    cells = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.floats(1e-6, 1.0)),
+        min_size=n, max_size=n,
+    ))
+    probs = np.array(cells)
+    top = draw(st.integers(0, n - 1))
+    probs[top] = draw(st.floats(1e-3, 1.0))
+    probs = probs / probs.sum()
+    probs = probs * draw(st.one_of(
+        st.just(1.0),
+        st.integers(1, 2**20).map(lambda k: 1.0 - k * 2.0**-52),
+        st.integers(1, 8).map(lambda k: k * 2.0**-1074),
+    ))
+    probs[top] = max(probs[top], 2.0**-1074)
+    return probs
+
+
+class TestDrawIndices:
+    @settings(max_examples=400, deadline=None)
+    @given(_rows(), st.lists(_UNIFORMS, min_size=1, max_size=40))
+    def test_matches_one_draw_index_per_uniform(self, probs, us):
+        """The batched draw of the sequential samplers is ``draw_index``
+        per uniform, fallback included, for arrays and for one double."""
+        want = [draw_index(_FixedUniform(u), probs) for u in us]
+        assert draw_indices(probs, np.array(us)).tolist() == want
+        assert [int(draw_indices(probs, u)) for u in us] == want
 
 
 class TestSampling:

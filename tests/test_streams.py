@@ -1,0 +1,79 @@
+"""The v1 streams that ``ensmc.streams`` derives are numpy's, bit for bit.
+
+Reference: ``np.random.default_rng(np.random.SeedSequence(seed,
+spawn_key=key))``, the generator the seed policy names. Keys cover seed
+0, one-, two-, three- and five-word seeds, every stream tag, ``m = 0``
+and ``m >= 2**32``.
+"""
+import numpy as np
+import pytest
+
+from ensmc import streams
+from ensmc.inference import _STREAM_IID, _STREAM_PARTICLE, _STREAM_RESAMPLE, _rng
+
+SEEDS = [0, 1, 20240611, 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**64 + 7, 2**128 + 5]
+TAGS = (_STREAM_PARTICLE, _STREAM_RESAMPLE, _STREAM_IID)
+ROUNDS = (0, 1, 6, 2**32 + 1)
+
+
+def reference(seed, *key) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bulk_and_scalar_uniforms_match_numpy(seed):
+    """5 184 keys (48 per seed, tag and round): the vectorised batch and
+    the Python-int path both give each stream's first double."""
+    gen = np.random.default_rng(seed % 1000)
+    ms = np.concatenate([np.arange(24), [2**31, 2**32 - 1], gen.integers(0, 2**32, 22)])
+    assert len(ms) >= streams.VECTOR_MIN_STREAMS
+    for tag in TAGS:
+        for round_no in ROUNDS:
+            base = streams.pool(seed, tag, round_no)
+            want = np.array([reference(seed, tag, round_no, m).random() for m in ms.tolist()])
+            bulk = streams.uniforms(base, ms)
+            scalar = np.concatenate([
+                streams.uniforms(base, ms[i:i + streams.VECTOR_MIN_STREAMS - 1])
+                for i in range(0, len(ms), streams.VECTOR_MIN_STREAMS - 1)
+            ])
+            assert bulk.tobytes() == want.tobytes()
+            assert scalar.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rng_state_and_first_doubles_match_numpy(seed):
+    """``_rng`` hands numpy's PCG64 the (state, inc) numpy would derive,
+    so its first 16 doubles are numpy's."""
+    for key in [(_STREAM_RESAMPLE, 0), (_STREAM_RESAMPLE, 9), (_STREAM_IID, 0),
+                (_STREAM_IID, 77), (_STREAM_PARTICLE, 3, 0), (_STREAM_PARTICLE, 0, 2**33)]:
+        want = reference(seed, *key)
+        state = want.bit_generator.state["state"]
+        assert streams._pcg_state(streams.pool(seed, *key).words) == (
+            state["state"], state["inc"]
+        )
+        got = _rng(seed, *key)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(16).tobytes() == want.random(16).tobytes()
+
+
+def test_particle_index_beyond_one_word_is_exact():
+    """An ``m`` of 2**32 or more is a two-word key: handled exactly, in
+    a batch large enough to be vectorised and alone."""
+    base = streams.pool(5, _STREAM_PARTICLE, 2)
+    ms = [2**32, 2**33 + 1, 2**64 - 1, 2**64, 3] * 5
+    want = np.array([reference(5, _STREAM_PARTICLE, 2, m).random() for m in ms])
+    assert streams.uniforms(base, np.array(ms, dtype=object)).tobytes() == want.tobytes()
+    assert streams.uniforms(base, ms[:2]).tobytes() == want[:2].tobytes()
+
+
+def test_negative_keys_rejected_like_numpy():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(3, spawn_key=(0, -1))
+    with pytest.raises(ValueError):
+        streams.pool(3, 0, -1)
+    with pytest.raises(ValueError):
+        streams.pool(-3, 0)
+    base = streams.pool(3, 0)
+    for ms in ([-1], [-1] + list(range(40))):
+        with pytest.raises(ValueError):
+            streams.uniforms(base, np.array(ms))
