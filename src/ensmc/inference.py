@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-# ``log_potential_columns`` is no longer called here; it stays a module
-# attribute because the layer tracer in bench/tracing.py wraps it.
+# ``log_potential_columns``, ``draw_index`` and ``prefix_log_prob`` are no
+# longer called here; they stay module attributes because the layer
+# tracer in bench/tracing.py wraps them.
 from .ensemble import (  # noqa: F401
     EnsembleSpec,
     ExpertPanel,
@@ -46,7 +47,7 @@ from .ensemble import (  # noqa: F401
 )
 from .errors import DeadPrefixError, DegenerateRunError, UndefinedConditionalError
 from . import streams
-from .lmcore import (
+from .lmcore import (  # noqa: F401
     SequenceModel,
     draw_index,
     draw_indices,
@@ -162,22 +163,6 @@ class SamplerConfig:
 # -- shaping functions --------------------------------------------------
 
 
-class PrefixNode(NamedTuple):
-    """Everything the samplers need at one prefix ``x``, built once.
-
-    ``block`` is one ``(K + 1, |Σ| + 1)`` log-domain array. Row ``k < K``
-    is expert ``k``'s prefix mass at ``x`` plus its ``log_next(x)`` row
-    (all ``LOG_ZERO`` once the expert's prefix mass is zero), so entry
-    ``a`` is the expert's prefix mass at ``x + a`` and the end-marker
-    entry its complete-string mass at ``x``. Row ``K`` is the operator
-    applied down those columns. ``base`` is the operator applied to the
-    experts' prefix masses at ``x`` (the prefix potential).
-    """
-
-    block: np.ndarray
-    base: float
-
-
 class PrefixPotentialShaping:
     """Default shaping: the ensemble operator applied to expert prefix masses.
 
@@ -189,13 +174,19 @@ class PrefixPotentialShaping:
     is never shifted), which restores an escape route through prefixes a
     consensus operator annihilated.
 
-    Prefixes are cached as a trie of :class:`PrefixNode`: a child
-    ``x + a`` reads its experts' prefix masses from column ``a`` of the
-    parent's block (the same float additions ``prefix_log_prob``
-    performs), so each new prefix costs one ``log_next`` row per live
-    expert. A prefix whose parent was never built (a direct query) walks
-    the experts' prefixes once instead. One instance can be shared
-    across runs over the same (spec, panel).
+    Prefixes are cached as a trie of nodes, one ``(K + 1, |Σ| + 2)``
+    log-domain array per prefix ``x``. Row ``k < K`` holds expert ``k``'s
+    raw ``log_next(x)`` row (all ``LOG_ZERO`` once the expert is dead)
+    and, in the last column, its prefix mass at ``x``. Row ``K`` holds
+    the operator applied down the prefix-plus-row columns (entry ``a`` is
+    the prefix potential of ``x + a``, the end-marker entry the target of
+    ``x``) and, in the last column, the prefix potential of ``x``. A node
+    is only built from its parent: a child ``x + a`` adds column ``a`` to
+    the prefix masses (the float additions ``prefix_log_prob`` performs),
+    so each new prefix costs one ``log_next`` row per live expert, and a
+    direct query first builds the missing ancestors, root first. One
+    instance can be shared across runs over the same (spec, panel),
+    the step-local baseline included.
     """
 
     def __init__(self, spec: EnsembleSpec, panel: ExpertPanel, epsilon: float | None = None):
@@ -205,28 +196,37 @@ class PrefixPotentialShaping:
         self.panel = panel
         self.epsilon = epsilon
         self._log_eps = math.log(epsilon) if epsilon is not None else None
-        self._nodes: dict[str, PrefixNode] = {}
+        self._nodes: dict[str, np.ndarray] = {}
+        self._local_rows: dict[str, np.ndarray] = {}
 
-    def _node(self, x: str) -> PrefixNode:
+    def _node(self, x: str) -> np.ndarray:
         node = self._nodes.get(x)
         if node is not None:
             return node
+        # Build forward from the longest cached proper prefix (from a new
+        # root when none is cached): a loop, so no query recurses.
+        t = len(x) - 1
+        while t >= 0 and x[:t] not in self._nodes:
+            t -= 1
+        start = max(t, 0)
+        self.panel.alphabet.check_string(x[start:])
+        node = self._nodes[x[:t]] if t >= 0 else self._build("", np.zeros(len(self.panel)))
+        index = self.panel.alphabet.index
+        for t in range(start, len(x)):
+            node = self._build(x[: t + 1], node[:-1, -1] + node[:-1, index[x[t]]])
+        return node
+
+    def _build(self, x: str, prefixes: np.ndarray) -> np.ndarray:
         k = len(self.panel)
-        parent = self._nodes.get(x[:-1]) if x and x[-1] in self.panel.alphabet else None
-        if parent is not None:
-            prefixes = parent.block[:k, self.panel.alphabet.index[x[-1]]].copy()
-        elif x:
-            prefixes = np.array([prefix_log_prob(m, x) for m in self.panel])
-        else:
-            prefixes = np.zeros(k)
-        block = np.full((k + 1, self.panel.alphabet.size + 1), LOG_ZERO)
+        node = np.full((k + 1, self.panel.alphabet.size + 2), LOG_ZERO)
+        node[:k, -1] = prefixes
         live = prefixes != LOG_ZERO
         for j, model in enumerate(self.panel):
             if live[j]:
-                block[j] = prefixes[j] + model.log_next(x)
+                node[j, :-1] = model.log_next(x)
         if live.any():
-            block[k] = self.spec.combine_columns(block[:k])
-        node = PrefixNode(block, self.spec.combine(prefixes))
+            node[k, :-1] = self.spec.combine_columns(prefixes[:, None] + node[:k, :-1])
+        node[k, -1] = self.spec.combine(prefixes)
         self._nodes[x] = node
         return node
 
@@ -237,11 +237,11 @@ class PrefixPotentialShaping:
 
     def log_value(self, x: str) -> float:
         """Shaping potential of the prefix ``x`` (shifted if configured)."""
-        return self._shift(self._node(x).base)
+        return self._shift(float(self._node(x)[-1, -1]))
 
     def log_target(self, x: str) -> float:
         """Unnormalized log target of the complete string ``x`` (never shifted)."""
-        return float(self._node(x).block[-1, self.panel.alphabet.eos_index])
+        return float(self._node(x)[-1, self.panel.alphabet.eos_index])
 
     def log_string_target(self, x: str) -> float:
         """The target of ``x`` as the operator on the experts' string masses.
@@ -250,12 +250,13 @@ class PrefixPotentialShaping:
         may differ from :meth:`log_target` in the last bits, because the
         operator's reductions round differently on a single column.
         """
-        return self.spec.combine(self._node(x).block[:-1, self.panel.alphabet.eos_index])
+        node = self._node(x)
+        return self.spec.combine(node[:-1, -1] + node[:-1, self.panel.alphabet.eos_index])
 
     def log_row(self, x: str) -> np.ndarray:
         node = self._node(x)
-        cols = node.block[-1]
-        denom = self._shift(node.base)
+        cols = node[-1, :-1]
+        denom = self._shift(float(node[-1, -1]))
         if denom == LOG_ZERO:
             raise DeadPrefixError(f"prefix {x!r} has zero shaping potential")
         row = cols - denom
@@ -264,6 +265,23 @@ class PrefixPotentialShaping:
             row = np.concatenate(
                 [np.logaddexp(cols[:eos], self._log_eps) - denom, row[eos:]]
             )
+        return row
+
+    def log_local_row(self, x: str) -> np.ndarray:
+        """The step-local row at ``x``: the operator on the experts' raw
+        ``log_next(x)`` rows, normalized (no prefix reweighting).
+
+        Memoized per prefix; raises DeadPrefixError when the combination
+        is identically zero.
+        """
+        row = self._local_rows.get(x)
+        if row is None:
+            combined = self.spec.combine_columns(self._node(x)[:-1, :-1])
+            try:
+                row = log_normalize(combined)
+            except ValueError:
+                raise DeadPrefixError(f"local combination is identically zero at {x!r}")
+            self._local_rows[x] = row
         return row
 
 
@@ -343,24 +361,6 @@ class ExpertProposal:
             raise DeadPrefixError(str(exc))
 
 
-class ShapingProposalModel(SequenceModel):
-    """The locally optimal proposal packaged as a sequence model.
-
-    Useful as the i.i.d. proposal for plain importance sampling; its
-    rows are normalized by construction.
-    """
-
-    def __init__(self, shaping, panel: ExpertPanel):
-        self.alphabet = panel.alphabet
-        self._proposal = OptimalProposal(shaping)
-
-    def log_next(self, context: str) -> np.ndarray:
-        try:
-            return self._proposal.log_row(context)
-        except DeadPrefixError as exc:
-            raise UndefinedConditionalError(str(exc))
-
-
 def make_shaping(
     spec: EnsembleSpec, panel: ExpertPanel, config: SamplerConfig
 ) -> PrefixPotentialShaping:
@@ -368,18 +368,32 @@ def make_shaping(
     return PrefixPotentialShaping(spec, panel, epsilon=eps)
 
 
-def proposal_expert(panel: ExpertPanel, config: SamplerConfig) -> SequenceModel:
-    """The expert an ``"expert:<k>"`` proposal names, with ``k`` bounds-checked."""
+def make_proposal(panel: ExpertPanel, config: SamplerConfig, shaping):
+    """The configured proposal; ``"expert:<k>"`` has ``k`` bounds-checked."""
+    if config.proposal == "optimal":
+        return OptimalProposal(shaping)
     k = int(config.proposal.partition(":")[2])
     if k >= len(panel):
         raise ValueError(f"proposal {config.proposal!r}: panel has {len(panel)} experts")
-    return panel[k]
+    return ExpertProposal(panel[k])
 
 
-def make_proposal(panel: ExpertPanel, config: SamplerConfig, shaping):
-    if config.proposal == "optimal":
-        return OptimalProposal(shaping)
-    return ExpertProposal(proposal_expert(panel, config))
+class _RowModel(SequenceModel):
+    """A row function ``x -> log row`` as a sequence model, for the i.i.d.
+    samplers. The function's errors pass through unchanged, so a dead
+    prefix stays a DeadPrefixError."""
+
+    def __init__(self, alphabet, log_row: Callable[[str], np.ndarray]):
+        self.alphabet = alphabet
+        self._log_row = log_row
+
+    def log_next(self, context: str) -> np.ndarray:
+        return self._log_row(context)
+
+
+def make_proposal_model(panel: ExpertPanel, config: SamplerConfig, shaping) -> SequenceModel:
+    """The configured proposal as a sequence model: the i.i.d. proposal of ``is``."""
+    return _RowModel(panel.alphabet, make_proposal(panel, config, shaping).log_row)
 
 
 def one_step_weight_variance(log_potentials, log_proposal) -> float:
@@ -570,6 +584,19 @@ def smc(
     return _sequential(spec, panel, config, shaping, proposal, resample=True)
 
 
+def _iid_draws(
+    model: SequenceModel, particles: int, max_len: int, seed: int
+) -> list[tuple[str, float, bool]]:
+    """Ancestral draws from ``model``: draw ``m`` uses i.i.d. stream ``m``."""
+    if particles < 1:
+        raise ValueError("particles must be a positive integer")
+    iid_streams = streams.pool(seed, _STREAM_IID)
+    return [
+        sample_with_log_prob(model, iid_streams.extend(m).generator(), max_len)
+        for m in range(particles)
+    ]
+
+
 def importance_sample(
     log_target: Callable[[str], float],
     proposal_model: SequenceModel,
@@ -582,14 +609,9 @@ def importance_sample(
     Weights are target over proposal on complete strings; truncated
     draws get zero weight and are counted in the diagnostics.
     """
-    if particles < 1:
-        raise ValueError("particles must be a positive integer")
     diag = Diagnostics(rounds=1)
-    iid_streams = streams.pool(seed, _STREAM_IID)
     out = []
-    for m in range(particles):
-        rng = iid_streams.extend(m).generator()
-        x, log_r, completed = sample_with_log_prob(proposal_model, rng, max_len)
+    for x, log_r, completed in _iid_draws(proposal_model, particles, max_len, seed):
         if completed:
             log_w = log_target(x) - log_r
         else:
@@ -627,6 +649,7 @@ def local_sample(
     particles: int,
     max_len: int,
     seed: int = 0,
+    shaping: PrefixPotentialShaping | None = None,
 ) -> list[LocalSample]:
     """The biased token-level baseline: combine conditionals, normalize, sample.
 
@@ -635,49 +658,14 @@ def local_sample(
     and a symbol is drawn — the step-local approximation that motivates
     sampling the global target instead. Experts whose prefix mass has
     hit zero contribute zero rows; an all-zero combined row raises
-    DeadPrefixError.
+    DeadPrefixError. The rows are read from the prefix nodes of
+    ``shaping`` (a :class:`PrefixPotentialShaping` over ``(spec, panel)``;
+    a fresh one by default), so runs sharing it share the expert rows.
     """
-    if particles < 1:
-        raise ValueError("particles must be a positive integer")
-    alphabet = panel.alphabet
-    eos = alphabet.eos_index
-    memo: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def entry(x: str, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        got = memo.get(x)
-        if got is None:
-            logmat = np.full((len(panel), eos + 1), LOG_ZERO)
-            for k, model in enumerate(panel):
-                if live[k]:
-                    logmat[k] = model.log_next(x)
-            combined = spec.combine_columns(logmat)
-            try:
-                local_row = log_normalize(combined)
-            except ValueError:
-                raise DeadPrefixError(
-                    f"local combination is identically zero at {x!r}"
-                )
-            got = (local_row, logmat)
-            memo[x] = got
-        return got
-
-    iid_streams = streams.pool(seed, _STREAM_IID)
-    out = []
-    for m in range(particles):
-        rng = iid_streams.extend(m).generator()
-        x = ""
-        live = np.ones(len(panel), dtype=bool)
-        log_local = 0.0
-        while True:
-            local_row, logmat = entry(x, live)
-            idx = draw_index(rng, np.exp(local_row))
-            log_local += local_row[idx]
-            if idx == eos:
-                out.append(LocalSample(x=x, completed=True, log_local=log_local))
-                break
-            live = live & ~np.isneginf(logmat[:, idx])
-            x += alphabet.symbols[idx]
-            if len(x) >= max_len:
-                out.append(LocalSample(x=x, completed=False, log_local=log_local))
-                break
-    return out
+    if shaping is None:
+        shaping = PrefixPotentialShaping(spec, panel)
+    model = _RowModel(panel.alphabet, shaping.log_local_row)
+    return [
+        LocalSample(x=x, completed=completed, log_local=log_local)
+        for x, log_local, completed in _iid_draws(model, particles, max_len, seed)
+    ]

@@ -160,29 +160,14 @@ def string_log_prob(model: SequenceModel, x: str) -> float:
     return prefix + model.log_next(x)[model.alphabet.eos_index]
 
 
-def draw_index(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Inverse-CDF draw from a linear-domain vector.
-
-    Uses a strict cumulative comparison (searchsorted side='right'), so
-    ties and zero-probability cells are resolved deterministically given
-    the RNG stream; a terminal rounding shortfall falls back to the last
-    positive cell.
-    """
-    cum = np.cumsum(probs)
-    u = rng.random() * cum[-1]
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= len(probs):
-        idx = int(np.flatnonzero(probs > 0.0)[-1])
-    return idx
-
-
 def draw_indices(probs: np.ndarray, u):
-    """:func:`draw_index` for given uniforms: the index each ``u`` selects.
+    """Inverse-CDF draws from a linear-domain vector: the index each ``u`` selects.
 
-    ``u`` is one double or an array of them. Each index comes from the
-    same cumulative sums, product and strict comparison as a
-    ``draw_index`` call whose generator returned that ``u``, with the
-    same fallback to the last positive cell.
+    ``u`` is one uniform double or an array of them. Uses a strict
+    cumulative comparison (searchsorted side='right') against
+    ``u * cum[-1]``, so ties and zero-probability cells are resolved
+    deterministically given the uniforms; a terminal rounding shortfall
+    falls back to the last positive cell.
     """
     cum = np.cumsum(probs)
     idx = np.searchsorted(cum, u * cum[-1], side="right")
@@ -190,6 +175,11 @@ def draw_indices(probs: np.ndarray, u):
     if over.any():
         idx = np.where(over, np.flatnonzero(probs > 0.0)[-1], idx)
     return idx
+
+
+def draw_index(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """:func:`draw_indices` for one uniform from ``rng``."""
+    return int(draw_indices(probs, rng.random()))
 
 
 def sample_with_log_prob(

@@ -21,11 +21,10 @@ import numpy as np
 from .config import ExperimentConfig, build_panel, build_predicate
 from .errors import DeadPrefixError, DegenerateRunError
 from .inference import (
-    ShapingProposalModel,
     importance_sample,
     local_sample,
     make_shaping,
-    proposal_expert,
+    make_proposal_model,
     sis,
     smc,
 )
@@ -76,49 +75,43 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
             }
             t0 = time.perf_counter()
             try:
-                if method in ("smc", "sis"):
-                    run = smc if method == "smc" else sis
-                    est = run(spec, panel, cfg, shaping=shaping)
-                    record["log_z_hat"] = _finite_or_none(est.log_z_hat)
-                    if est.log_z_hat == LOG_ZERO:
-                        record["error"] = "zero total mass"
-                    record["ess_trace"] = [float(e) for e in est.diagnostics.ess_trace]
-                    record["resample_rounds"] = list(est.diagnostics.resample_rounds)
-                    record["truncated"] = est.diagnostics.truncated
-                    if predicate is not None and "error" not in record:
-                        record["accuracy"] = expected_accuracy(est, predicate)
-                elif method == "is":
-                    if cfg.proposal == "optimal":
-                        proposal_model = ShapingProposalModel(shaping, panel)
-                    else:
-                        proposal_model = proposal_expert(panel, cfg)
-                    est = importance_sample(
-                        shaping.log_string_target,
-                        proposal_model,
-                        particles=cfg.particles,
-                        max_len=cfg.max_len,
-                        seed=seed,
-                    )
-                    record["log_z_hat"] = _finite_or_none(est.log_z_hat)
-                    if est.log_z_hat == LOG_ZERO:
-                        record["error"] = "zero total mass"
-                    record["truncated"] = est.diagnostics.truncated
-                    if predicate is not None and "error" not in record:
-                        record["accuracy"] = expected_accuracy(est, predicate)
-                elif method == "local":
+                if method == "local":
                     draws = local_sample(
                         spec, panel, particles=cfg.particles,
-                        max_len=cfg.max_len, seed=seed,
+                        max_len=cfg.max_len, seed=seed, shaping=shaping,
                     )
                     record["truncated"] = sum(1 for d in draws if not d.completed)
                     record["draws"] = [
                         {"x": d.x, "completed": d.completed, "log_local": float(d.log_local)}
                         for d in draws
                     ]
-                    if predicate is not None:
+                    if record["truncated"] == len(draws):
+                        record["error"] = "every draw truncated"
+                    elif predicate is not None:
                         record["accuracy"] = expected_accuracy(
                             empirical_distribution(draws), predicate
                         )
+                else:
+                    if method == "is":
+                        est = importance_sample(
+                            shaping.log_string_target,
+                            make_proposal_model(panel, cfg, shaping),
+                            particles=cfg.particles,
+                            max_len=cfg.max_len,
+                            seed=seed,
+                        )
+                    else:
+                        run = smc if method == "smc" else sis
+                        est = run(spec, panel, cfg, shaping=shaping)
+                    record["log_z_hat"] = _finite_or_none(est.log_z_hat)
+                    if est.log_z_hat == LOG_ZERO:
+                        record["error"] = "zero total mass"
+                    if method != "is":
+                        record["ess_trace"] = [float(e) for e in est.diagnostics.ess_trace]
+                        record["resample_rounds"] = list(est.diagnostics.resample_rounds)
+                    record["truncated"] = est.diagnostics.truncated
+                    if predicate is not None and "error" not in record:
+                        record["accuracy"] = expected_accuracy(est, predicate)
             except (DegenerateRunError, DeadPrefixError) as exc:
                 record["error"] = f"degenerate run: {exc}"
             record["wall_time_s"] = time.perf_counter() - t0

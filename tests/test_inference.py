@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import GEO_Z, MIS_LOCAL
@@ -33,7 +35,7 @@ from ensmc import (
 )
 from ensmc.ensemble import log_string_potential
 from ensmc.inference import _STREAM_RESAMPLE, _resample, _rng, make_proposal
-from ensmc.lmcore import draw_index
+from ensmc.lmcore import draw_index, prefix_log_prob
 from ensmc.logtools import log_normalize, logsumexp
 
 
@@ -176,6 +178,17 @@ class ContextLog(SequenceModel):
         return self.inner.log_next(context)
 
 
+class ConstantRow(SequenceModel):
+    """The same next-symbol row after every context."""
+
+    def __init__(self, alphabet, probs):
+        self.alphabet = alphabet
+        self.row = np.log(probs)
+
+    def log_next(self, context):
+        return self.row
+
+
 class TestPrefixNodeCache:
     def long_panel(self):
         alphabet = Alphabet("abc")
@@ -231,6 +244,37 @@ class TestPrefixNodeCache:
             shaping.log_row(x)
         assert shaping.log_target("ab") == math.log(0.5)
         assert [m.contexts for m in panel] == [["", "a", "ab"], ["", "a"]]
+
+    def test_local_reads_the_nodes_sis_built(self):
+        """The step-local baseline on a shaping ``sis`` already used asks
+        no expert for a context twice, and draws what a fresh shaping gives."""
+        spec = EnsembleSpec.geometric(2)
+        panel = self.long_panel()
+        shaping = PrefixPotentialShaping(spec, panel)
+        sis(spec, panel, SamplerConfig(particles=24, max_len=40, seed=3), shaping=shaping)
+        draws = local_sample(spec, panel, particles=24, max_len=40, seed=4, shaping=shaping)
+        for model in panel:
+            assert len(set(model.contexts)) == len(model.contexts)
+        fresh = local_sample(spec, self.long_panel(), particles=24, max_len=40, seed=4)
+        assert draws == fresh
+
+    def test_direct_query_on_a_long_string_builds_its_ancestors(self):
+        """A direct query builds every missing ancestor in a loop, root
+        first: one row per prefix and expert, and no RecursionError."""
+        alphabet = Alphabet("ab")
+        panel = ExpertPanel([
+            ContextLog(ConstantRow(alphabet, [0.5, 0.4, 0.1])),
+            ContextLog(ConstantRow(alphabet, [0.3, 0.6, 0.1])),
+        ])
+        spec = EnsembleSpec.power(-1.0, [0.4, 0.6])
+        x = "ab" * 1500
+        shaping = PrefixPotentialShaping(spec, panel)
+        got = shaping.log_string_target(x)
+        for model in panel:
+            assert model.contexts == [x[:t] for t in range(len(x) + 1)]
+        assert got == log_string_potential(spec, panel, x)
+        with pytest.raises(ValueError, match="not in alphabet"):
+            shaping.log_row(x[:7] + "c")
 
 
 class TestOptimalProposal:
@@ -549,6 +593,51 @@ class TestImportanceSample:
             importance_sample(target, geo_panel[0], particles=0, max_len=3)
 
 
+def _direct_local_row(spec, panel, x):
+    """The operator on the experts' rows at ``x``, built directly."""
+    dead = np.full(panel.alphabet.size + 1, LOG_ZERO)
+    rows = np.stack([
+        m.log_next(x) if prefix_log_prob(m, x) != LOG_ZERO else dead for m in panel
+    ])
+    return spec.combine_columns(rows)
+
+
+def _reaches_dead_local_row(spec, panel, max_len):
+    """Whether a prefix the local baseline can reach has an all-zero row."""
+    frontier = [""]
+    while frontier:
+        x = frontier.pop()
+        row = _direct_local_row(spec, panel, x)
+        if (row == LOG_ZERO).all():
+            return True
+        if len(x) + 1 < max_len:
+            frontier.extend(
+                x + s for j, s in enumerate(panel.alphabet.symbols) if row[j] != LOG_ZERO
+            )
+    return False
+
+
+@st.composite
+def _local_cases(draw):
+    """A random panel of one to three tables over {a, b}, with zero
+    weights allowed, under any operator kind."""
+    alphabet = Alphabet("ab")
+    k = draw(st.integers(1, 3))
+    experts = []
+    for _ in range(k):
+        strings = draw(st.lists(st.text("ab", max_size=3), min_size=1, max_size=6, unique=True))
+        masses = draw(st.lists(st.floats(0.05, 1.0), min_size=len(strings), max_size=len(strings)))
+        total = math.fsum(masses)
+        experts.append(TableModel({x: m / total for x, m in zip(strings, masses)}, alphabet))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]), min_size=k, max_size=k)
+                   .filter(any))
+    kind = draw(st.sampled_from(["minimum", "maximum", "geometric", "power"]))
+    tau = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0])) if kind == "power" else None
+    max_len = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32))
+    return EnsembleSpec(kind, weights, tau), ExpertPanel(experts), max_len, seed
+
+
 class TestLocalSample:
     def test_deterministic(self, mis_panel):
         spec = EnsembleSpec.geometric(2)
@@ -556,23 +645,35 @@ class TestLocalSample:
         b = local_sample(spec, mis_panel, particles=32, max_len=4, seed=6)
         assert a == b
 
-    def test_scores_match_direct_recomputation(self, mis_panel):
-        spec = EnsembleSpec.geometric(2)
-        draws = local_sample(spec, mis_panel, particles=20, max_len=4, seed=7)
+    @settings(max_examples=200, deadline=None)
+    @given(_local_cases())
+    def test_scores_match_direct_recomputation(self, case):
+        """Each draw's score is the sum of the directly recomputed local
+        log probabilities, bit for bit, on random table panels (experts
+        that die mid-string, zero weights, every operator kind); a shaping
+        ``sis`` already used gives the same draws; and a DeadPrefixError
+        means some reachable local row is identically zero."""
+        spec, panel, max_len, seed = case
+        warm = PrefixPotentialShaping(spec, panel)
+        sis(spec, panel, SamplerConfig(particles=8, max_len=max_len, seed=seed), shaping=warm)
+        try:
+            draws = local_sample(spec, panel, 16, max_len, seed=seed)
+        except DeadPrefixError:
+            assert _reaches_dead_local_row(spec, panel, max_len)
+            with pytest.raises(DeadPrefixError):
+                local_sample(spec, panel, 16, max_len, seed=seed, shaping=warm)
+            return
+        assert local_sample(spec, panel, 16, max_len, seed=seed, shaping=warm) == draws
+        eos = panel.alphabet.eos_index
         for draw in draws:
-            assert draw.completed
+            assert draw.completed == (len(draw.x) < max_len)
+            steps = [(draw.x[:i], panel.alphabet.index[ch]) for i, ch in enumerate(draw.x)]
+            if draw.completed:
+                steps.append((draw.x, eos))
             log_p = 0.0
-            for i, ch in enumerate(draw.x + "$"):
-                prefix = draw.x[:i]
-                rows = np.stack([m.log_next(prefix) for m in mis_panel])
-                local = log_normalize(spec.combine_columns(rows))
-                idx = (
-                    mis_panel.alphabet.eos_index
-                    if ch == "$"
-                    else mis_panel.alphabet.index[ch]
-                )
-                log_p += local[idx]
-            assert_allclose(draw.log_local, log_p, rtol=1e-10)
+            for prefix, idx in steps:
+                log_p += log_normalize(_direct_local_row(spec, panel, prefix))[idx]
+            assert draw.log_local == log_p
 
     def test_matches_expected_local_distribution(self, mis_panel):
         spec = EnsembleSpec.geometric(2)

@@ -183,13 +183,24 @@ def _rows(draw):
     return probs
 
 
+def _inverse_cdf(probs, u) -> int:
+    """The inverse-CDF rule written out for one uniform: the reference."""
+    cum = np.cumsum(probs)
+    idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
+    if idx >= len(probs):
+        idx = int(np.flatnonzero(probs > 0.0)[-1])
+    return idx
+
+
 class TestDrawIndices:
     @settings(max_examples=400, deadline=None)
     @given(_rows(), st.lists(_UNIFORMS, min_size=1, max_size=40))
     def test_matches_one_draw_index_per_uniform(self, probs, us):
         """The batched draw of the sequential samplers is ``draw_index``
-        per uniform, fallback included, for arrays and for one double."""
+        per uniform, fallback included, for arrays and for one double;
+        both follow the scalar inverse-CDF rule."""
         want = [draw_index(_FixedUniform(u), probs) for u in us]
+        assert want == [_inverse_cdf(probs, u) for u in us]
         assert draw_indices(probs, np.array(us)).tolist() == want
         assert [int(draw_indices(probs, u)) for u in us] == want
 

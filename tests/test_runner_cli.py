@@ -302,6 +302,23 @@ class TestRunner:
         for rec in local_recs:
             assert rec["error"].startswith("degenerate run:")
 
+    def test_all_truncated_local_run_recorded_not_raised(self):
+        """A ``local`` run with no completed draw has no distribution to
+        score: its record carries ``error`` and no ``accuracy``, and the
+        other methods' records are kept."""
+        raw = {
+            "experts": [{"type": "table", "entries": {"aaa": 0.5, "bbb": 0.5}}],
+            "alphabet": "ab",
+            "sampler": {"particles": 4, "max_len": 2},
+            "predicate": {"kind": "in_set", "strings": ["aaa"]},
+            "methods": ["local", "smc"],
+        }
+        local_rec, smc_rec = run_experiment(config_from_dict(raw))
+        assert local_rec["truncated"] == 4
+        assert local_rec["error"] == "every draw truncated"
+        assert "accuracy" not in local_rec
+        assert smc_rec["method"] == "smc" and smc_rec["error"] == "zero total mass"
+
     def test_round_trip_and_no_raw_infinities(self, tmp_path):
         raw = {
             "experts": [
@@ -446,6 +463,29 @@ class TestCli:
         assert "degenerate" in capsys.readouterr().err
         # Records are still written for inspection.
         assert read_records(out)[0]["error"] == "zero total mass"
+
+    def test_dead_ensemble_gives_every_method_an_error_record(self, tmp_path, capsys):
+        """Disjoint experts under the product: every method, ``is`` and
+        ``local`` included, writes a record with ``error``, and the batch
+        exits 2 instead of aborting."""
+        raw = {
+            "experts": [
+                {"type": "table", "entries": {"a": 1.0}},
+                {"type": "table", "entries": {"b": 1.0}},
+            ],
+            "alphabet": "ab",
+            "operator": "product",
+            "sampler": {"particles": 4, "max_len": 3},
+            "methods": ["smc", "sis", "local", "is"],
+        }
+        config = tmp_path / "dead.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "records.jsonl"
+        assert main(["sample", str(config), "--out", str(out)]) == 2
+        assert "4 degenerate runs" in capsys.readouterr().err
+        records = read_records(out)
+        assert [r["method"] for r in records] == ["smc", "sis", "local", "is"]
+        assert all("error" in r for r in records)
 
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:
