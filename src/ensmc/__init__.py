@@ -24,7 +24,6 @@ from .inference import (
     Estimate,
     OptimalProposal,
     OracleShaping,
-    Particle,
     PrefixPotentialShaping,
     SamplerConfig,
     ensemble_log_target,
@@ -75,7 +74,6 @@ __all__ = [
     "NGramModel",
     "OptimalProposal",
     "OracleShaping",
-    "Particle",
     "PFSAModel",
     "PrefixPotentialShaping",
     "RemoteModel",

@@ -205,15 +205,11 @@ def build_panel(config: ExperimentConfig) -> tuple[ExpertPanel, EnsembleSpec]:
         spec = EnsembleSpec.from_name(op, weights=weights)
     elif isinstance(op, dict):
         kind = op.get("kind")
-        if kind == "power":
-            _check_keys(op, {"kind", "tau"}, "power operator")
-            spec = EnsembleSpec.power(op["tau"], weights=weights)
-        elif kind in ("minimum", "maximum", "geometric", "product",
-                      "sum", "harmonic", "quadratic"):
-            _check_keys(op, {"kind"}, f"{kind} operator")
-            spec = EnsembleSpec.from_name(kind, weights=weights)
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
+        if not isinstance(kind, str):
+            raise ValueError(f"operator 'kind' must be an operator name, got {kind!r}")
+        allowed = {"kind", "tau"} if kind.lower() == "power" else {"kind"}
+        _check_keys(op, allowed, f"{kind} operator")
+        spec = EnsembleSpec.from_name(kind, weights, tau=op.get("tau"))
     else:
         raise ValueError(f"operator must be a name or an object, got {op!r}")
     if spec.k != len(models):

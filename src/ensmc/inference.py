@@ -1,4 +1,5 @@
-"""Particle samplers for unnormalized string targets.
+"""Sequential Monte Carlo and importance samplers for unnormalized string
+targets.
 
 The samplers draw strings symbol-by-symbol from a proposal while
 accumulating importance weights against the target, guided by a shaping
@@ -20,8 +21,8 @@ Population: the sequential samplers hold the particles as arrays (the
 prefix strings, weights, proposal log probabilities and status flags).
 Each round derives the uniforms of all active particles at once and
 draws once per distinct prefix: particles on one prefix share its
-shaping and proposal rows and one cumulative sum. ``Estimate.particles``
-is built when the run ends.
+shaping and proposal rows and one cumulative sum. The arrays a run ends
+with are its :class:`Estimate`.
 
 Degeneracy: a finished run whose particles all carry zero weight still
 returns an Estimate (its normalizer estimate is exactly zero, which can
@@ -31,7 +32,8 @@ DegenerateRunError instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -67,19 +69,6 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass
-class Particle:
-    """One weighted string under construction."""
-
-    x: str
-    log_w: float
-    active: bool
-    completed: bool = False
-    #: Accumulated proposal log probability of the drawn path (diagnostic;
-    #: after resampling it no longer matches the weight decomposition).
-    log_proposal: float = 0.0
-
-
-@dataclass
 class Diagnostics:
     ess_trace: list[float] = field(default_factory=list)
     resample_rounds: list[int] = field(default_factory=list)
@@ -87,37 +76,44 @@ class Diagnostics:
     rounds: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class Estimate:
     """Weighted particle population plus the normalizer estimate.
 
-    ``log_z_hat`` is the log of the plain weight mean, so
-    ``exp(log_z_hat)`` equals ``mean(exp(log_w))``.
+    The ``i``-th particle is the string ``xs[i]`` with log weight ``log_w[i]``;
+    ``completed[i]`` tells whether it drew the end marker, and
+    ``log_proposal[i]`` is the proposal log probability of its drawn path
+    (diagnostic; after resampling it no longer matches the weight
+    decomposition). ``log_z_hat`` is the log of the plain weight mean, so
+    ``exp(log_z_hat)`` equals ``mean(exp(log_w))``. ``len()`` is the
+    particle count.
     """
 
-    particles: list[Particle]
+    xs: list[str]
+    log_w: np.ndarray
+    completed: np.ndarray
+    log_proposal: np.ndarray
     log_z_hat: float
     diagnostics: Diagnostics
 
-    def log_weights(self) -> np.ndarray:
-        return np.array([p.log_w for p in self.particles])
+    def __len__(self) -> int:
+        return len(self.xs)
 
     def normalized_weights(self) -> np.ndarray:
-        lw = self.log_weights()
-        total = logsumexp(lw)
+        total = logsumexp(self.log_w)
         if total == LOG_ZERO:
             raise DegenerateRunError(
                 "all particles carry zero weight", diagnostics=self.diagnostics
             )
-        w = np.exp(lw - total)
+        w = np.exp(self.log_w - total)
         return w / w.sum()
 
     def distribution(self) -> dict[str, float]:
         """Weighted empirical distribution over the particle strings."""
         out: dict[str, float] = {}
-        for p, w in zip(self.particles, self.normalized_weights()):
+        for x, w in zip(self.xs, self.normalized_weights().tolist()):
             if w > 0.0:
-                out[p.x] = out.get(p.x, 0.0) + float(w)
+                out[x] = out.get(x, 0.0) + w
         return out
 
 
@@ -144,20 +140,37 @@ class SamplerConfig:
     debug_check_weights: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.particles, int) or self.particles < 1:
-            raise ValueError("particles must be a positive integer")
+        def reject(name: str, what: str):
+            raise ValueError(f"sampler {name!r} must be {what}, got {getattr(self, name)!r}")
+
+        # Types first, so a mistyped value never reaches a comparison;
+        # bools are not numbers here.
+        for names, kind, what in (
+            (("particles", "max_len", "seed"), numbers.Integral, "an integer"),
+            (("resample_threshold", "epsilon"), numbers.Real, "a real number"),
+            (("proposal", "shaping"), str, "a string"),
+            (("debug_check_weights",), bool, "true or false"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                    reject(name, what)
+        if self.particles < 1:
+            reject("particles", "a positive integer")
         if not 0.0 < self.resample_threshold <= 1.0:
-            raise ValueError("resample_threshold must lie in (0, 1]")
+            reject("resample_threshold", "in (0, 1]")
         if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+            reject("max_len", "an integer >= 1")
+        if self.seed < 0:
+            reject("seed", "a non-negative integer")
         if self.shaping not in ("prefix", "epsilon-shift"):
-            raise ValueError(f"unknown shaping {self.shaping!r}")
+            reject("shaping", "'prefix' or 'epsilon-shift'")
         if self.shaping == "epsilon-shift" and not self.epsilon > 0.0:
-            raise ValueError("epsilon must be > 0")
+            reject("epsilon", "> 0")
         if self.proposal != "optimal":
             kind, _, idx = self.proposal.partition(":")
             if kind != "expert" or not idx.isdigit():
-                raise ValueError(f"unknown proposal {self.proposal!r}")
+                reject("proposal", "'optimal' or 'expert:<k>'")
 
 
 # -- shaping functions --------------------------------------------------
@@ -420,20 +433,24 @@ def one_step_weight_variance(log_potentials, log_proposal) -> float:
 
 
 def _finalize(
-    particles: list[Particle], diagnostics: Diagnostics, debug_target=None
+    xs: list[str],
+    log_w: np.ndarray,
+    completed: np.ndarray,
+    log_proposal: np.ndarray,
+    diagnostics: Diagnostics,
+    debug_target=None,
 ) -> Estimate:
-    lw = np.array([p.log_w for p in particles])
-    log_z_hat = float(logsumexp(lw)) - math.log(len(particles))
+    log_z_hat = float(logsumexp(log_w)) - math.log(len(xs))
     if debug_target is not None:
-        for p in particles:
-            if p.completed and p.log_w != LOG_ZERO:
-                want = debug_target(p.x) - p.log_proposal
-                if abs(p.log_w - want) > 1e-9:
-                    raise AssertionError(
-                        f"weight decomposition violated at {p.x!r}: "
-                        f"{p.log_w!r} vs target/proposal {want!r}"
-                    )
-    return Estimate(particles=particles, log_z_hat=log_z_hat, diagnostics=diagnostics)
+        for i in np.flatnonzero(completed & (log_w != LOG_ZERO)).tolist():
+            w = float(log_w[i])
+            want = debug_target(xs[i]) - float(log_proposal[i])
+            if abs(w - want) > 1e-9:
+                raise AssertionError(
+                    f"weight decomposition violated at {xs[i]!r}: "
+                    f"{w!r} vs target/proposal {want!r}"
+                )
+    return Estimate(xs, log_w, completed, log_proposal, log_z_hat, diagnostics)
 
 
 def _ancestors(log_w: np.ndarray, seed: int, round_no: int) -> tuple[np.ndarray, float]:
@@ -446,12 +463,6 @@ def _ancestors(log_w: np.ndarray, seed: int, round_no: int) -> tuple[np.ndarray,
     # One inverse-CDF draw per particle from the round's resampling stream.
     idx = draw_indices(probs, _rng(seed, _STREAM_RESAMPLE, round_no).random(m))
     return idx, float(log_total) - math.log(m)
-
-
-def _resample(particles: list[Particle], seed: int, round_no: int) -> list[Particle]:
-    """:func:`_ancestors` applied to a list of particles."""
-    idx, new_log_w = _ancestors(np.array([p.log_w for p in particles]), seed, round_no)
-    return [replace(particles[i], log_w=new_log_w) for i in idx]
 
 
 def _sequential(
@@ -543,16 +554,10 @@ def _sequential(
             resampled = True
         round_no += 1
     diag.rounds = round_no
-    particles = [
-        Particle(x=x, log_w=w, active=a, completed=c, log_proposal=lp)
-        for x, w, a, c, lp in zip(
-            xs, log_w.tolist(), active.tolist(), completed.tolist(), log_proposal.tolist()
-        )
-    ]
     debug_target = None
     if config.debug_check_weights and not resampled:
         debug_target = shaping.log_target
-    return _finalize(particles, diag, debug_target)
+    return _finalize(xs, log_w, completed, log_proposal, diag, debug_target)
 
 
 def sis(
@@ -609,22 +614,18 @@ def importance_sample(
     Weights are target over proposal on complete strings; truncated
     draws get zero weight and are counted in the diagnostics.
     """
-    diag = Diagnostics(rounds=1)
-    out = []
-    for x, log_r, completed in _iid_draws(proposal_model, particles, max_len, seed):
-        if completed:
-            log_w = log_target(x) - log_r
-        else:
-            log_w = LOG_ZERO
-            diag.truncated += 1
-        out.append(
-            Particle(x=x, log_w=log_w, active=False, completed=completed, log_proposal=log_r)
-        )
+    xs, log_proposal, completed = zip(*_iid_draws(proposal_model, particles, max_len, seed))
+    log_w = np.array([
+        log_target(x) - log_r if done else LOG_ZERO
+        for x, log_r, done in zip(xs, log_proposal, completed)
+    ])
+    completed = np.array(completed)
+    diag = Diagnostics(rounds=1, truncated=int(np.count_nonzero(~completed)))
     try:
-        diag.ess_trace.append(ess([p.log_w for p in out]))
+        diag.ess_trace.append(ess(log_w))
     except DegenerateRunError:
         diag.ess_trace.append(0.0)
-    return _finalize(out, diag)
+    return _finalize(list(xs), log_w, completed, np.array(log_proposal), diag)
 
 
 def ensemble_log_target(spec: EnsembleSpec, panel: ExpertPanel) -> Callable[[str], float]:

@@ -90,20 +90,21 @@ class Alphabet:
                 raise ValueError(f"unknown symbol {key!r}")
         return log_row(row)
 
-    def row_to_dict(self, logs: np.ndarray, keep_zero: bool = False) -> dict:
-        """Inverse of :meth:`row_from_dict`, in linear domain."""
+    def row_to_dict(self, logs: np.ndarray) -> dict:
+        """Inverse of :meth:`row_from_dict`, in linear domain; zero entries
+        are left out."""
         out = {}
         for i, s in enumerate(self.symbols):
             p = math.exp(logs[i]) if logs[i] != LOG_ZERO else 0.0
-            if p or keep_zero:
+            if p:
                 out[s] = p
         p = math.exp(logs[self.eos_index]) if logs[self.eos_index] != LOG_ZERO else 0.0
-        if p or keep_zero:
+        if p:
             out[EOS_KEY] = p
         return out
 
 
-def validate_log_row(row: np.ndarray, alphabet: Alphabet, tol: float = ROW_TOL) -> None:
+def validate_log_row(row: np.ndarray, alphabet: Alphabet) -> None:
     """Reject a conditional row whose linear-domain sum strays from 1.
 
     Models are validated at registration rather than silently
@@ -115,8 +116,8 @@ def validate_log_row(row: np.ndarray, alphabet: Alphabet, tol: float = ROW_TOL) 
     if np.isnan(row).any() or (row == np.inf).any():
         raise ValueError("row contains nan or +inf")
     total = float(np.exp(row).sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"conditional row sums to {total!r}, not 1 within {tol}")
+    if abs(total - 1.0) > ROW_TOL:
+        raise ValueError(f"conditional row sums to {total!r}, not 1 within {ROW_TOL}")
 
 
 class SequenceModel(abc.ABC):
@@ -206,7 +207,7 @@ def sample_with_log_prob(
             return x, log_p, False
 
 
-def check_model(model: SequenceModel, contexts: Iterable[str], tol: float = ROW_TOL) -> None:
+def check_model(model: SequenceModel, contexts: Iterable[str]) -> None:
     """Spot-check row normalization at the given contexts.
 
     Contexts with zero prefix probability are skipped (their
@@ -215,4 +216,4 @@ def check_model(model: SequenceModel, contexts: Iterable[str], tol: float = ROW_
     for ctx in contexts:
         if prefix_log_prob(model, ctx) == LOG_ZERO:
             continue
-        validate_log_row(model.log_next(ctx), model.alphabet, tol=tol)
+        validate_log_row(model.log_next(ctx), model.alphabet)

@@ -30,6 +30,11 @@ TABLE_VERSION = 1
 DEFAULT_ALPHABET_CAP = 6
 DEFAULT_LEN_CAP = 10
 DEFAULT_NODE_CAP = 500_000
+#: minimize_divergence_simplex: first transfer size, the size at which
+#: halving stops, and the sweep budget.
+SIMPLEX_STEP0 = 0.25
+SIMPLEX_STEP_MIN = 1e-7
+SIMPLEX_MAX_SWEEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,6 @@ def enumerate_ensemble(
     panel: ExpertPanel,
     max_len: int,
     max_nodes: int = DEFAULT_NODE_CAP,
-    alphabet_cap: int = DEFAULT_ALPHABET_CAP,
-    len_cap: int = DEFAULT_LEN_CAP,
 ) -> ExactTable:
     """Exhaustive DFS over all strings up to ``max_len``.
 
@@ -123,12 +126,12 @@ def enumerate_ensemble(
     results are returned.
     """
     alphabet = panel.alphabet
-    if alphabet.size > alphabet_cap:
+    if alphabet.size > DEFAULT_ALPHABET_CAP:
         raise EnumerationBudgetError(
-            f"alphabet size {alphabet.size} exceeds the cap {alphabet_cap}"
+            f"alphabet size {alphabet.size} exceeds the cap {DEFAULT_ALPHABET_CAP}"
         )
-    if max_len > len_cap:
-        raise EnumerationBudgetError(f"max_len {max_len} exceeds the cap {len_cap}")
+    if max_len > DEFAULT_LEN_CAP:
+        raise EnumerationBudgetError(f"max_len {max_len} exceeds the cap {DEFAULT_LEN_CAP}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
 
@@ -373,9 +376,6 @@ def minimize_divergence_simplex(
     experts: np.ndarray,
     weights: Sequence[float],
     alpha: float,
-    step0: float = 0.25,
-    step_min: float = 1e-7,
-    max_sweeps: int = 200_000,
 ) -> np.ndarray:
     """Minimize the weighted alpha-divergence to K atoms over the simplex.
 
@@ -392,8 +392,8 @@ def minimize_divergence_simplex(
     _, n = experts.shape
     q = np.full(n, 1.0 / n)
     best = _alpha_objective(q, experts, weights, alpha)
-    step = step0
-    for _ in range(max_sweeps):
+    step = SIMPLEX_STEP0
+    for _ in range(SIMPLEX_MAX_SWEEPS):
         improved = False
         for i in range(n):
             for j in range(n):
@@ -410,6 +410,6 @@ def minimize_divergence_simplex(
                     improved = True
         if not improved:
             step *= 0.5
-            if step < step_min:
+            if step < SIMPLEX_STEP_MIN:
                 break
     return q

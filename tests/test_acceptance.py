@@ -22,7 +22,6 @@ from ensmc import (
     EnsembleSpec,
     OptimalProposal,
     OracleShaping,
-    Particle,
     PrefixPotentialShaping,
     SamplerConfig,
     as_byte_model,
@@ -42,7 +41,7 @@ from ensmc import (
     string_log_prob,
     total_variation,
 )
-from ensmc.inference import _resample
+from ensmc.inference import _ancestors
 from ensmc.logtools import log_normalize
 
 
@@ -157,7 +156,7 @@ class TestAcceptance:
             shaping=shaping,
             proposal=OptimalProposal(shaping),
         )
-        weights = np.exp(out.log_weights())
+        weights = np.exp(out.log_w)
         spread = (weights.max() - weights.min()) / weights.mean()
         assert spread < 1e-9, f"relative weight spread {spread:.2e}"
         assert_allclose(weights, GEO_Z, rtol=1e-9)
@@ -344,18 +343,14 @@ class TestAcceptance:
         assert ess(np.log([1.0, 1.0, 1.0, 1.0])) == 4.0
         assert ess(np.log([3.0, 1.0])) == pytest.approx(1.6, rel=1e-12)
 
-        population = [
-            Particle(x="a", log_w=math.log(4.0), active=False, completed=True),
-            Particle(x="b", log_w=math.log(3.0), active=True),
-            Particle(x="c", log_w=math.log(2.0), active=False, completed=True),
-            Particle(x="dead", log_w=LOG_ZERO, active=False),
-        ]
-        total = np.logaddexp.reduce([p.log_w for p in population])
+        xs = ["a", "b", "c", "dead"]
+        log_w = np.array([math.log(4.0), math.log(3.0), math.log(2.0), LOG_ZERO])
+        total = np.logaddexp.reduce(log_w)
         for seed in range(10):
-            resampled = _resample(list(population), seed=seed, round_no=0)
-            new_total = np.logaddexp.reduce([p.log_w for p in resampled])
+            idx, new_log_w = _ancestors(log_w, seed=seed, round_no=0)
+            new_total = np.logaddexp.reduce(np.full(len(idx), new_log_w))
             assert_allclose(new_total, total, rtol=1e-12)
-            assert all(p.x != "dead" for p in resampled)
+            assert all(xs[i] != "dead" for i in idx)
 
         for seed in range(5):
             a = sis(
@@ -374,9 +369,7 @@ class TestAcceptance:
                     resample_threshold=1e-9,
                 ),
             )
-            assert [(p.x, p.log_w) for p in a.particles] == [
-                (p.x, p.log_w) for p in b.particles
-            ]
+            assert list(zip(a.xs, a.log_w.tolist())) == list(zip(b.xs, b.log_w.tolist()))
             assert a.log_z_hat == b.log_z_hat
 
     def test_11a_extreme_exponents_match_named_limits(self):

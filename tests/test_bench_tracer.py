@@ -5,7 +5,7 @@ suite, and not only in the benchmark's own self-test."""
 import importlib.util
 from pathlib import Path
 
-from ensmc import inference
+from ensmc import config_from_dict, inference, run_experiment
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -30,3 +30,23 @@ def test_install_wraps_every_target_and_uninstall_restores_them():
         tracer.uninstall()
     assert {name: getattr(inference, name) for name in names} == before
     assert inference.PrefixPotentialShaping.log_row is log_row
+
+
+def test_particle_count_reads_every_method():
+    """The tracer counts particles with ``len()`` of what each sampler
+    returns: an Estimate for ``smc``/``sis``/``is``, a list for ``local``."""
+    config = config_from_dict({
+        "experts": [
+            {"type": "table", "entries": {"a": 0.5, "b": 0.25, "ab": 0.25}},
+            {"type": "table", "entries": {"a": 0.25, "b": 0.5, "ab": 0.25}},
+        ],
+        "sampler": {"particles": 5, "max_len": 3},
+        "methods": ["smc", "sis", "is", "local"],
+    })
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        run_experiment(config)
+        assert tracer.counts["inference.particles"] == 20
+    finally:
+        tracer.uninstall()

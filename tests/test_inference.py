@@ -18,7 +18,6 @@ from ensmc import (
     ExpertPanel,
     OptimalProposal,
     OracleShaping,
-    Particle,
     PrefixPotentialShaping,
     SamplerConfig,
     SequenceModel,
@@ -34,13 +33,18 @@ from ensmc import (
     smc,
 )
 from ensmc.ensemble import log_string_potential
-from ensmc.inference import _STREAM_RESAMPLE, _resample, _rng, make_proposal
-from ensmc.lmcore import draw_index, prefix_log_prob
+from ensmc.inference import _STREAM_RESAMPLE, _ancestors, _rng, make_proposal
+from ensmc.lmcore import draw_index, prefix_log_prob, string_log_prob
 from ensmc.logtools import log_normalize, logsumexp
 
 
 def particle_states(estimate):
-    return [(p.x, p.log_w, p.completed, p.log_proposal) for p in estimate.particles]
+    return list(zip(
+        estimate.xs,
+        estimate.log_w.tolist(),
+        estimate.completed.tolist(),
+        estimate.log_proposal.tolist(),
+    ))
 
 
 class TestEss:
@@ -343,45 +347,48 @@ class TestDeterminism:
 
 
 class TestResampling:
-    def make_population(self):
-        return [
-            Particle(x="a", log_w=math.log(4.0), active=False, completed=True, log_proposal=-1.0),
-            Particle(x="b", log_w=math.log(3.0), active=True, completed=False, log_proposal=-2.0),
-            Particle(x="c", log_w=math.log(2.0), active=False, completed=True, log_proposal=-3.0),
-            Particle(x="dead", log_w=LOG_ZERO, active=False, completed=False, log_proposal=-4.0),
-        ]
+    XS = ("a", "b", "c", "dead")
+
+    def make_log_w(self):
+        return np.array([math.log(4.0), math.log(3.0), math.log(2.0), LOG_ZERO])
 
     def test_total_weight_preserved_and_flattened(self):
         for seed in range(20):
-            pop = self.make_population()
-            new = _resample(pop, seed=seed, round_no=0)
-            assert len(new) == len(pop)
-            old_total = np.logaddexp.reduce([p.log_w for p in pop])
-            for p in new:
-                assert_allclose(p.log_w, old_total - math.log(4.0), rtol=1e-12)
+            log_w = self.make_log_w()
+            idx, new_log_w = _ancestors(log_w, seed=seed, round_no=0)
+            assert len(idx) == len(log_w)
+            old_total = np.logaddexp.reduce(log_w)
+            assert_allclose(np.full(len(idx), new_log_w), old_total - math.log(4.0), rtol=1e-12)
 
-    def test_survivors_keep_their_state(self):
-        by_x = {p.x: p for p in self.make_population()}
-        new = _resample(self.make_population(), seed=1, round_no=0)
-        for p in new:
-            src = by_x[p.x]
-            assert (p.active, p.completed, p.log_proposal) == (
-                src.active,
-                src.completed,
-                src.log_proposal,
+    def test_survivors_keep_their_state(self, geo_panel, geo_spec):
+        """Resampling carries each survivor's proposal score with it: a
+        completed particle's ``log_proposal`` is its own string's
+        probability under the proposal expert, bit for bit."""
+        checked = 0
+        for seed in range(50):
+            config = SamplerConfig(
+                particles=32, seed=seed, proposal="expert:0", resample_threshold=1.0
             )
+            out = smc(geo_spec, geo_panel, config)
+            assert out.diagnostics.resample_rounds != []
+            for x, done, log_r in zip(out.xs, out.completed, out.log_proposal.tolist()):
+                if done:
+                    assert log_r == string_log_prob(geo_panel[0], x)
+                    checked += 1
+        assert checked > 0
 
     def test_zero_weight_particles_never_selected(self):
         for seed in range(40):
-            new = _resample(self.make_population(), seed=seed, round_no=0)
-            assert all(p.x != "dead" for p in new)
+            idx, _ = _ancestors(self.make_log_w(), seed=seed, round_no=0)
+            assert all(self.XS[i] != "dead" for i in idx)
 
     def test_selection_frequencies_follow_weights(self):
         counts = {"a": 0, "b": 0, "c": 0}
         n = 400
         for seed in range(n):
-            for p in _resample(self.make_population(), seed=seed, round_no=0):
-                counts[p.x] += 1
+            idx, _ = _ancestors(self.make_log_w(), seed=seed, round_no=0)
+            for i in idx:
+                counts[self.XS[i]] += 1
         total = 4 * n
         for x, w in (("a", 4 / 9), ("b", 3 / 9), ("c", 2 / 9)):
             se = math.sqrt(w * (1 - w) / total)
@@ -395,15 +402,11 @@ class TestResampling:
             log_w = gen.normal(size=m) * 3.0
             log_w[gen.random(m) < 0.3] = LOG_ZERO
             log_w[int(gen.integers(m))] = 0.0
-            pop = [
-                Particle(x=str(i), log_w=float(w), active=True, completed=False, log_proposal=0.0)
-                for i, w in enumerate(log_w)
-            ]
             probs = np.exp(log_w - logsumexp(log_w))
             probs = probs / probs.sum()
             rng = _rng(trial, _STREAM_RESAMPLE, 3)
-            want = [str(draw_index(rng, probs)) for _ in range(m)]
-            got = [p.x for p in _resample(pop, seed=trial, round_no=3)]
+            want = [draw_index(rng, probs) for _ in range(m)]
+            got = _ancestors(log_w, seed=trial, round_no=3)[0].tolist()
             assert got == want
 
     def test_greedy_threshold_triggers_resampling(self, geo_panel, geo_spec):
@@ -501,7 +504,7 @@ class TestWeightBookkeeping:
         shaping = OracleShaping(table)
         config = SamplerConfig(particles=50, seed=9)
         out = sis(geo_spec, geo_panel, config, shaping=shaping, proposal=OptimalProposal(shaping))
-        weights = np.exp(out.log_weights())
+        weights = np.exp(out.log_w)
         assert_allclose(weights, GEO_Z, rtol=1e-12)
         assert_allclose(math.exp(out.log_z_hat), GEO_Z, rtol=1e-12)
 
@@ -567,7 +570,7 @@ class TestImportanceSample:
     def test_mean_weight_identity_and_unbiasedness(self, geo_panel, geo_spec):
         target = ensemble_log_target(geo_spec, geo_panel)
         out = importance_sample(target, geo_panel[0], particles=4000, max_len=3, seed=0)
-        weights = np.exp(out.log_weights())
+        weights = np.exp(out.log_w)
         assert_allclose(math.exp(out.log_z_hat), weights.mean(), rtol=1e-12)
         se = weights.std(ddof=1) / math.sqrt(weights.size)
         assert abs(weights.mean() - GEO_Z) < 3.0 * se
@@ -576,9 +579,9 @@ class TestImportanceSample:
         target = ensemble_log_target(geo_spec, geo_panel)
         out = importance_sample(target, geo_panel[0], particles=200, max_len=0, seed=1)
         assert out.diagnostics.truncated > 0
-        for p in out.particles:
-            assert p.completed or p.log_w == LOG_ZERO
-        incomplete = sum(not p.completed for p in out.particles)
+        for done, log_w in zip(out.completed, out.log_w):
+            assert done or log_w == LOG_ZERO
+        incomplete = sum(not done for done in out.completed)
         assert incomplete == out.diagnostics.truncated
 
     def test_deterministic(self, geo_panel, geo_spec):
@@ -676,15 +679,36 @@ class TestLocalSample:
             assert draw.log_local == log_p
 
     def test_matches_expected_local_distribution(self, mis_panel):
-        spec = EnsembleSpec.geometric(2)
-        draws = local_sample(spec, mis_panel, particles=20_000, max_len=4, seed=8)
-        counts = {}
-        for d in draws:
-            counts[d.x] = counts.get(d.x, 0) + 1
-        for x, want in MIS_LOCAL.items():
-            got = counts.get(x, 0) / len(draws)
-            se = math.sqrt(want * (1 - want) / len(draws))
-            assert abs(got - want) < 5 * se
+        """Draw frequencies match the step-local distribution. Under the
+        geometric operator it coincides with the prefix-potential one, so
+        a second panel under the sum operator, where the experts' prefix
+        masses at "a" differ (0.9 and 0.5), tells the two apart: the
+        local row at "a" averages the conditionals (c: 0.522), the
+        prefix-potential row the joint masses (c: 0.643)."""
+        cond_c = (0.85 / 0.9 + 0.05 / 0.5) / 2
+        sum_panel = ExpertPanel([
+            TableModel({"ac": 0.85, "ad": 0.05, "b": 0.1}),
+            TableModel({"ac": 0.05, "ad": 0.45, "b": 0.5}),
+        ])
+        cases = [
+            (EnsembleSpec.geometric(2), mis_panel, 20_000, MIS_LOCAL),
+            (
+                EnsembleSpec.from_name("sum", 2),
+                sum_panel,
+                4_000,
+                {"ac": 0.7 * cond_c, "ad": 0.7 * (1 - cond_c), "b": 0.3},
+            ),
+        ]
+        for spec, panel, n, expected in cases:
+            draws = local_sample(spec, panel, particles=n, max_len=4, seed=8)
+            counts = {}
+            for d in draws:
+                counts[d.x] = counts.get(d.x, 0) + 1
+            assert set(counts) <= set(expected)
+            for x, want in expected.items():
+                got = counts.get(x, 0) / len(draws)
+                se = math.sqrt(want * (1 - want) / len(draws))
+                assert abs(got - want) < 5 * se
 
     def test_dead_product_raises(self):
         panel = ExpertPanel(

@@ -15,7 +15,7 @@ from ensmc import (
     mixture_identity,
     smc,
 )
-from ensmc.inference import Diagnostics, Estimate, LocalSample, Particle
+from ensmc.inference import Diagnostics, Estimate, LocalSample
 from ensmc.metrics import (
     as_distribution,
     compare_to_oracle,
@@ -136,7 +136,10 @@ class TestCompareToOracle:
         the report says so instead of failing."""
         table = enumerate_ensemble(geo_spec, geo_panel, max_len=3)
         dead = Estimate(
-            particles=[Particle(x="a", log_w=-math.inf, active=False, completed=True)],
+            xs=["a"],
+            log_w=np.array([-math.inf]),
+            completed=np.array([True]),
+            log_proposal=np.zeros(1),
             log_z_hat=-math.inf,
             diagnostics=Diagnostics(),
         )

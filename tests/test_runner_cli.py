@@ -117,6 +117,29 @@ class TestConfigLoading:
         captured = capsys.readouterr()
         assert repr(key) in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_len", "5"),
+        ("seed", 1.5),
+        ("resample_threshold", "0.5"),
+        ("particles", True),
+        ("max_len", 2.5),
+        ("debug_check_weights", "no"),
+        ("seed", -1),
+        ("proposal", 5),
+    ])
+    def test_mistyped_sampler_value_named(self, tmp_path, capsys, key, value):
+        """A sampler value of the wrong type or range is a config error:
+        exit 2 and a message naming the key, not a traceback."""
+        raw = {
+            "experts": [{"type": "table", "entries": {"a": 0.5, "b": 0.5}}],
+            "sampler": {key: value},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["sample", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert repr(key) in captured.err and captured.out == ""
+
     def test_oracle_limits_default_to_horizon_and_node_cap(self):
         bare = {k: v for k, v in BASE_CONFIG.items() if k != "oracle"}
         assert config_from_dict(bare).oracle_limits() == {
@@ -144,12 +167,27 @@ class TestBuilders:
         raw = {**BASE_CONFIG, "operator": {"kind": "minimum"}}
         _, spec = build_panel(config_from_dict(raw))
         assert spec.kind == "minimum"
+        # An object's ``kind`` takes every name the string form takes.
+        for name in ("min", "max", "product", "geometric", "sum", "harmonic", "quadratic"):
+            _, spec = build_panel(config_from_dict({**BASE_CONFIG, "operator": {"kind": name}}))
+            _, want = build_panel(config_from_dict({**BASE_CONFIG, "operator": name}))
+            assert (spec.kind, spec.tau) == (want.kind, want.tau)
+
+    def test_power_operator_without_tau_is_a_config_error(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="tau"):
+            build_panel(config_from_dict({**BASE_CONFIG, "operator": {"kind": "power"}}))
+        path = write_config(tmp_path, {"operator": {"kind": "power"}})
+        assert main(["sample", str(path)]) == 2
+        assert "power operator needs tau" in capsys.readouterr().err
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError):
             build_panel(config_from_dict({**BASE_CONFIG, "operator": {"kind": "median"}}))
         with pytest.raises(ValueError):
             build_panel(config_from_dict({**BASE_CONFIG, "operator": 7}))
+        for kind in (None, 7, ["power"]):
+            with pytest.raises(ValueError):
+                build_panel(config_from_dict({**BASE_CONFIG, "operator": {"kind": kind}}))
 
     def test_weights_rescaled(self):
         raw = {**BASE_CONFIG, "weights": [2.0, 6.0]}
