@@ -30,7 +30,6 @@ construction.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,24 +172,33 @@ class Tokenizer:
         return cls(Alphabet(tokens), decode, byte_alphabet=byte_alphabet)
 
 
-@dataclass(frozen=True)
 class _Frontier:
-    """Segmentation states for one byte prefix: (token context, tail, log weight)."""
+    """Segmentation states for one byte prefix: (token context, tail, log weight).
 
-    entries: tuple[tuple[str, str, float], ...]
+    ``prefix`` and ``stop`` hold the prefix's log prefix and
+    complete-string masses once they have been summed (``None`` before).
+    """
+
+    __slots__ = ("entries", "prefix", "stop")
+
+    def __init__(self, entries: tuple[tuple[str, str, float], ...]):
+        self.entries = entries
+        self.prefix: float | None = None
+        self.stop: float | None = None
 
 
 class TokenToByteModel(SequenceModel):
     """The byte-level marginal of a token-level model, as a sequence model.
 
     Frontiers are cached per byte context and extended incrementally, so
-    sampling walks and prefix queries reuse earlier work; token-model
-    rows are memoized per token context. With ``log_floor`` set,
-    frontier entries whose weight falls below ``log_floor`` plus the
-    frontier's best weight are dropped; ``log_dropped_bound`` then
-    tracks a running upper bound (log domain) on the total prefix mass
-    ever discarded. By default no pruning happens and the marginal is
-    exact.
+    sampling walks and prefix queries reuse earlier work; each frontier
+    keeps its prefix and complete-string masses once summed, and
+    token-model rows are memoized (read-only) per token context. With
+    ``log_floor`` set, frontier entries whose weight falls below
+    ``log_floor`` plus the frontier's best weight are dropped;
+    ``log_dropped_bound`` then tracks a running upper bound (log domain)
+    on the total prefix mass ever discarded. By default no pruning
+    happens and the marginal is exact.
     """
 
     def __init__(
@@ -222,6 +230,9 @@ class TokenToByteModel(SequenceModel):
         row = self._token_rows.get(context)
         if row is None:
             row = self.token_model.log_next(context)
+            if row.flags.writeable:
+                row = row.view()
+                row.flags.writeable = False
             self._token_rows[context] = row
         return row
 
@@ -278,8 +289,14 @@ class TokenToByteModel(SequenceModel):
         return _Frontier(entries=entries), dropped
 
     def _prefix_and_stop(self, x: str) -> tuple[float, float]:
-        """(log prefix mass, log complete-string mass) at byte prefix ``x``."""
+        """(log prefix mass, log complete-string mass) at byte prefix ``x``.
+
+        Summed once per frontier and kept on it: every later query for
+        ``x`` reads the stored pair.
+        """
         frontier = self._frontier(x)
+        if frontier.prefix is not None:
+            return frontier.prefix, frontier.stop
         prefix_terms = []
         stop_terms = []
         for context, tail, log_w in frontier.entries:
@@ -298,6 +315,9 @@ class TokenToByteModel(SequenceModel):
                     prefix_terms.append(log_w + total)
         prefix = float(logsumexp(np.array(prefix_terms))) if prefix_terms else LOG_ZERO
         stop = float(logsumexp(np.array(stop_terms))) if stop_terms else LOG_ZERO
+        # ``stop`` first: a reader that sees ``prefix`` set finds both.
+        frontier.stop = stop
+        frontier.prefix = prefix
         return prefix, stop
 
     # -- model interface ------------------------------------------------

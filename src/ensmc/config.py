@@ -37,6 +37,7 @@ fit from a corpus. The ``regex`` predicate uses full-string matching.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -61,6 +62,11 @@ EXPERT_FIELDS = {
     "tokenized": {"tokenizer", "model", "log_floor"},
     "remote": {"url", "timeout", "retries", "backoff", "defect_tol"},
 }
+
+
+def _is_number(value) -> bool:
+    """A real number, numpy's included; a bool is not one here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_keys(obj, allowed, what: str) -> None:
@@ -93,6 +99,9 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
+        for key, value in (self.oracle or {}).items():
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"oracle {key!r} must be an integer >= 0, got {value!r}")
 
     def oracle_limits(self) -> dict:
         """The oracle's ``max_len``/``max_nodes``: the ``oracle`` block's
@@ -199,6 +208,10 @@ def build_panel(config: ExperimentConfig) -> tuple[ExpertPanel, EnsembleSpec]:
     alphabet = Alphabet(tuple(config.alphabet)) if config.alphabet else None
     models = [build_expert(e, alphabet, config.base_dir) for e in config.experts]
     panel = ExpertPanel(models)
+    if config.weights is not None:
+        for w in config.weights:
+            if not _is_number(w):
+                raise ValueError(f"'weights' entries must be numbers, got {w!r}")
     weights = config.weights if config.weights is not None else len(models)
     op = config.operator
     if isinstance(op, str):
@@ -209,7 +222,10 @@ def build_panel(config: ExperimentConfig) -> tuple[ExpertPanel, EnsembleSpec]:
             raise ValueError(f"operator 'kind' must be an operator name, got {kind!r}")
         allowed = {"kind", "tau"} if kind.lower() == "power" else {"kind"}
         _check_keys(op, allowed, f"{kind} operator")
-        spec = EnsembleSpec.from_name(kind, weights, tau=op.get("tau"))
+        tau = op.get("tau")
+        if tau is not None and not _is_number(tau):
+            raise ValueError(f"operator 'tau' must be a number, got {tau!r}")
+        spec = EnsembleSpec.from_name(kind, weights, tau=tau)
     else:
         raise ValueError(f"operator must be a name or an object, got {op!r}")
     if spec.k != len(models):

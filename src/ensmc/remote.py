@@ -195,6 +195,7 @@ class RemoteModel(SequenceModel):
             return cached
         reply = self._request("POST", "/next", {"context": context})
         row = self._parse_row(context, reply)
+        row.flags.writeable = False  # shared by every caller of this context
         self._cache[context] = row
         return row
 

@@ -88,6 +88,7 @@ class TableModel(SequenceModel):
             row[i] = self._prefix_mass.get(context + s, 0.0) / mass
         row[self.alphabet.eos_index] = self.entries.get(context, 0.0) / mass
         out = log_row(row)
+        out.flags.writeable = False  # shared by every caller of this context
         self._row_memo[context] = out
         return out
 
@@ -116,28 +117,36 @@ class NGramModel(SequenceModel):
         self.alphabet = alphabet
         self.order = int(order)
         self.smoothing = float(smoothing)
-        self._counts: dict[str, np.ndarray] = {}
-        for ctx, vec in counts.items():
+        width = alphabet.size + 1
+        # One count row per context key, then an all-zero row that every
+        # unseen key shares.
+        self._key_row: dict[str, int] = {}
+        self._counts = np.zeros((len(counts) + 1, width))
+        for i, (ctx, vec) in enumerate(counts.items()):
             alphabet.check_string(ctx)
             vec = np.asarray(vec, dtype=float)
-            if vec.shape != (alphabet.size + 1,) or (vec < 0).any():
+            if vec.shape != (width,) or (vec < 0).any():
                 raise ValueError(f"bad count vector for context {ctx!r}")
-            self._counts[ctx] = vec
+            self._key_row[ctx] = i
+            self._counts[i] = vec
+        # A row depends only on its key, so each one is built once here;
+        # a key with no events (total 0, unsmoothed) has no row.
+        self._totals = self._counts.sum(axis=1) + self.smoothing * width
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._rows = log_row((self._counts + self.smoothing) / self._totals[:, None])
+        self._rows.flags.writeable = False
 
     def _context_key(self, context: str) -> str:
         return context[-(self.order - 1):] if self.order > 1 else ""
 
     def log_next(self, context: str) -> np.ndarray:
         self.alphabet.check_string(context)
-        vec = self._counts.get(self._context_key(context))
-        if vec is None:
-            vec = np.zeros(self.alphabet.size + 1)
-        total = vec.sum() + self.smoothing * (self.alphabet.size + 1)
-        if total <= 0.0:
+        i = self._key_row.get(self._context_key(context), len(self._key_row))
+        if self._totals[i] <= 0.0:
             raise UndefinedConditionalError(
                 f"unsmoothed n-gram has no events for context {context!r}"
             )
-        return log_row((vec + self.smoothing) / total)
+        return self._rows[i]
 
     def save(self, path) -> None:
         """Write the versioned plain-text serialization (header + count table)."""
@@ -148,8 +157,8 @@ class NGramModel(SequenceModel):
             f"alphabet\t{escape_field(''.join(self.alphabet.symbols))}",
         ]
         rows = []
-        for ctx in sorted(self._counts):
-            vec = self._counts[ctx]
+        for ctx in sorted(self._key_row):
+            vec = self._counts[self._key_row[ctx]]
             for i, s in enumerate(self.alphabet.symbols):
                 if vec[i]:
                     rows.append((ctx, s, int(vec[i])))

@@ -5,11 +5,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ensmc import (
     LOG_ZERO,
     Alphabet,
+    PFSAModel,
     SequenceModel,
     TableModel,
     Tokenizer,
@@ -21,6 +24,7 @@ from ensmc import (
     string_log_prob,
 )
 from ensmc.bridge import TokenToByteModel
+from ensmc.lmcore import ROW_TOL
 
 
 def segmentation_log_prob(token_model, tokenizer, x):
@@ -42,6 +46,125 @@ def segmentation_log_prob(token_model, tokenizer, x):
     walk(0, "")
     finite = [t for t in terms if t != LOG_ZERO]
     return np.logaddexp.reduce(finite) if finite else LOG_ZERO
+
+
+def covering_log_prob(token_model, tokenizer, x):
+    """Byte-prefix mass of x by brute force: sum the token-prefix
+    probabilities of every token sequence whose last token is the first
+    to reach or cross the end of x."""
+    if x == "":
+        return 0.0
+    terms = []
+
+    def walk(pos, tokens):
+        for tok, out in tokenizer.decode.items():
+            if out.startswith(x[pos:]):
+                terms.append(prefix_log_prob(token_model, tokens + tok))
+            elif x.startswith(out, pos):
+                walk(pos + len(out), tokens + tok)
+
+    walk(0, "")
+    finite = [t for t in terms if t != LOG_ZERO]
+    return np.logaddexp.reduce(finite) if finite else LOG_ZERO
+
+
+@st.composite
+def _byte_marginal_cases(draw):
+    """A random decode table over 2-3 bytes, a random token table, a
+    pruning floor or none, and a random query order over byte prefixes.
+
+    Every byte has a one-byte token, and the other tokens decode to one
+    to three bytes, so byte strings have several segmentations and two
+    tokens may share a decoding."""
+    byte_alphabet = Alphabet("abc"[: draw(st.integers(2, 3))])
+    outs = list(byte_alphabet.symbols) + draw(st.lists(
+        st.text(byte_alphabet.symbols, min_size=1, max_size=3), min_size=1, max_size=3,
+    ))
+    token_alphabet = Alphabet("ABCDEF"[: len(outs)])
+    tokenizer = Tokenizer(
+        token_alphabet, dict(zip(token_alphabet.symbols, outs)), byte_alphabet=byte_alphabet
+    )
+    strings = draw(st.lists(
+        st.text(token_alphabet.symbols, max_size=3), min_size=1, max_size=10, unique=True,
+    ))
+    masses = draw(st.lists(st.floats(0.05, 1.0), min_size=len(strings), max_size=len(strings)))
+    total = math.fsum(masses)
+    token_model = TableModel({y: m / total for y, m in zip(strings, masses)}, token_alphabet)
+    log_floor = draw(st.sampled_from([None, math.log(0.3), math.log(0.05)]))
+    prefixes = ["".join(t) for n in range(5)
+                for t in itertools.product(byte_alphabet.symbols, repeat=n)]
+    contexts = [x for x in prefixes if len(x) < 4]
+    # Prefix queries first (as the oracle's DFS and the prefix nodes ask),
+    # then rows in any order, revisits included (as sampler particles ask).
+    queries = draw(st.lists(st.sampled_from(prefixes), max_size=12))
+    order = draw(st.permutations(contexts))
+    revisits = draw(st.lists(st.sampled_from(contexts), max_size=12))
+    return token_model, tokenizer, log_floor, queries, order + revisits
+
+
+def _row_or_none(model, x):
+    try:
+        return model.log_next(x)
+    except UndefinedConditionalError:
+        return None
+
+
+class TestByteMarginalProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_byte_marginal_cases())
+    def test_warm_rows_equal_fresh_rows(self, case):
+        """However earlier queries filled the frontier cache, every row
+        equals the row a new model gives for that context alone, bit for
+        bit, and dead contexts stay dead."""
+        token_model, tokenizer, log_floor, queries, order = case
+        warm = TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
+        for x in queries:
+            warm.prefix_log_prob(x)
+        for x in order:
+            got = _row_or_none(warm, x)
+            want = _row_or_none(TokenToByteModel(token_model, tokenizer, log_floor=log_floor), x)
+            if want is None:
+                assert got is None, x
+            else:
+                assert got is not None and got.tobytes() == want.tobytes(), x
+
+    @settings(max_examples=60, deadline=None)
+    @given(_byte_marginal_cases())
+    def test_rows_conserve_mass(self, case):
+        """Exact rows sum to 1 within ROW_TOL. A pruned row sums to at
+        most 1, and it falls short by no more than the dropped-mass bound
+        over the context's prefix mass."""
+        token_model, tokenizer, log_floor, _, order = case
+        model = TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
+        for x in order:
+            row = _row_or_none(model, x)
+            if row is None:
+                continue
+            total = math.fsum(np.exp(row))
+            if log_floor is None:
+                assert abs(total - 1.0) <= ROW_TOL, x
+            else:
+                slack = math.exp(model.log_dropped_bound - model.prefix_log_prob(x))
+                assert 1.0 - slack - ROW_TOL <= total <= 1.0 + ROW_TOL, x
+
+    @settings(max_examples=60, deadline=None)
+    @given(_byte_marginal_cases())
+    def test_prefix_mass_is_the_covering_sum(self, case):
+        """``prefix_log_prob`` equals the brute-force sum over token
+        sequences covering the prefix; with a floor it lies below that sum
+        by at most the dropped-mass bound."""
+        token_model, tokenizer, log_floor, queries, order = case
+        model = TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
+        for x in queries + order:
+            got = model.prefix_log_prob(x)
+            want = covering_log_prob(token_model, tokenizer, x)
+            if log_floor is None:
+                assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=x)
+            else:
+                assert got <= want + 1e-12, x
+                assert math.exp(want) - math.exp(got) <= (
+                    math.exp(model.log_dropped_bound) + 1e-12
+                ), x
 
 
 class CountingModel(SequenceModel):
@@ -216,6 +339,23 @@ class TestByteMarginal:
         byte_model.string_log_prob("abab")
         byte_model.prefix_log_prob("aba")
         assert counted.calls == first
+
+
+    def test_memoized_token_rows_are_read_only(self):
+        """Token rows are shared by every frontier, so the memo holds them
+        read-only, also for a token model that hands out writable rows."""
+        token_model = PFSAModel(
+            Alphabet("AB"), start="s",
+            transitions={"s": {"A": ("s", 0.5), "B": ("s", 0.25)}}, stops={"s": 0.25},
+        )
+        assert token_model.log_next("").flags.writeable
+        tokenizer = Tokenizer(Alphabet("AB"), {"A": "a", "B": "ab"})
+        byte_model = as_byte_model(token_model, tokenizer)
+        check_model(byte_model, ["", "a", "ab", "aab"])
+        assert byte_model._token_rows
+        for row in byte_model._token_rows.values():
+            with pytest.raises(ValueError):
+                row[0] = 0.0
 
 
 class TestFloorPruning:

@@ -300,8 +300,10 @@ class TestRetriesAndCaching:
             remote.log_next("")
             remote.log_next("")
             remote.log_next("a")
-            remote.log_next("")
+            row = remote.log_next("")
         assert counted.calls == 2
+        with pytest.raises(ValueError):  # the cached row is shared: read-only
+            row[0] = 0.0
 
     def test_rejects_nonpositive_retries(self):
         with pytest.raises(ValueError):

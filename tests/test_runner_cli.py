@@ -108,6 +108,9 @@ class TestConfigLoading:
         ({"methods": 5}, "methods"),
         ({"experts": 5}, "experts"),
         ({"repeats": "2"}, "repeats"),
+        ({"oracle": {"max_len": "3"}}, "max_len"),
+        ({"oracle": {"max_nodes": True}}, "max_nodes"),
+        ({"oracle": {"max_len": -1}}, "max_len"),
     ])
     def test_unknown_nested_keys_named(self, tmp_path, capsys, overrides, key):
         """An unknown key anywhere, or a known key holding a value of the
@@ -179,6 +182,28 @@ class TestBuilders:
         path = write_config(tmp_path, {"operator": {"kind": "power"}})
         assert main(["sample", str(path)]) == 2
         assert "power operator needs tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"operator": {"kind": "power", "tau": "0.5"}}, "tau"),
+        ({"operator": {"kind": "power", "tau": True}}, "tau"),
+        ({"weights": ["1", 1]}, "weights"),
+        ({"weights": [True, True]}, "weights"),
+    ])
+    def test_mistyped_operator_number_named(self, tmp_path, capsys, overrides, key):
+        """A string or bool ``tau`` or weight is a config error (exit 2,
+        the key named), not a number coerced by ``float()``."""
+        assert main(["sample", str(write_config(tmp_path, overrides))]) == 2
+        captured = capsys.readouterr()
+        assert repr(key) in captured.err and captured.out == ""
+
+    def test_numpy_numbers_accepted(self):
+        raw = {**BASE_CONFIG, "weights": [np.float64(1.0), np.int64(3)],
+               "operator": {"kind": "power", "tau": np.float32(0.5)},
+               "oracle": {"max_len": np.int64(3), "max_nodes": np.int32(100)}}
+        config = config_from_dict(raw)
+        _, spec = build_panel(config)
+        assert spec.weights == (0.25, 0.75) and spec.tau == 0.5
+        assert config.oracle_limits() == {"max_len": 3, "max_nodes": 100}
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError):

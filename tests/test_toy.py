@@ -78,6 +78,26 @@ class TestNGramModel:
         model = fit_ngram(["abab"], order=2, smoothing=0.1)
         assert_allclose(model.log_next("ab"), model.log_next("bbb" + "ab"[-1:]))
 
+    def test_rows_depend_on_the_key_and_check_the_whole_context(self):
+        """Contexts sharing their last ``order - 1`` symbols get equal rows,
+        and a symbol outside the alphabet anywhere in the context is
+        rejected even where the key alone would be known."""
+        model = fit_ngram(["abab", "bba", "aab"], order=3, smoothing=0.0)
+        assert model.log_next("aab").tobytes() == model.log_next("bab").tobytes()
+        assert model.log_next("ab").tobytes() == model.log_next("babab").tobytes()
+        for context in ("xab", "axb", "abx", "x"):
+            with pytest.raises(ValueError):
+                model.log_next(context)
+
+    def test_save_writes_sorted_nonzero_counts(self, tmp_path):
+        model = fit_ngram(["ab", "aab", "b"], order=2, smoothing=0.25)
+        path = tmp_path / "model.tsv"
+        model.save(path)
+        assert path.read_text() == (
+            "ensmc-ngram\t1\norder\t2\nsmoothing\t0.25\nalphabet\tab\ncounts\t5\n"
+            "\ta\t2\n\tb\t1\na\ta\t1\na\tb\t2\nb\t<eos>\t3\n"
+        )
+
     def test_rows_normalized(self):
         model = fit_ngram(["ab", "ba", ""], order=3, smoothing=0.3)
         check_model(model, ["", "a", "ab", "ba", "bb", "abab"])
@@ -108,6 +128,19 @@ class TestNGramModel:
             NGramModel(Alphabet("ab"), order=0, smoothing=0.1, counts={})
         with pytest.raises(ValueError):
             NGramModel(Alphabet("ab"), order=2, smoothing=-0.1, counts={})
+
+
+class TestSharedRowsAreReadOnly:
+    def test_writing_into_a_row_raises(self):
+        """Memoized rows are shared by every caller, so they refuse writes."""
+        table = TableModel({"a": 0.2, "ab": 0.3, "b": 0.5})
+        ngram = fit_ngram(["ab", "ba"], order=2, smoothing=0.5, alphabet=Alphabet("abc"))
+        rows = [table.log_next(""), table.log_next("a"),
+                ngram.log_next("a"), ngram.log_next("c")]  # "c" is an unseen key
+        for row in rows:
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+        assert table.log_next("a")[0] != 0.0
 
 
 class TestPFSAModel:
