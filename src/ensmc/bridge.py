@@ -237,14 +237,15 @@ class TokenToByteModel(SequenceModel):
         return row
 
     def _frontier(self, x: str) -> _Frontier:
-        self.alphabet.check_string(x)
         have = self._frontiers.get(x)
         if have is not None:
             return have
-        # Extend from the longest cached ancestor.
+        # Extend from the longest cached ancestor; only the new bytes need
+        # checking, since a cached prefix was checked when it was built.
         start = len(x)
         while x[:start] not in self._frontiers:
             start -= 1
+        self.alphabet.check_string(x[start:])
         frontier = self._frontiers[x[:start]]
         for t in range(start, len(x)):
             computed, dropped = self._advance(frontier, x[t])

@@ -94,8 +94,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.experts:
             raise ValueError("config needs at least one expert")
-        if not isinstance(self.repeats, int) or self.repeats < 1:
+        if type(self.repeats) is not int or self.repeats < 1:  # a bool is no count
             raise ValueError(f"'repeats' must be an integer >= 1, got {self.repeats!r}")
+        if self.alphabet is not None and not isinstance(self.alphabet, str):
+            raise ValueError(f"'alphabet' must be a string of symbols, got {self.alphabet!r}")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
@@ -242,10 +244,16 @@ def build_predicate(spec: dict | None) -> Callable[[str], bool] | None:
     kind = spec.get("kind")
     if kind == "in_set":
         _check_keys(spec, {"kind", "strings"}, "in_set predicate")
-        allowed = frozenset(spec["strings"])
+        strings = spec.get("strings")
+        if not isinstance(strings, (list, tuple)) or not all(isinstance(x, str) for x in strings):
+            raise ValueError(f"'strings' must be a list of strings, got {strings!r}")
+        allowed = frozenset(strings)
         return lambda x: x in allowed
     if kind == "regex":
         _check_keys(spec, {"kind", "pattern"}, "regex predicate")
-        pattern = re.compile(spec["pattern"])
+        try:
+            pattern = re.compile(spec.get("pattern"))
+        except (TypeError, re.error) as exc:
+            raise ValueError(f"'pattern' must be a regular expression: {exc}") from None
         return lambda x: pattern.fullmatch(x) is not None
     raise ValueError(f"unknown predicate kind {kind!r}")

@@ -9,20 +9,18 @@ entirely in log domain; ``float('-inf')`` marks dead particles, which
 contribute zero mass and are never extended.
 
 Randomness: every draw comes from a stream derived from the run seed by
-counter-based key splitting — particle draws are keyed by
-``(round, particle index)`` and resampling by ``(round,)`` — so runs are
-reproducible bit-for-bit, adding particles does not perturb existing
-streams, and a resampling pass that never fires leaves the sequential
-sampler's draws untouched. The streams are numpy's
-``default_rng(SeedSequence(seed, spawn_key=key))``, derived by
-:mod:`ensmc.streams` without building a generator per particle.
+counter-based key splitting — ``sis``/``smc`` draws are keyed by ``(round,
+particle index)`` and resampling by ``(round,)``; ``is``/``local`` draw
+i.i.d., particle ``m`` from stream ``(m,)`` — so runs are reproducible
+bit-for-bit, adding particles does not perturb existing streams, and an
+unfired resampling pass leaves the draws untouched. The streams are numpy's
+``default_rng(SeedSequence(seed, spawn_key=key))``, via :mod:`ensmc.streams`.
 
-Population: the sequential samplers hold the particles as arrays (the
-prefix strings, weights, proposal log probabilities and status flags).
-Each round derives the uniforms of all active particles at once and
-draws once per distinct prefix: particles on one prefix share its
-shaping and proposal rows and one cumulative sum. The arrays a run ends
-with are its :class:`Estimate`.
+Population: all four samplers run one round loop over the particles held
+as arrays (the prefix strings, weights, proposal log probabilities and
+status flags). Each round takes one uniform per active particle and draws
+once per distinct prefix: particles on one prefix share its shaping and
+proposal rows and one cumulative sum. The arrays are the :class:`Estimate`.
 
 Degeneracy: a finished run whose particles all carry zero weight still
 returns an Estimate (its normalizer estimate is exactly zero, which can
@@ -38,9 +36,9 @@ from typing import Callable
 
 import numpy as np
 
-# ``log_potential_columns``, ``draw_index`` and ``prefix_log_prob`` are no
-# longer called here; they stay module attributes because the layer
-# tracer in bench/tracing.py wraps them.
+# ``log_potential_columns``, ``draw_index``, ``prefix_log_prob`` and
+# ``sample_with_log_prob`` are no longer called here; they stay module
+# attributes because the layer tracer in bench/tracing.py wraps them.
 from .ensemble import (  # noqa: F401
     EnsembleSpec,
     ExpertPanel,
@@ -392,9 +390,9 @@ def make_proposal(panel: ExpertPanel, config: SamplerConfig, shaping):
 
 
 class _RowModel(SequenceModel):
-    """A row function ``x -> log row`` as a sequence model, for the i.i.d.
-    samplers. The function's errors pass through unchanged, so a dead
-    prefix stays a DeadPrefixError."""
+    """A row function ``x -> log row`` as a sequence model, the proposal
+    :func:`importance_sample` reads. The function's errors pass through
+    unchanged, so a dead prefix stays a DeadPrefixError."""
 
     def __init__(self, alphabet, log_row: Callable[[str], np.ndarray]):
         self.alphabet = alphabet
@@ -441,7 +439,8 @@ def _finalize(
     debug_target=None,
 ) -> Estimate:
     log_z_hat = float(logsumexp(log_w)) - math.log(len(xs))
-    if debug_target is not None:
+    # Resampling breaks the telescoping the check asserts.
+    if debug_target is not None and not diagnostics.resample_rounds:
         for i in np.flatnonzero(completed & (log_w != LOG_ZERO)).tolist():
             w = float(log_w[i])
             want = debug_target(xs[i]) - float(log_proposal[i])
@@ -465,71 +464,63 @@ def _ancestors(log_w: np.ndarray, seed: int, round_no: int) -> tuple[np.ndarray,
     return idx, float(log_total) - math.log(m)
 
 
-def _sequential(
-    spec: EnsembleSpec,
-    panel: ExpertPanel,
-    config: SamplerConfig,
-    shaping,
-    proposal,
-    resample: bool,
-) -> Estimate:
-    alphabet = panel.alphabet
+def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, shaping=None,
+                resample_threshold: float = 0.0, seed: int = 0, debug_target=None) -> Estimate:
+    """The round loop of every sampler: each round, ``doubles(round, live)``
+    gives every live particle a uniform, and the particles on each distinct
+    prefix draw from ``proposal_row`` at once. With a ``shaping``, weights
+    take its per-step ratios and an ESS below ``resample_threshold *
+    particles`` resamples. Without one the draws are i.i.d., weights stay 0
+    unless truncated, and a dead prefix raises the error of the
+    lowest-index particle that met one."""
     eos = alphabet.eos_index
     symbols = alphabet.symbols
-    if shaping is None:
-        shaping = make_shaping(spec, panel, config)
-    if proposal is None:
-        proposal = make_proposal(panel, config, shaping)
-    m_total = config.particles
-    init = shaping.log_value("")
-    xs = [""] * m_total
-    log_w = np.full(m_total, init, dtype=float)
-    log_proposal = np.zeros(m_total)
-    active = np.full(m_total, init > LOG_ZERO)
-    completed = np.zeros(m_total, dtype=bool)
-    particle_streams = streams.pool(config.seed, _STREAM_PARTICLE)
-    u = np.empty(m_total)
+    init = shaping.log_value("") if shaping is not None else 0.0
+    xs = [""] * particles
+    log_w = np.full(particles, init, dtype=float)
+    log_proposal = np.zeros(particles)
+    active = np.full(particles, init > LOG_ZERO)
+    completed = np.zeros(particles, dtype=bool)
+    u = np.empty(particles)
     diag = Diagnostics()
-    resampled = False
-    round_no = 0
+    dead: dict[int, DeadPrefixError] = {}
     while active.any():
         live = np.flatnonzero(active)
-        u[live] = streams.uniforms(particle_streams.extend(round_no), live)
+        u[live] = doubles(diag.rounds, live)
         groups: dict[str, list[int]] = {}
         for i in live.tolist():
             groups.setdefault(xs[i], []).append(i)
         for x, ids in groups.items():
             try:
-                shaping_row = shaping.log_row(x)
-                proposal_row = proposal.log_row(x)
-            except DeadPrefixError:
+                shaping_row = shaping.log_row(x) if shaping is not None else None
+                row = proposal_row(x)
+            except DeadPrefixError as exc:
+                dead[ids[0]] = exc
                 log_w[ids] = LOG_ZERO
                 active[ids] = False
                 continue
-            probs = np.exp(proposal_row)
-            at_horizon = len(x) + 1 >= config.max_len
+            probs = np.exp(row)
+            at_horizon = len(x) + 1 >= max_len
             if len(ids) == 1:
                 # One particle: scalar updates, cheaper than fancy indexing.
                 i = ids[0]
                 j = int(draw_indices(probs, u[i]))
-                log_proposal[i] += proposal_row[j]
-                log_w[i] += shaping_row[j] - proposal_row[j]
-                if j == eos:
-                    active[i] = False
-                    completed[i] = True
-                    continue
-                xs[i] = x + symbols[j]
-                if log_w[i] == LOG_ZERO:
-                    active[i] = False
-                elif at_horizon:
-                    log_w[i] = LOG_ZERO
-                    active[i] = False
-                    diag.truncated += 1
+                log_proposal[i] += row[j]
+                if shaping_row is not None:
+                    log_w[i] += shaping_row[j] - row[j]
+                completed[i] = done = j == eos
+                if not done:
+                    xs[i] = x + symbols[j]
+                    if at_horizon and log_w[i] != LOG_ZERO:
+                        log_w[i] = LOG_ZERO
+                        diag.truncated += 1
+                active[i] = not done and log_w[i] != LOG_ZERO
                 continue
             ids = np.array(ids)
             idx = draw_indices(probs, u[ids])
-            log_proposal[ids] += proposal_row[idx]
-            log_w[ids] += shaping_row[idx] - proposal_row[idx]
+            log_proposal[ids] += row[idx]
+            if shaping_row is not None:
+                log_w[ids] += shaping_row[idx] - row[idx]
             stop = idx == eos
             completed[ids[stop]] = True
             grown = ids[~stop]
@@ -540,24 +531,38 @@ def _sequential(
                 diag.truncated += int(np.count_nonzero(log_w[grown] != LOG_ZERO))
                 log_w[grown] = LOG_ZERO
             active[ids] = ~stop & (log_w[ids] != LOG_ZERO)
-        alive_mass = logsumexp(log_w) > LOG_ZERO
-        ess_val = ess(log_w) if alive_mass else 0.0
-        diag.ess_trace.append(ess_val)
-        if resample and alive_mass and ess_val < config.resample_threshold * m_total:
-            idx, new_log_w = _ancestors(log_w, config.seed, round_no)
-            xs = [xs[i] for i in idx.tolist()]
-            log_w = np.full(m_total, new_log_w)
-            log_proposal = log_proposal[idx]
-            active = active[idx]
-            completed = completed[idx]
-            diag.resample_rounds.append(round_no)
-            resampled = True
-        round_no += 1
-    diag.rounds = round_no
-    debug_target = None
-    if config.debug_check_weights and not resampled:
-        debug_target = shaping.log_target
+        if shaping is not None:
+            alive_mass = logsumexp(log_w) > LOG_ZERO
+            ess_val = ess(log_w) if alive_mass else 0.0
+            diag.ess_trace.append(ess_val)
+            if alive_mass and ess_val < resample_threshold * particles:
+                idx, new_log_w = _ancestors(log_w, seed, diag.rounds)
+                xs = [xs[i] for i in idx.tolist()]
+                log_w = np.full(particles, new_log_w)
+                log_proposal = log_proposal[idx]
+                active = active[idx]
+                completed = completed[idx]
+                diag.resample_rounds.append(diag.rounds)
+        diag.rounds += 1
+    if dead and shaping is None:
+        raise dead[min(dead)]
     return _finalize(xs, log_w, completed, log_proposal, diag, debug_target)
+
+
+def _shaped(spec, panel, config: SamplerConfig, shaping, proposal, resample_threshold: float):
+    """``sis``/``smc``: round ``r`` draws the first double of stream
+    ``(seed, 0, r, m)`` for particle ``m``."""
+    if shaping is None:
+        shaping = make_shaping(spec, panel, config)
+    if proposal is None:
+        proposal = make_proposal(panel, config, shaping)
+    particle_streams = streams.pool(config.seed, _STREAM_PARTICLE)
+    return _sequential(
+        panel.alphabet, config.particles, config.max_len,
+        lambda round_no, live: streams.uniforms(particle_streams.extend(round_no), live),
+        proposal.log_row, shaping, resample_threshold, config.seed,
+        shaping.log_target if config.debug_check_weights else None,
+    )
 
 
 def sis(
@@ -568,7 +573,7 @@ def sis(
     proposal=None,
 ) -> Estimate:
     """Sequential importance sampling: extend, reweight, never resample."""
-    return _sequential(spec, panel, config, shaping, proposal, resample=False)
+    return _shaped(spec, panel, config, shaping, proposal, resample_threshold=0.0)
 
 
 def smc(
@@ -586,20 +591,23 @@ def smc(
     redrawn from the normalized weights and every weight is reset to the
     preserved total over the particle count.
     """
-    return _sequential(spec, panel, config, shaping, proposal, resample=True)
+    return _shaped(spec, panel, config, shaping, proposal, config.resample_threshold)
 
 
-def _iid_draws(
-    model: SequenceModel, particles: int, max_len: int, seed: int
-) -> list[tuple[str, float, bool]]:
-    """Ancestral draws from ``model``: draw ``m`` uses i.i.d. stream ``m``."""
+def _iid(alphabet, log_row, particles: int, max_len: int, seed: int) -> Estimate:
+    """I.i.d. draws from ``log_row``: particle ``m`` reads the successive
+    doubles of stream ``(seed, 2, m)``, the ones ``sample_with_log_prob``
+    would draw for it."""
     if particles < 1:
         raise ValueError("particles must be a positive integer")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     iid_streams = streams.pool(seed, _STREAM_IID)
-    return [
-        sample_with_log_prob(model, iid_streams.extend(m).generator(), max_len)
-        for m in range(particles)
-    ]
+    generators = [iid_streams.extend(m).generator() for m in range(particles)]
+    return _sequential(
+        alphabet, particles, max_len,
+        lambda _, live: np.array([generators[i].random() for i in live.tolist()]), log_row,
+    )
 
 
 def importance_sample(
@@ -614,34 +622,17 @@ def importance_sample(
     Weights are target over proposal on complete strings; truncated
     draws get zero weight and are counted in the diagnostics.
     """
-    xs, log_proposal, completed = zip(*_iid_draws(proposal_model, particles, max_len, seed))
-    log_w = np.array([
-        log_target(x) - log_r if done else LOG_ZERO
-        for x, log_r, done in zip(xs, log_proposal, completed)
-    ])
-    completed = np.array(completed)
-    diag = Diagnostics(rounds=1, truncated=int(np.count_nonzero(~completed)))
-    try:
-        diag.ess_trace.append(ess(log_w))
-    except DegenerateRunError:
-        diag.ess_trace.append(0.0)
-    return _finalize(list(xs), log_w, completed, np.array(log_proposal), diag)
+    draws = _iid(proposal_model.alphabet, proposal_model.log_next, particles, max_len, seed)
+    log_w = draws.log_w
+    for i in np.flatnonzero(draws.completed).tolist():
+        log_w[i] = log_target(draws.xs[i]) - draws.log_proposal[i]
+    draws.diagnostics.ess_trace.append(ess(log_w) if logsumexp(log_w) > LOG_ZERO else 0.0)
+    return _finalize(draws.xs, log_w, draws.completed, draws.log_proposal, draws.diagnostics)
 
 
 def ensemble_log_target(spec: EnsembleSpec, panel: ExpertPanel) -> Callable[[str], float]:
     """The unnormalized log target of a (spec, panel) pair as a callable."""
     return lambda x: log_string_potential(spec, panel, x)
-
-
-@dataclass(frozen=True)
-class LocalSample:
-    """One draw from the step-local ensemble baseline."""
-
-    x: str
-    completed: bool
-    #: Accumulated log probability of the draw under the locally
-    #: normalized per-step combination (the baseline's own string score).
-    log_local: float
 
 
 def local_sample(
@@ -651,7 +642,7 @@ def local_sample(
     max_len: int,
     seed: int = 0,
     shaping: PrefixPotentialShaping | None = None,
-) -> list[LocalSample]:
+) -> Estimate:
     """The biased token-level baseline: combine conditionals, normalize, sample.
 
     At each step the operator is applied to the experts' next-symbol
@@ -662,11 +653,10 @@ def local_sample(
     DeadPrefixError. The rows are read from the prefix nodes of
     ``shaping`` (a :class:`PrefixPotentialShaping` over ``(spec, panel)``;
     a fresh one by default), so runs sharing it share the expert rows.
+
+    Returns an :class:`Estimate` whose ``log_proposal`` is each draw's
+    local score, with weight 1 on completed draws and 0 on truncated ones.
     """
     if shaping is None:
         shaping = PrefixPotentialShaping(spec, panel)
-    model = _RowModel(panel.alphabet, shaping.log_local_row)
-    return [
-        LocalSample(x=x, completed=completed, log_local=log_local)
-        for x, log_local, completed in _iid_draws(model, particles, max_len, seed)
-    ]
+    return _iid(panel.alphabet, shaping.log_local_row, particles, max_len, seed)

@@ -8,13 +8,14 @@ particle :class:`~ensmc.inference.Estimate`, or an enumerated
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .ensemble import EnsembleSpec, ExpertPanel
 from .errors import DegenerateRunError
-from .inference import Estimate, LocalSample
+from .inference import Estimate
 from .oracle import ExactTable, enumerate_ensemble, model_log_probs, total_variation
 
 Predicate = Callable[[str], bool]
@@ -39,21 +40,16 @@ def expected_accuracy(obj, predicate: Predicate) -> float:
     return float(sum(p for x, p in as_distribution(obj).items() if predicate(x)))
 
 
-def empirical_distribution(samples: Iterable) -> dict[str, float]:
-    """Relative frequencies of completed draws (strings or LocalSamples).
+def empirical_distribution(samples: Iterable[str] | Estimate) -> dict[str, float]:
+    """Relative frequencies of completed draws: strings, or the completed
+    strings of an :class:`~ensmc.inference.Estimate` (its weights unread).
 
-    Truncated local draws are excluded; an all-truncated batch is an
-    error rather than a silent empty distribution.
+    Truncated draws are excluded; an all-truncated batch is an error
+    rather than a silent empty distribution.
     """
-    counts: dict[str, int] = {}
-    for s in samples:
-        if isinstance(s, LocalSample):
-            if not s.completed:
-                continue
-            x = s.x
-        else:
-            x = s
-        counts[x] = counts.get(x, 0) + 1
+    if isinstance(samples, Estimate):
+        samples = [x for x, done in zip(samples.xs, samples.completed.tolist()) if done]
+    counts = Counter(samples)
     total = sum(counts.values())
     if total == 0:
         raise ValueError("no completed samples")

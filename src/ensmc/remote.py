@@ -37,6 +37,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 import weakref
@@ -258,6 +259,11 @@ class _Server(ThreadingHTTPServer):
         with self._lock:
             self._connections.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        """Report the request's exception, unless the client just hung up."""
+        if not isinstance(sys.exc_info()[1], (ConnectionResetError, BrokenPipeError)):
+            super().handle_error(request, client_address)
 
     def server_close(self):
         with self._lock:

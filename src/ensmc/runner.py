@@ -80,11 +80,10 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
                         spec, panel, particles=cfg.particles,
                         max_len=cfg.max_len, seed=seed, shaping=shaping,
                     )
-                    record["truncated"] = sum(1 for d in draws if not d.completed)
-                    record["draws"] = [
-                        {"x": d.x, "completed": d.completed, "log_local": float(d.log_local)}
-                        for d in draws
-                    ]
+                    record["truncated"] = draws.diagnostics.truncated
+                    keys = ("x", "completed", "log_local")
+                    columns = (draws.xs, draws.completed.tolist(), draws.log_proposal.tolist())
+                    record["draws"] = [dict(zip(keys, draw)) for draw in zip(*columns)]
                     if record["truncated"] == len(draws):
                         record["error"] = "every draw truncated"
                     elif predicate is not None:

@@ -34,7 +34,7 @@ def test_install_wraps_every_target_and_uninstall_restores_them():
 
 def test_particle_count_reads_every_method():
     """The tracer counts particles with ``len()`` of what each sampler
-    returns: an Estimate for ``smc``/``sis``/``is``, a list for ``local``."""
+    returns: an Estimate, for ``smc``/``sis``/``is`` and ``local`` alike."""
     config = config_from_dict({
         "experts": [
             {"type": "table", "entries": {"a": 0.5, "b": 0.25, "ab": 0.25}},

@@ -310,6 +310,22 @@ class TestByteMarginal:
         with pytest.raises(ValueError):
             TokenToByteModel(wrong, tokenizer)
 
+    @pytest.mark.parametrize("query", ["log_next", "prefix_log_prob"])
+    @pytest.mark.parametrize("x", ["c", "abc", "abac"])
+    def test_out_of_alphabet_byte_rejected_cold_and_warm(self, bridge_fixture, query, x):
+        """Only a newly built frontier is checked, so the check must still
+        catch a bad byte after a cached prefix, on a cold model and on a
+        warm one."""
+        token_model, tokenizer = bridge_fixture
+        cold = as_byte_model(token_model, tokenizer)
+        warm = as_byte_model(token_model, tokenizer)
+        for y in ("", "a", "ab", "aba", "abab"):
+            warm.log_next(y)
+        for model in (cold, warm):
+            with pytest.raises(ValueError, match="not in alphabet"):
+                getattr(model, query)(x)
+        assert warm.log_next("ab").tolist() == cold.log_next("ab").tolist()
+
     def test_dead_byte_context_raises(self):
         token_model = TableModel({"A": 1.0}, alphabet=Alphabet("A"))
         tokenizer = Tokenizer(Alphabet("A"), {"A": "a"})

@@ -33,8 +33,16 @@ from ensmc import (
     smc,
 )
 from ensmc.ensemble import log_string_potential
-from ensmc.inference import _STREAM_RESAMPLE, _ancestors, _rng, make_proposal
-from ensmc.lmcore import draw_index, prefix_log_prob, string_log_prob
+from ensmc import streams
+from ensmc.inference import (
+    _STREAM_RESAMPLE,
+    _RowModel,
+    _ancestors,
+    _rng,
+    make_proposal,
+    make_proposal_model,
+)
+from ensmc.lmcore import draw_index, prefix_log_prob, sample_with_log_prob, string_log_prob
 from ensmc.logtools import log_normalize, logsumexp
 
 
@@ -260,7 +268,7 @@ class TestPrefixNodeCache:
         for model in panel:
             assert len(set(model.contexts)) == len(model.contexts)
         fresh = local_sample(spec, self.long_panel(), particles=24, max_len=40, seed=4)
-        assert draws == fresh
+        assert particle_states(draws) == particle_states(fresh)
 
     def test_direct_query_on_a_long_string_builds_its_ancestors(self):
         """A direct query builds every missing ancestor in a loop, root
@@ -641,12 +649,82 @@ def _local_cases(draw):
     return EnsembleSpec(kind, weights, tau), ExpertPanel(experts), max_len, seed
 
 
+def _reference_draws(model, particles, max_len, seed):
+    """Particle by particle: draw ``m`` is ``sample_with_log_prob`` on
+    stream ``(seed, 2, m)``. The first error raised ends the batch."""
+    return [
+        sample_with_log_prob(model, streams.pool(seed, 2).extend(m).generator(), max_len)
+        for m in range(particles)
+    ]
+
+
+def _assert_matches_reference(run, model, particles, max_len, seed):
+    """``run()`` draws exactly the reference draws, or raises its error."""
+    try:
+        want = _reference_draws(model, particles, max_len, seed)
+    except DeadPrefixError as exc:
+        with pytest.raises(DeadPrefixError) as got:
+            run()
+        assert str(got.value) == str(exc)
+        return
+    est = run()
+    assert est.xs == [x for x, _, _ in want]
+    assert est.completed.tolist() == [done for _, _, done in want]
+    assert est.log_proposal.tolist() == [float(log_p) for _, log_p, _ in want]
+
+
+class TestLockstepDraws:
+    """``is`` and ``local`` draw through the lockstep round loop; each
+    particle is bit for bit the draw the per-particle reference makes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_local_cases(), st.integers(1, 12))
+    def test_iid_draws_match_per_particle_reference(self, case, particles):
+        spec, panel, max_len, seed = case
+        shaping = PrefixPotentialShaping(spec, panel)
+        for proposal in ("optimal", f"expert:{seed % len(panel)}"):
+            config = SamplerConfig(proposal=proposal, max_len=max_len)
+            model = make_proposal_model(panel, config, shaping)
+            _assert_matches_reference(
+                lambda: importance_sample(
+                    shaping.log_string_target, model, particles, max_len, seed=seed
+                ),
+                model, particles, max_len, seed,
+            )
+        _assert_matches_reference(
+            lambda: local_sample(spec, panel, particles, max_len, seed=seed, shaping=shaping),
+            _RowModel(panel.alphabet, shaping.log_local_row), particles, max_len, seed,
+        )
+
+    def test_dead_prefix_error_is_the_lowest_particle_s(self):
+        """Particle 0 meets a dead local row at 'aa' (round 2) while
+        particle 2 meets one at 'b' (round 1): the error raised is
+        particle 0's, as the per-particle loop raises it first."""
+        alphabet = Alphabet("ab")
+        panel = ExpertPanel([
+            TableModel({"b": 0.5, "a": 0.25, "aa": 0.25}, alphabet=alphabet),
+            TableModel({"bb": 0.5, "a": 0.25, "aab": 0.25}, alphabet=alphabet),
+        ])
+        spec = EnsembleSpec.geometric(2)
+        model = _RowModel(alphabet, PrefixPotentialShaping(spec, panel).log_local_row)
+        errors = []
+        for m in range(4):
+            with pytest.raises(DeadPrefixError) as exc:
+                sample_with_log_prob(model, streams.pool(0, 2).extend(m).generator(), 4)
+            errors.append(str(exc.value))
+        assert errors[0] == "local combination is identically zero at 'aa'"
+        assert errors[2] == "local combination is identically zero at 'b'"
+        with pytest.raises(DeadPrefixError) as got:
+            local_sample(spec, panel, particles=4, max_len=4, seed=0)
+        assert str(got.value) == errors[0]
+
+
 class TestLocalSample:
     def test_deterministic(self, mis_panel):
         spec = EnsembleSpec.geometric(2)
         a = local_sample(spec, mis_panel, particles=32, max_len=4, seed=6)
         b = local_sample(spec, mis_panel, particles=32, max_len=4, seed=6)
-        assert a == b
+        assert particle_states(a) == particle_states(b)
 
     @settings(max_examples=200, deadline=None)
     @given(_local_cases())
@@ -666,17 +744,20 @@ class TestLocalSample:
             with pytest.raises(DeadPrefixError):
                 local_sample(spec, panel, 16, max_len, seed=seed, shaping=warm)
             return
-        assert local_sample(spec, panel, 16, max_len, seed=seed, shaping=warm) == draws
+        warm_draws = local_sample(spec, panel, 16, max_len, seed=seed, shaping=warm)
+        assert particle_states(warm_draws) == particle_states(draws)
         eos = panel.alphabet.eos_index
-        for draw in draws:
-            assert draw.completed == (len(draw.x) < max_len)
-            steps = [(draw.x[:i], panel.alphabet.index[ch]) for i, ch in enumerate(draw.x)]
-            if draw.completed:
-                steps.append((draw.x, eos))
+        for x, completed, log_local in zip(
+            draws.xs, draws.completed.tolist(), draws.log_proposal.tolist()
+        ):
+            assert completed == (len(x) < max_len)
+            steps = [(x[:i], panel.alphabet.index[ch]) for i, ch in enumerate(x)]
+            if completed:
+                steps.append((x, eos))
             log_p = 0.0
             for prefix, idx in steps:
                 log_p += log_normalize(_direct_local_row(spec, panel, prefix))[idx]
-            assert draw.log_local == log_p
+            assert log_local == log_p
 
     def test_matches_expected_local_distribution(self, mis_panel):
         """Draw frequencies match the step-local distribution. Under the
@@ -702,8 +783,8 @@ class TestLocalSample:
         for spec, panel, n, expected in cases:
             draws = local_sample(spec, panel, particles=n, max_len=4, seed=8)
             counts = {}
-            for d in draws:
-                counts[d.x] = counts.get(d.x, 0) + 1
+            for x in draws.xs:
+                counts[x] = counts.get(x, 0) + 1
             assert set(counts) <= set(expected)
             for x, want in expected.items():
                 got = counts.get(x, 0) / len(draws)

@@ -15,7 +15,7 @@ from ensmc import (
     mixture_identity,
     smc,
 )
-from ensmc.inference import Diagnostics, Estimate, LocalSample
+from ensmc.inference import Diagnostics, Estimate
 from ensmc.metrics import (
     as_distribution,
     compare_to_oracle,
@@ -53,20 +53,25 @@ class TestAsDistribution:
         assert expected_accuracy(dist, lambda x: x.startswith("a")) == 0.5
 
 
+def _local_draws(xs, completed, log_local):
+    """Draws of the step-local baseline as ``local_sample`` returns them:
+    weight 1 on completed draws, 0 on truncated ones."""
+    completed = np.array(completed)
+    log_w = np.where(completed, 0.0, -np.inf)
+    log_z_hat = float(np.log(completed.mean())) if completed.any() else -np.inf
+    return Estimate(list(xs), log_w, completed, np.array(log_local), log_z_hat, Diagnostics())
+
+
 class TestEmpiricalDistribution:
     def test_counts_strings(self):
         assert empirical_distribution(["a", "b", "a", "a"]) == {"a": 0.75, "b": 0.25}
 
     def test_truncated_local_draws_excluded(self):
-        draws = [
-            LocalSample(x="a", completed=True, log_local=-1.0),
-            LocalSample(x="abcd", completed=False, log_local=-9.0),
-            LocalSample(x="b", completed=True, log_local=-1.0),
-        ]
+        draws = _local_draws(["a", "abcd", "b"], [True, False, True], [-1.0, -9.0, -1.0])
         assert empirical_distribution(draws) == {"a": 0.5, "b": 0.5}
 
     def test_all_truncated_rejected(self):
-        draws = [LocalSample(x="abcd", completed=False, log_local=-9.0)]
+        draws = _local_draws(["abcd"], [False], [-9.0])
         with pytest.raises(ValueError):
             empirical_distribution(draws)
 

@@ -3,6 +3,8 @@ import http.client
 import itertools
 import json
 import math
+import socket
+import struct
 import sys
 import threading
 import time
@@ -502,3 +504,30 @@ class TestRequestBodyBound:
                 conn.close()
         assert resp.status == 200
         assert reply["log_probs"]
+
+
+class TestClientReset:
+    def test_reset_after_a_reply_prints_nothing(self, capfd):
+        """A client that reads its reply and then resets the connection
+        (SO_LINGER 0) has only disconnected: the server reports nothing."""
+        with ModelServer(TableModel(GEO_P1)) as server:
+            host, port = server.url.removeprefix("http://").split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+            conn.request("POST", "/next", body=json.dumps({"context": ""}))
+            assert conn.getresponse().read()
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+            # The handler forgets the connection after any error is handled.
+            deadline = time.monotonic() + 5.0
+            while server._httpd._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._httpd._connections
+        assert capfd.readouterr().err == ""
+
+    def test_other_errors_still_reported(self, capfd):
+        with ModelServer(TableModel(GEO_P1)) as server:
+            try:
+                raise ValueError("handler failed")
+            except ValueError:
+                server._httpd.handle_error(None, ("127.0.0.1", 0))
+        assert "ValueError: handler failed" in capfd.readouterr().err

@@ -111,6 +111,11 @@ class TestConfigLoading:
         ({"oracle": {"max_len": "3"}}, "max_len"),
         ({"oracle": {"max_nodes": True}}, "max_nodes"),
         ({"oracle": {"max_len": -1}}, "max_len"),
+        ({"repeats": True}, "repeats"),
+        ({"alphabet": 5}, "alphabet"),
+        ({"predicate": {"kind": "in_set", "strings": "ab"}}, "strings"),
+        ({"predicate": {"kind": "regex", "pattern": 5}}, "pattern"),
+        ({"predicate": {"kind": "regex", "pattern": "("}}, "pattern"),
     ])
     def test_unknown_nested_keys_named(self, tmp_path, capsys, overrides, key):
         """An unknown key anywhere, or a known key holding a value of the
