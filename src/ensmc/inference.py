@@ -195,7 +195,9 @@ class PrefixPotentialShaping:
     is only built from its parent: a child ``x + a`` adds column ``a`` to
     the prefix masses (the float additions ``prefix_log_prob`` performs),
     so each new prefix costs one ``log_next`` row per live expert, and a
-    direct query first builds the missing ancestors, root first. One
+    direct query first builds the missing ancestors, root first. The
+    samplers :meth:`prefetch` each round's new prefixes, so an expert is
+    asked once per round for all of them (``log_next_many``). One
     instance can be shared across runs over the same (spec, panel),
     the step-local baseline included.
     """
@@ -215,31 +217,52 @@ class PrefixPotentialShaping:
         if node is not None:
             return node
         # Build forward from the longest cached proper prefix (from a new
-        # root when none is cached): a loop, so no query recurses.
+        # root when none is cached), one level at a time: a loop, so no
+        # query recurses.
         t = len(x) - 1
         while t >= 0 and x[:t] not in self._nodes:
             t -= 1
-        start = max(t, 0)
-        self.panel.alphabet.check_string(x[start:])
-        node = self._nodes[x[:t]] if t >= 0 else self._build("", np.zeros(len(self.panel)))
-        index = self.panel.alphabet.index
-        for t in range(start, len(x)):
-            node = self._build(x[: t + 1], node[:-1, -1] + node[:-1, index[x[t]]])
-        return node
+        self.panel.alphabet.check_string(x[max(t, 0):])
+        for end in range(t + 1, len(x) + 1):
+            self._build([x[:end]])
+        return self._nodes[x]
 
-    def _build(self, x: str, prefixes: np.ndarray) -> np.ndarray:
+    def prefetch(self, prefixes) -> None:
+        """Build together the nodes of ``prefixes`` that are missing but
+        whose parent is built, as every new prefix of a sampler round is:
+        one ``log_next_many`` per expert, so one request per served expert.
+        Any other prefix is left to be built when it is queried."""
+        nodes = self._nodes
+        new = [x for x in dict.fromkeys(prefixes) if x not in nodes and (not x or x[:-1] in nodes)]
+        if new:
+            self.panel.alphabet.check_string("".join(x[-1:] for x in new))
+            self._build(new)
+
+    def _build(self, xs: list[str]) -> None:
+        """Build the nodes of ``xs``, each the root or a built node's child,
+        with one ``log_next_many`` per expert live at any of them."""
         k = len(self.panel)
-        node = np.full((k + 1, self.panel.alphabet.size + 2), LOG_ZERO)
-        node[:k, -1] = prefixes
-        live = prefixes != LOG_ZERO
+        index = self.panel.alphabet.index
+        masses = []
+        for x in xs:
+            if x:
+                parent = self._nodes[x[:-1]]
+                masses.append(parent[:-1, -1] + parent[:-1, index[x[-1]]])
+            else:
+                masses.append(np.zeros(k))
+        live = [(m != LOG_ZERO).tolist() for m in masses]
+        nodes = [np.full((k + 1, self.panel.alphabet.size + 2), LOG_ZERO) for _ in xs]
         for j, model in enumerate(self.panel):
-            if live[j]:
-                node[j, :-1] = model.log_next(x)
-        if live.any():
-            node[k, :-1] = self.spec.combine_columns(prefixes[:, None] + node[:k, :-1])
-        node[k, -1] = self.spec.combine(prefixes)
-        self._nodes[x] = node
-        return node
+            at = [i for i, alive in enumerate(live) if alive[j]]
+            if at:
+                for i, row in zip(at, model.log_next_many([xs[i] for i in at])):
+                    nodes[i][j, :-1] = row
+        for x, m, alive, node in zip(xs, masses, live, nodes):
+            node[:k, -1] = m
+            if any(alive):
+                node[k, :-1] = self.spec.combine_columns(m[:, None] + node[:k, :-1])
+            node[k, -1] = self.spec.combine(m)
+            self._nodes[x] = node
 
     def _shift(self, log_v: float) -> float:
         if self._log_eps is None:
@@ -306,6 +329,9 @@ class OracleShaping:
 
     def __init__(self, table):
         self.table = table
+
+    def prefetch(self, prefixes) -> None:
+        """Nothing to fetch: the rows come from the table."""
 
     def log_value(self, x: str) -> float:
         return self.table.log_prefix_target(x)
@@ -465,14 +491,16 @@ def _ancestors(log_w: np.ndarray, seed: int, round_no: int) -> tuple[np.ndarray,
 
 
 def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, shaping=None,
-                resample_threshold: float = 0.0, seed: int = 0, debug_target=None) -> Estimate:
+                resample_threshold: float = 0.0, seed: int = 0, debug_target=None,
+                prefetch=None) -> Estimate:
     """The round loop of every sampler: each round, ``doubles(round, live)``
-    gives every live particle a uniform, and the particles on each distinct
-    prefix draw from ``proposal_row`` at once. With a ``shaping``, weights
-    take its per-step ratios and an ESS below ``resample_threshold *
-    particles`` resamples. Without one the draws are i.i.d., weights stay 0
-    unless truncated, and a dead prefix raises the error of the
-    lowest-index particle that met one."""
+    gives every live particle a uniform, ``prefetch`` (if given) gets the
+    round's distinct prefixes before any row is read, and the particles on
+    each distinct prefix draw from ``proposal_row`` at once. With a
+    ``shaping``, weights take its per-step ratios and an ESS below
+    ``resample_threshold * particles`` resamples. Without one the draws
+    are i.i.d., weights stay 0 unless truncated, and a dead prefix raises
+    the error of the lowest-index particle that met one."""
     eos = alphabet.eos_index
     symbols = alphabet.symbols
     init = shaping.log_value("") if shaping is not None else 0.0
@@ -490,6 +518,8 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
         groups: dict[str, list[int]] = {}
         for i in live.tolist():
             groups.setdefault(xs[i], []).append(i)
+        if prefetch is not None:
+            prefetch(groups)
         for x, ids in groups.items():
             try:
                 shaping_row = shaping.log_row(x) if shaping is not None else None
@@ -561,7 +591,7 @@ def _shaped(spec, panel, config: SamplerConfig, shaping, proposal, resample_thre
         panel.alphabet, config.particles, config.max_len,
         lambda round_no, live: streams.uniforms(particle_streams.extend(round_no), live),
         proposal.log_row, shaping, resample_threshold, config.seed,
-        shaping.log_target if config.debug_check_weights else None,
+        shaping.log_target if config.debug_check_weights else None, shaping.prefetch,
     )
 
 
@@ -594,7 +624,7 @@ def smc(
     return _shaped(spec, panel, config, shaping, proposal, config.resample_threshold)
 
 
-def _iid(alphabet, log_row, particles: int, max_len: int, seed: int) -> Estimate:
+def _iid(alphabet, log_row, particles: int, max_len: int, seed: int, prefetch=None) -> Estimate:
     """I.i.d. draws from ``log_row``: particle ``m`` reads the successive
     doubles of stream ``(seed, 2, m)``, the ones ``sample_with_log_prob``
     would draw for it."""
@@ -607,6 +637,7 @@ def _iid(alphabet, log_row, particles: int, max_len: int, seed: int) -> Estimate
     return _sequential(
         alphabet, particles, max_len,
         lambda _, live: np.array([generators[i].random() for i in live.tolist()]), log_row,
+        prefetch=prefetch,
     )
 
 
@@ -616,13 +647,19 @@ def importance_sample(
     particles: int,
     max_len: int,
     seed: int = 0,
+    prefetch: Callable[[list[str]], None] | None = None,
 ) -> Estimate:
     """Plain importance sampling with i.i.d. ancestral proposal draws.
 
     Weights are target over proposal on complete strings; truncated
-    draws get zero weight and are counted in the diagnostics.
+    draws get zero weight and are counted in the diagnostics. ``prefetch``,
+    if given, gets each round's distinct prefixes before their proposal
+    rows are read (the ``prefetch`` of the shaping an optimal proposal
+    normalizes).
     """
-    draws = _iid(proposal_model.alphabet, proposal_model.log_next, particles, max_len, seed)
+    draws = _iid(
+        proposal_model.alphabet, proposal_model.log_next, particles, max_len, seed, prefetch
+    )
     log_w = draws.log_w
     for i in np.flatnonzero(draws.completed).tolist():
         log_w[i] = log_target(draws.xs[i]) - draws.log_proposal[i]
@@ -659,4 +696,4 @@ def local_sample(
     """
     if shaping is None:
         shaping = PrefixPotentialShaping(spec, panel)
-    return _iid(panel.alphabet, shaping.log_local_row, particles, max_len, seed)
+    return _iid(panel.alphabet, shaping.log_local_row, particles, max_len, seed, shaping.prefetch)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -138,6 +138,15 @@ class SequenceModel(abc.ABC):
         Raises UndefinedConditionalError when the context has zero
         probability under the model (the conditional does not exist).
         """
+
+    def log_next_many(self, contexts: Sequence[str]) -> np.ndarray:
+        """The :meth:`log_next` rows of ``contexts``, one per row of an
+        ``(n, |Σ| + 1)`` array. Models whose rows are cheaper to fetch
+        together (a served model: one request) override this loop."""
+        out = np.empty((len(contexts), self.alphabet.size + 1))
+        for i, context in enumerate(contexts):
+            out[i] = self.log_next(context)
+        return out
 
 
 def prefix_log_prob(model: SequenceModel, x: str) -> float:

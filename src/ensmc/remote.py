@@ -12,25 +12,44 @@ Protocol (all bodies JSON, UTF-8):
 * A context with zero probability under the server's model yields HTTP
   422 with ``{"error": "<message>"}``; the client raises
   UndefinedConditionalError without retrying.
+* ``POST /next_many`` with ``{"contexts": ["<string>", ...]}`` →
+  ``{"rows": [<entry>, ...]}``, one entry per context in order: the
+  ``/next`` reply for that context, or ``{"error": "<message>"}`` where
+  ``/next`` would answer 422. The client raises UndefinedConditionalError
+  for the first such context, without retrying, after caching the rows
+  of the others.
+* A body that is not JSON, a ``context`` that is missing or not a string,
+  ``contexts`` that are not a list of strings, and a context with a
+  symbol outside the alphabet get HTTP 400 with ``{"error": ...}``. The
+  client checks its contexts against its alphabet before sending, and
+  raises ValueError for a foreign symbol, as a local model does.
 
 A request body larger than ``MAX_BODY_BYTES``, or one whose
 ``Content-Length`` is missing, not an integer or negative, gets HTTP 413 or
-400 with ``{"error": ...}`` and the server closes the connection.
+400 with ``{"error": ...}`` and the server closes the connection. The
+client splits a ``/next_many`` batch so that no body exceeds the bound.
 
 Transport: HTTP/1.1 with persistent connections. Each client thread keeps
-one connection per ``RemoteModel`` and reuses it for every row; the server
+one connection per ``RemoteModel`` and reuses it for every request; the server
 closes a connection after ``IDLE_TIMEOUT_S`` idle seconds. A request that
 fails on a reused connection because the server had closed it is resent
 once on a fresh connection; that resend is not a retry and does not sleep.
 
 Client behavior: transport failures, HTTP 5xx, and unparseable bodies
 are retried with exponential backoff (``retries`` attempts total); after
-that, ExpertUnavailableError. Returned rows are checked for
-normalization: a linear-domain sum off by more than the standard row
-tolerance but within ``defect_tol`` (default 1e-2) of 1 is renormalized
-and the defect recorded on ``RemoteModel.defects``; a larger defect
-raises ExpertUnavailableError immediately. Rows are cached per context,
-so retries and re-queries cannot change an answer already used.
+that, ExpertUnavailableError. Other 4xx replies raise it at once. Returned
+rows are checked for normalization: a linear-domain sum off by more than
+the standard row tolerance but within ``defect_tol`` (default 1e-2) of 1
+is renormalized and the defect recorded on ``RemoteModel.defects``; a
+larger defect raises ExpertUnavailableError immediately. Rows are cached
+per context, so retries and re-queries cannot change an answer already
+used. Retry, backoff and these rules apply per request: to each row of a
+``/next_many`` reply as to a ``/next`` reply. ``RemoteModel.requests``
+counts the requests sent, retries included.
+
+The samplers ask each expert for all of a round's new rows at once
+(``log_next_many``), so a run makes one ``/next_many`` request per round
+per remote expert.
 """
 from __future__ import annotations
 
@@ -97,6 +116,9 @@ class RemoteModel(SequenceModel):
         self.defect_tol = defect_tol
         #: (context, linear-domain row sum) pairs for every renormalized row.
         self.defects: list[tuple[str, float]] = []
+        #: HTTP requests sent, retries included.
+        self.requests = 0
+        self._requests_lock = threading.Lock()
         self._cache: dict[str, np.ndarray] = {}
         # One kept-alive connection per calling thread (keyed by thread id),
         # since concurrent read-only use must stay safe. They are closed
@@ -128,17 +150,18 @@ class RemoteModel(SequenceModel):
                 except ValueError as exc:
                     last_error = exc
                     continue
-            if status == 422:
-                detail = ""
-                try:
-                    detail = json.loads(data.decode("utf-8")).get("error", "")
-                except Exception:
-                    pass
-                raise UndefinedConditionalError(
-                    detail or f"server rejected the context ({path})"
-                )
             if 400 <= status < 500:
-                raise ExpertUnavailableError(f"{method} {path} failed with HTTP {status}")
+                try:
+                    detail = json.loads(data.decode("utf-8")).get("error") or ""
+                except Exception:
+                    detail = ""
+                if status == 422:
+                    raise UndefinedConditionalError(
+                        detail or f"server rejected the context ({path})"
+                    )
+                raise ExpertUnavailableError(
+                    f"{method} {path} failed with HTTP {status}" + (f": {detail}" if detail else "")
+                )
             last_error = ExpertUnavailableError(f"HTTP {status}")
         raise ExpertUnavailableError(
             f"{method} {path} failed after {self.retries} attempts: {last_error}"
@@ -149,6 +172,8 @@ class RemoteModel(SequenceModel):
 
         The body is read for every status, so the connection stays usable.
         """
+        with self._requests_lock:
+            self.requests += 1
         thread = threading.get_ident()
         conn = self._connections.get(thread)
         reused = conn is not None
@@ -194,15 +219,64 @@ class RemoteModel(SequenceModel):
         cached = self._cache.get(context)
         if cached is not None:
             return cached
+        self.alphabet.check_string(context)
         reply = self._request("POST", "/next", {"context": context})
-        row = self._parse_row(context, reply)
+        return self._store(context, self._parse_row(context, reply))
+
+    def log_next_many(self, contexts) -> np.ndarray:
+        """The rows of ``contexts``; the uncached ones come from one
+        ``/next_many`` request (more only if the body would exceed
+        ``MAX_BODY_BYTES``)."""
+        missing = [c for c in dict.fromkeys(contexts) if c not in self._cache]
+        for context in missing:
+            self.alphabet.check_string(context)
+        for batch in self._batches(missing):
+            reply = self._request("POST", "/next_many", {"contexts": batch})
+            entries = reply.get("rows") if isinstance(reply, dict) else None
+            if not isinstance(entries, list) or len(entries) != len(batch):
+                raise ExpertUnavailableError(
+                    f"malformed /next_many reply for {len(batch)} contexts"
+                )
+            undefined = None
+            for context, entry in zip(batch, entries):
+                if isinstance(entry, dict) and "error" in entry:
+                    undefined = undefined or UndefinedConditionalError(
+                        f"server rejected context {context!r}: {entry['error']}"
+                    )
+                else:
+                    self._store(context, self._parse_row(context, entry))
+            if undefined is not None:
+                raise undefined
+        out = np.empty((len(contexts), self.alphabet.size + 1))
+        for i, context in enumerate(contexts):
+            out[i] = self._cache[context]
+        return out
+
+    @staticmethod
+    def _batches(contexts: list[str]):
+        """Split ``contexts`` so that no ``/next_many`` body exceeds
+        ``MAX_BODY_BYTES`` (a lone context larger than that gets the 413)."""
+        room = MAX_BODY_BYTES - len(json.dumps({"contexts": []}))
+        batch: list[str] = []
+        used = 0
+        for context in contexts:
+            size = len(json.dumps(context)) + 2  # its separator ", " included
+            if batch and used + size > room:
+                yield batch
+                batch, used = [], 0
+            batch.append(context)
+            used += size
+        if batch:
+            yield batch
+
+    def _store(self, context: str, row: np.ndarray) -> np.ndarray:
         row.flags.writeable = False  # shared by every caller of this context
         self._cache[context] = row
         return row
 
     def _parse_row(self, context: str, reply) -> np.ndarray:
         if not isinstance(reply, dict) or not isinstance(reply.get("log_probs"), dict):
-            raise ExpertUnavailableError(f"malformed /next reply for {context!r}")
+            raise ExpertUnavailableError(f"malformed row reply for {context!r}")
         row = np.full(self.alphabet.size + 1, LOG_ZERO)
         for sym, lp in reply["log_probs"].items():
             if sym not in self.alphabet.index:
@@ -232,6 +306,19 @@ class RemoteModel(SequenceModel):
                 f"non-numeric log probability {value!r} for {context!r}"
             )
         return float(value)
+
+
+def _row_reply(alphabet: Alphabet, row: np.ndarray) -> dict:
+    """A row as the wire sends it: nonzero symbol entries, and the end
+    marker's only when nonzero."""
+    reply = {
+        "log_probs": {
+            sym: float(row[i]) for i, sym in enumerate(alphabet.symbols) if row[i] != LOG_ZERO
+        }
+    }
+    if row[alphabet.eos_index] != LOG_ZERO:
+        reply["eos_log_prob"] = float(row[alphabet.eos_index])
+    return reply
 
 
 class _Server(ThreadingHTTPServer):
@@ -347,33 +434,53 @@ class ModelServer:
                     return None
                 return self.rfile.read(length)
 
+            def _contexts(self, body: bytes) -> list[str] | None:
+                """The request's contexts, or None once a 400 reply is sent."""
+                many = self.path == "/next_many"
+                key = "contexts" if many else "context"
+                try:  # a body that is not JSON or not UTF-8 is a ValueError
+                    payload = json.loads(body.decode("utf-8"))
+                    value = payload.get(key) if isinstance(payload, dict) else None
+                    contexts = value if many else [value]
+                    if not isinstance(contexts, list) or not all(
+                        isinstance(c, str) for c in contexts
+                    ):
+                        raise ValueError(
+                            f"{key!r} must be " + ("a list of strings" if many else "a string")
+                        )
+                    for context in contexts:
+                        alphabet.check_string(context)
+                except ValueError as exc:
+                    self._send(400, {"error": str(exc)})
+                    return None
+                return contexts
+
             def do_POST(self):
                 body = self._read_body()
                 if body is None:
                     return
-                if self.path != "/next":
+                if self.path not in ("/next", "/next_many"):
                     self._send(404, {"error": "unknown path"})
                     return
-                try:
-                    payload = json.loads(body.decode("utf-8"))
-                    context = payload["context"]
-                    row = model.log_next(context)
-                except UndefinedConditionalError as exc:
-                    self._send(422, {"error": str(exc)})
+                contexts = self._contexts(body)
+                if contexts is None:
                     return
+                entries = []
+                try:
+                    for context in contexts:
+                        try:
+                            entries.append(_row_reply(alphabet, model.log_next(context)))
+                        except UndefinedConditionalError as exc:
+                            entries.append({"error": str(exc)})
                 except Exception as exc:
                     self._send(500, {"error": str(exc)})
                     return
-                log_probs = {
-                    sym: float(row[i])
-                    for i, sym in enumerate(alphabet.symbols)
-                    if row[i] != LOG_ZERO
-                }
-                eos = row[alphabet.eos_index]
-                reply = {"log_probs": log_probs}
-                if eos != LOG_ZERO:
-                    reply["eos_log_prob"] = float(eos)
-                self._send(200, reply)
+                if self.path == "/next_many":
+                    self._send(200, {"rows": entries})
+                elif "error" in entries[0]:
+                    self._send(422, entries[0])
+                else:
+                    self._send(200, entries[0])
 
         self._httpd = _Server((self._host, self._port), Handler)
         self._thread = threading.Thread(

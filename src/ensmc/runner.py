@@ -98,6 +98,8 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
                             particles=cfg.particles,
                             max_len=cfg.max_len,
                             seed=seed,
+                            # The optimal proposal reads the shaping's nodes.
+                            prefetch=shaping.prefetch if cfg.proposal == "optimal" else None,
                         )
                     else:
                         run = smc if method == "smc" else sis

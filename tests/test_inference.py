@@ -190,6 +190,18 @@ class ContextLog(SequenceModel):
         return self.inner.log_next(context)
 
 
+class BatchLog(ContextLog):
+    """A ContextLog that also records each ``log_next_many`` batch."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.batches = []
+
+    def log_next_many(self, contexts):
+        self.batches.append(list(contexts))
+        return super().log_next_many(contexts)
+
+
 class ConstantRow(SequenceModel):
     """The same next-symbol row after every context."""
 
@@ -269,6 +281,46 @@ class TestPrefixNodeCache:
             assert len(set(model.contexts)) == len(model.contexts)
         fresh = local_sample(spec, self.long_panel(), particles=24, max_len=40, seed=4)
         assert particle_states(draws) == particle_states(fresh)
+
+    @pytest.mark.parametrize("method", ["sis", "smc", "is", "local"])
+    def test_each_round_asks_each_expert_once(self, method):
+        """A round's new prefixes reach each expert as one batch: at most
+        one ``log_next_many`` per round, each context once, no row outside
+        a batch."""
+        spec = EnsembleSpec.geometric(2)
+        panel = ExpertPanel([BatchLog(m.inner) for m in self.long_panel()])
+        shaping = PrefixPotentialShaping(spec, panel)
+        config = SamplerConfig(particles=24, max_len=40, seed=3)
+        if method == "is":
+            est = importance_sample(
+                shaping.log_string_target, make_proposal_model(panel, config, shaping),
+                config.particles, config.max_len, config.seed, prefetch=shaping.prefetch,
+            )
+        elif method == "local":
+            est = local_sample(spec, panel, config.particles, config.max_len, config.seed,
+                               shaping=shaping)
+        else:
+            est = (sis if method == "sis" else smc)(spec, panel, config, shaping=shaping)
+        for model in panel:
+            assert len(model.batches) <= est.diagnostics.rounds
+            assert max(len(b) for b in model.batches) > 1
+            assert [c for b in model.batches for c in b] == model.contexts
+            assert len(set(model.contexts)) == len(model.contexts)
+
+    def test_prefetch_builds_only_children_of_built_nodes(self):
+        panel = ExpertPanel([BatchLog(m.inner) for m in self.long_panel()])
+        shaping = PrefixPotentialShaping(EnsembleSpec.geometric(2), panel)
+        shaping.prefetch(["ab"])  # no parent yet: left for a query
+        assert panel[0].contexts == []
+        shaping.prefetch([""])
+        shaping.prefetch(["a", "b", "a", "ab"])
+        assert panel[0].batches == [[""], ["a", "b"]]
+        with pytest.raises(ValueError, match="not in alphabet"):
+            shaping.prefetch(["ad"])
+        direct = PrefixPotentialShaping(EnsembleSpec.geometric(2), self.long_panel())
+        for x in ("a", "b", "ab"):
+            assert np.array_equal(shaping.log_row(x), direct.log_row(x))
+        assert panel[0].contexts == ["", "a", "b", "ab"]
 
     def test_direct_query_on_a_long_string_builds_its_ancestors(self):
         """A direct query builds every missing ancestor in a loop, root

@@ -117,6 +117,17 @@ class TestCondNext:
         row = model.log_next("")
         assert_allclose(np.exp(row).sum(), 1.0, rtol=1e-12)
 
+    def test_log_next_many_stacks_log_next_rows(self):
+        model = TableModel({"a": 0.5, "ab": 0.25, "b": 0.25}, alphabet=Alphabet("ab"))
+        contexts = ["", "a", "", "b"]
+        rows = model.log_next_many(contexts)
+        assert rows.shape == (4, 3)
+        for row, context in zip(rows, contexts):
+            assert np.array_equal(row, model.log_next(context))
+        assert model.log_next_many([]).shape == (0, 3)
+        with pytest.raises(UndefinedConditionalError):
+            model.log_next_many(["a", "aa"])
+
 
 class TestDrawIndex:
     def test_never_selects_zero_cells(self):

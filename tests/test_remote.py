@@ -31,7 +31,8 @@ from ensmc import (
     fit_ngram,
     string_log_prob,
 )
-from ensmc.config import build_expert
+from ensmc import runner
+from ensmc.config import build_expert, config_from_dict
 from ensmc.remote import MAX_BODY_BYTES, POLL_INTERVAL_S
 
 
@@ -531,3 +532,243 @@ class TestClientReset:
             except ValueError:
                 server._httpd.handle_error(None, ("127.0.0.1", 0))
         assert "ValueError: handler failed" in capfd.readouterr().err
+
+
+def post(url, path, body):
+    """One raw POST: ``(status, decoded JSON reply)``; ``body`` is JSON-encoded
+    unless it is bytes."""
+    host, port = url.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+    try:
+        data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+        conn.request("POST", path, body=data)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read().decode("utf-8"))
+    finally:
+        conn.close()
+
+
+def abc_ngram():
+    return fit_ngram(["abcab", "bca", "cc"], order=2, smoothing=0.1, alphabet=Alphabet("abc"))
+
+
+class TestClientErrors:
+    """Malformed requests are typed, immediate errors: never retried."""
+
+    def test_foreign_symbol_is_a_value_error_before_any_request(self):
+        with ModelServer(abc_ngram()) as server:
+            remote = RemoteModel(server.url, retries=3, backoff=1.0)
+            sent = remote.requests
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match="not in alphabet"):
+                remote.log_next("abz")
+            with pytest.raises(ValueError, match="not in alphabet"):
+                remote.log_next_many(["a", "abz"])
+            assert time.perf_counter() - t0 < 0.5
+            assert remote.requests == sent
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/next", {"ctx": "a"}),
+            ("/next", {"context": 5}),
+            ("/next", ["a"]),
+            ("/next", b"not json"),
+            ("/next", b"\xff\xfe"),
+            ("/next", {"context": "abz"}),
+            ("/next_many", {}),
+            ("/next_many", {"contexts": "ab"}),
+            ("/next_many", {"contexts": ["a", 5]}),
+            ("/next_many", {"contexts": ["a", "abz"]}),
+        ],
+    )
+    def test_bad_request_gets_400(self, path, body):
+        model = CountingModel(abc_ngram())
+        with ModelServer(model) as server:
+            status, reply = post(server.url, path, body)
+        assert status == 400
+        assert reply["error"]
+        assert model.calls == 0
+
+    def test_400_reaches_the_client_once(self):
+        # A client whose alphabet has a symbol the server's lacks.
+        with ModelServer(abc_ngram()) as server:
+            remote = RemoteModel(server.url, alphabet=Alphabet("abcz"), retries=3, backoff=1.0)
+            for ask in (remote.log_next, lambda c: remote.log_next_many([c])):
+                sent = remote.requests
+                with pytest.raises(ExpertUnavailableError, match="HTTP 400.*not in alphabet"):
+                    ask("abz")
+                assert remote.requests == sent + 1
+
+
+class TestNextMany:
+    def test_rows_match_the_served_model_in_one_request(self):
+        local = abc_ngram()
+        contexts = ["", "a", "cab", "a", "bb"]
+        with ModelServer(local) as server:
+            remote = RemoteModel(server.url, alphabet=local.alphabet)
+            rows = remote.log_next_many(contexts)
+            assert remote.requests == 1
+            assert rows.shape == (5, 4)
+            for row, context in zip(rows, contexts):
+                assert np.array_equal(row, local.log_next(context))
+            # Cached rows are not asked for again, as with log_next.
+            again = remote.log_next_many(["cab", "c"])
+            assert remote.requests == 2
+            assert remote.log_next("c") is remote.log_next("c")
+            assert remote.requests == 2
+            assert np.array_equal(again[0], rows[2])
+            assert remote.log_next_many([]).shape == (0, 4)
+            assert remote.requests == 2
+
+    def test_mixed_batch_raises_for_the_dead_context_and_caches_the_rest(self):
+        served = CountingModel(TableModel(GEO_P1))
+        with ModelServer(served) as server:
+            remote = RemoteModel(server.url, retries=3, backoff=1.0)
+            sent = remote.requests
+            t0 = time.perf_counter()
+            with pytest.raises(UndefinedConditionalError, match="'ab'"):
+                remote.log_next_many(["", "ab", "a"])
+            assert time.perf_counter() - t0 < 0.5
+            assert remote.requests == sent + 1  # no retry
+            for context in ("", "a"):
+                assert np.array_equal(remote.log_next(context), served.inner.log_next(context))
+            assert remote.requests == sent + 1  # both rows came from the cache
+        assert served.calls == 3
+
+    def test_batches_bounded_by_the_body_limit(self, monkeypatch):
+        local = fit_ngram(["abab", "ba", "aab"], order=2, smoothing=0.1)
+        # Six contexts of about 200 KB each: 1.2 MB of JSON in all.
+        contexts = [("ab" * 100_000)[: 200_000 - i] for i in range(6)]
+        bodies = []
+        exchange = RemoteModel._exchange
+
+        def spy(self, method, url_path, body):
+            bodies.append(len(body))
+            return exchange(self, method, url_path, body)
+
+        monkeypatch.setattr(RemoteModel, "_exchange", spy)
+        with ModelServer(local) as server:
+            remote = RemoteModel(server.url, alphabet=local.alphabet)
+            rows = remote.log_next_many(contexts)
+        assert sum(len(json.dumps(c)) for c in contexts) > MAX_BODY_BYTES
+        assert len(bodies) == remote.requests >= 2
+        assert max(bodies) <= MAX_BODY_BYTES
+        for row, context in zip(rows, contexts):
+            assert np.array_equal(row, local.log_next(context))
+
+    def test_each_row_is_validated(self):
+        rows = [
+            {"log_probs": {"a": math.log(0.5)}, "eos_log_prob": math.log(0.5)},
+            {"log_probs": {"a": math.log(0.5), "b": math.log(0.3)},
+             "eos_log_prob": math.log(0.205)},
+        ]
+
+        def respond(method, path, payload):
+            assert path == "/next_many"
+            return 200, {"rows": rows[: len(payload["contexts"])]}
+
+        with scripted_server(respond) as url:
+            remote = RemoteModel(url, alphabet=Alphabet("ab"))
+            got = remote.log_next_many(["a", "b"])
+            assert got[0][1] == -math.inf
+            assert_allclose(np.exp(got[1]).sum(), 1.0, rtol=1e-12)
+            assert remote.defects == [("b", pytest.approx(1.005, rel=1e-9))]
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"rows": [{"log_probs": {"a": 0.0}}]},  # one entry for two contexts
+            {"rows": [{"log_probs": {"a": 0.0}}, {"not": "a row"}]},
+            {"rows": "none"},
+            b'["not", "an", "object"]',
+        ],
+    )
+    def test_misshapen_reply_rejected_without_retry(self, reply):
+        attempts = []
+
+        def respond(method, path, payload):
+            attempts.append(path)
+            return 200, reply
+
+        with scripted_server(respond) as url:
+            remote = RemoteModel(url, alphabet=Alphabet("a"), retries=3, backoff=0.001)
+            with pytest.raises(ExpertUnavailableError):
+                remote.log_next_many(["", "a"])
+        assert attempts == ["/next_many"]
+
+    def test_transient_failure_retried_per_request(self):
+        state = {"failures": 1}
+
+        def respond(method, path, payload):
+            if state["failures"]:
+                state["failures"] -= 1
+                return 503, {"error": "busy"}
+            row = {"log_probs": {"a": math.log(0.5)}, "eos_log_prob": math.log(0.5)}
+            return 200, {"rows": [row] * len(payload["contexts"])}
+
+        with scripted_server(respond) as url:
+            remote = RemoteModel(url, alphabet=Alphabet("a"), retries=3, backoff=0.001)
+            rows = remote.log_next_many(["", "a", "aa"])
+            assert remote.requests == 2
+        assert_allclose(np.exp(rows).sum(axis=1), 1.0, rtol=1e-12)
+
+
+class TestOneRequestPerRound:
+    """Every sampler asks a served expert for a round's new rows in one
+    request, and gets the records of the same panel run in-process."""
+
+    SERVED = ["abcab", "bcaacb", "cab", "aabbc", "ca", "bcbca"]
+    LOCAL = ["bacab", "abcc", "cbab", "acb", "bbca"]
+
+    def config(self, expert, method):
+        return {
+            "alphabet": "abc",
+            "experts": [
+                expert,
+                {"type": "ngram", "corpus": "local.txt", "order": 2, "smoothing": 0.5},
+            ],
+            "operator": "product",
+            "sampler": {"particles": 12, "max_len": 20, "seed": 5},
+            "methods": [method],
+            "repeats": 2,
+        }
+
+    @pytest.mark.parametrize("method", ["smc", "sis", "is", "local"])
+    def test_requests_per_run_at_most_rounds(self, tmp_path, monkeypatch, method):
+        (tmp_path / "served.txt").write_text("\n".join(self.SERVED) + "\n")
+        (tmp_path / "local.txt").write_text("\n".join(self.LOCAL) + "\n")
+        ngram = {"type": "ngram", "corpus": "served.txt", "order": 2, "smoothing": 0.5}
+        want = runner.run_experiment(config_from_dict(self.config(ngram, method), tmp_path))
+
+        panels, runs = [], []
+        build_panel = runner.build_panel
+        name = {"is": "importance_sample", "local": "local_sample"}.get(method, method)
+        sampler = getattr(runner, name)
+
+        def kept(config):
+            panels.append(build_panel(config))
+            return panels[-1]
+
+        def counted(*args, **kwargs):
+            remote = panels[-1][0][0]
+            sent = remote.requests
+            estimate = sampler(*args, **kwargs)
+            runs.append((remote.requests - sent, estimate.diagnostics.rounds))
+            return estimate
+
+        monkeypatch.setattr(runner, "build_panel", kept)
+        monkeypatch.setattr(runner, name, counted)
+        served = build_expert(ngram, Alphabet("abc"), tmp_path)
+        with ModelServer(served) as server:
+            config = self.config({"type": "remote", "url": server.url}, method)
+            got = runner.run_experiment(config_from_dict(config, tmp_path))
+        for records in (got, want):
+            for record in records:
+                del record["wall_time_s"]
+        assert json.dumps(got) == json.dumps(want)
+        assert len(runs) == 2
+        # The first run starts from an empty cache; the second shares its shaping.
+        assert runs[0][0] > 0
+        for requests, rounds in runs:
+            assert requests <= rounds
