@@ -29,7 +29,8 @@ Shape (all keys except ``experts`` optional)::
 Relative paths are resolved against the config file's directory.
 Unknown keys are rejected with a ValueError that names them: at the top
 level, in ``sampler`` and ``oracle``, in each expert object (per
-``type``), and in the ``operator`` and ``predicate`` objects.
+``type``), and in the ``operator`` and ``predicate`` objects; so is a
+value of the wrong type (a string or bool where a number belongs).
 ``weights`` defaults to uniform. ``alphabet`` may be omitted when every
 expert determines its own (tables, files); it is required for n-grams
 fit from a corpus. The ``regex`` predicate uses full-string matching.
@@ -63,10 +64,20 @@ EXPERT_FIELDS = {
     "remote": {"url", "timeout", "retries", "backoff", "defect_tol"},
 }
 
+#: The numeric expert fields and the kind of number each holds.
+EXPERT_NUMBERS = {
+    **dict.fromkeys(("order", "retries"), numbers.Integral),
+    **dict.fromkeys(("smoothing", "timeout", "backoff", "defect_tol", "log_floor"), numbers.Real),
+}
+
 
 def _is_number(value) -> bool:
     """A real number, numpy's included; a bool is not one here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # Plain floats and ints skip the ABC check, which costs about 1 us a
+    # value: a table's entries are checked on every panel build.
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
 
 
 def _check_keys(obj, allowed, what: str) -> None:
@@ -167,8 +178,16 @@ def build_expert(
     if kind not in EXPERT_FIELDS:
         raise ValueError(f"unknown expert type {kind!r}")
     _check_keys(spec, EXPERT_FIELDS[kind] | {"type"}, f"{kind} expert")
+    for key, number in EXPERT_NUMBERS.items():
+        value = spec.get(key, 0)
+        if not isinstance(value, number) or isinstance(value, bool):
+            what = "an integer" if number is numbers.Integral else "a number"
+            raise ValueError(f"{kind} expert {key!r} must be {what}, got {value!r}")
     if kind == "table":
-        return TableModel(dict(spec["entries"]), alphabet=alphabet)
+        entries = spec["entries"]
+        if not isinstance(entries, dict) or not all(map(_is_number, entries.values())):
+            raise ValueError(f"table 'entries' must map strings to numbers, got {entries!r}")
+        return TableModel(entries, alphabet=alphabet)
     if kind == "ngram":
         corpus = load_corpus(base_dir / spec["corpus"])
         if alphabet is None:

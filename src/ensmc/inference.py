@@ -9,12 +9,13 @@ entirely in log domain; ``float('-inf')`` marks dead particles, which
 contribute zero mass and are never extended.
 
 Randomness: every draw comes from a stream derived from the run seed by
-counter-based key splitting — ``sis``/``smc`` draws are keyed by ``(round,
-particle index)`` and resampling by ``(round,)``; ``is``/``local`` draw
-i.i.d., particle ``m`` from stream ``(m,)`` — so runs are reproducible
-bit-for-bit, adding particles does not perturb existing streams, and an
-unfired resampling pass leaves the draws untouched. The streams are numpy's
-``default_rng(SeedSequence(seed, spawn_key=key))``, via :mod:`ensmc.streams`.
+counter-based key splitting — ``sis``/``smc`` draws are keyed by ``(0,
+round, particle index)`` and resampling by ``(1, round)``; ``is``/``local``
+draw i.i.d., particle ``m`` from stream ``(2, m)`` — so runs are
+reproducible bit-for-bit, adding particles does not perturb existing
+streams, and an unfired resampling pass leaves the draws untouched. The
+streams are numpy's ``default_rng(SeedSequence(seed, spawn_key=key))``;
+:mod:`ensmc.streams` computes the particle streams.
 
 Population: all four samplers run one round loop over the particles held
 as arrays (the prefix strings, weights, proposal log probabilities and
@@ -45,7 +46,7 @@ from .ensemble import (  # noqa: F401
     log_potential_columns,
     log_string_potential,
 )
-from .errors import DeadPrefixError, DegenerateRunError, UndefinedConditionalError
+from .errors import DeadPrefixError, DegenerateRunError
 from . import streams
 from .lmcore import (  # noqa: F401
     SequenceModel,
@@ -59,11 +60,6 @@ from .logtools import LOG_ZERO, log_normalize, logsumexp
 _STREAM_PARTICLE = 0
 _STREAM_RESAMPLE = 1
 _STREAM_IID = 2
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    """The generator ``default_rng(SeedSequence(seed, spawn_key=key))``."""
-    return streams.pool(seed, *key).generator()
 
 
 @dataclass
@@ -197,9 +193,10 @@ class PrefixPotentialShaping:
     so each new prefix costs one ``log_next`` row per live expert, and a
     direct query first builds the missing ancestors, root first. The
     samplers :meth:`prefetch` each round's new prefixes, so an expert is
-    asked once per round for all of them (``log_next_many``). One
-    instance can be shared across runs over the same (spec, panel),
-    the step-local baseline included.
+    asked once per round for all of them (``log_next_many``). Nodes are
+    read-only once built: an :class:`ExpertProposal` hands out its rows
+    as views. One instance can be shared across runs over the same
+    (spec, panel), the step-local baseline included.
     """
 
     def __init__(self, spec: EnsembleSpec, panel: ExpertPanel, epsilon: float | None = None):
@@ -207,6 +204,7 @@ class PrefixPotentialShaping:
             raise ValueError("epsilon must be > 0")
         self.spec = spec
         self.panel = panel
+        self.alphabet = panel.alphabet
         self.epsilon = epsilon
         self._log_eps = math.log(epsilon) if epsilon is not None else None
         self._nodes: dict[str, np.ndarray] = {}
@@ -262,6 +260,7 @@ class PrefixPotentialShaping:
             if any(alive):
                 node[k, :-1] = self.spec.combine_columns(m[:, None] + node[:k, :-1])
             node[k, -1] = self.spec.combine(m)
+            node.flags.writeable = False
             self._nodes[x] = node
 
     def _shift(self, log_v: float) -> float:
@@ -329,6 +328,7 @@ class OracleShaping:
 
     def __init__(self, table):
         self.table = table
+        self.alphabet = table.alphabet
 
     def prefetch(self, prefixes) -> None:
         """Nothing to fetch: the rows come from the table."""
@@ -361,16 +361,22 @@ class OracleShaping:
 # -- proposals ----------------------------------------------------------
 
 
-class OptimalProposal:
+class OptimalProposal(SequenceModel):
     """The locally optimal proposal: the shaping row normalized to sum 1.
 
     Rows are memoized per context (shapings are deterministic), so one
-    instance can be shared across runs over the same shaping.
+    instance can be shared across runs over the same shaping. As a
+    sequence model (``log_next`` is ``log_row``) it is the i.i.d.
+    proposal of :func:`importance_sample`.
     """
 
     def __init__(self, shaping):
         self.shaping = shaping
+        self.alphabet = shaping.alphabet
         self._memo: dict[str, np.ndarray] = {}
+
+    def log_next(self, context: str) -> np.ndarray:
+        return self.log_row(context)
 
     def log_row(self, x: str) -> np.ndarray:
         row = self._memo.get(x)
@@ -385,17 +391,26 @@ class OptimalProposal:
         return row
 
 
-class ExpertProposal:
-    """Propose from one expert's own conditionals."""
+class ExpertProposal(SequenceModel):
+    """Propose from expert ``k``'s own conditionals: row ``k`` of the
+    prefix nodes of a :class:`PrefixPotentialShaping`, so no expert is
+    asked for a row twice. As a sequence model (``log_next`` is
+    ``log_row``) it is the i.i.d. proposal of :func:`importance_sample`.
+    """
 
-    def __init__(self, model: SequenceModel):
-        self.model = model
+    def __init__(self, shaping: PrefixPotentialShaping, k: int):
+        self.shaping = shaping
+        self.k = k
+        self.alphabet = shaping.alphabet
+
+    def log_next(self, context: str) -> np.ndarray:
+        return self.log_row(context)
 
     def log_row(self, x: str) -> np.ndarray:
-        try:
-            return self.model.log_next(x)
-        except UndefinedConditionalError as exc:
-            raise DeadPrefixError(str(exc))
+        node = self.shaping._node(x)
+        if node[self.k, -1] == LOG_ZERO:
+            raise DeadPrefixError(f"prefix {x!r} has zero mass under expert {self.k}")
+        return node[self.k, :-1]
 
 
 def make_shaping(
@@ -405,32 +420,15 @@ def make_shaping(
     return PrefixPotentialShaping(spec, panel, epsilon=eps)
 
 
-def make_proposal(panel: ExpertPanel, config: SamplerConfig, shaping):
-    """The configured proposal; ``"expert:<k>"`` has ``k`` bounds-checked."""
+def make_proposal(config: SamplerConfig, shaping):
+    """The configured proposal over ``shaping``; ``"expert:<k>"`` needs a
+    :class:`PrefixPotentialShaping` and has ``k`` bounds-checked."""
     if config.proposal == "optimal":
         return OptimalProposal(shaping)
     k = int(config.proposal.partition(":")[2])
-    if k >= len(panel):
-        raise ValueError(f"proposal {config.proposal!r}: panel has {len(panel)} experts")
-    return ExpertProposal(panel[k])
-
-
-class _RowModel(SequenceModel):
-    """A row function ``x -> log row`` as a sequence model, the proposal
-    :func:`importance_sample` reads. The function's errors pass through
-    unchanged, so a dead prefix stays a DeadPrefixError."""
-
-    def __init__(self, alphabet, log_row: Callable[[str], np.ndarray]):
-        self.alphabet = alphabet
-        self._log_row = log_row
-
-    def log_next(self, context: str) -> np.ndarray:
-        return self._log_row(context)
-
-
-def make_proposal_model(panel: ExpertPanel, config: SamplerConfig, shaping) -> SequenceModel:
-    """The configured proposal as a sequence model: the i.i.d. proposal of ``is``."""
-    return _RowModel(panel.alphabet, make_proposal(panel, config, shaping).log_row)
+    if k >= len(shaping.panel):
+        raise ValueError(f"proposal {config.proposal!r}: panel has {len(shaping.panel)} experts")
+    return ExpertProposal(shaping, k)
 
 
 def one_step_weight_variance(log_potentials, log_proposal) -> float:
@@ -486,8 +484,9 @@ def _ancestors(log_w: np.ndarray, seed: int, round_no: int) -> tuple[np.ndarray,
     probs = np.exp(log_w - log_total)
     probs = probs / probs.sum()
     # One inverse-CDF draw per particle from the round's resampling stream.
-    idx = draw_indices(probs, _rng(seed, _STREAM_RESAMPLE, round_no).random(m))
-    return idx, float(log_total) - math.log(m)
+    key = (_STREAM_RESAMPLE, round_no)
+    u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).random(m)
+    return draw_indices(probs, u), float(log_total) - math.log(m)
 
 
 def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, shaping=None,
@@ -585,7 +584,7 @@ def _shaped(spec, panel, config: SamplerConfig, shaping, proposal, resample_thre
     if shaping is None:
         shaping = make_shaping(spec, panel, config)
     if proposal is None:
-        proposal = make_proposal(panel, config, shaping)
+        proposal = make_proposal(config, shaping)
     particle_streams = streams.pool(config.seed, _STREAM_PARTICLE)
     return _sequential(
         panel.alphabet, config.particles, config.max_len,
@@ -633,10 +632,10 @@ def _iid(alphabet, log_row, particles: int, max_len: int, seed: int, prefetch=No
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     iid_streams = streams.pool(seed, _STREAM_IID)
-    generators = [iid_streams.extend(m).generator() for m in range(particles)]
+    particle_streams = [streams.Stream(iid_streams.extend(m).words) for m in range(particles)]
     return _sequential(
         alphabet, particles, max_len,
-        lambda _, live: np.array([generators[i].random() for i in live.tolist()]), log_row,
+        lambda _, live: np.array([particle_streams[i].random() for i in live.tolist()]), log_row,
         prefetch=prefetch,
     )
 
@@ -654,8 +653,8 @@ def importance_sample(
     Weights are target over proposal on complete strings; truncated
     draws get zero weight and are counted in the diagnostics. ``prefetch``,
     if given, gets each round's distinct prefixes before their proposal
-    rows are read (the ``prefetch`` of the shaping an optimal proposal
-    normalizes).
+    rows are read (the ``prefetch`` of the shaping an
+    :class:`OptimalProposal` or :class:`ExpertProposal` reads).
     """
     draws = _iid(
         proposal_model.alphabet, proposal_model.log_next, particles, max_len, seed, prefetch

@@ -23,8 +23,8 @@ from .errors import DeadPrefixError, DegenerateRunError
 from .inference import (
     importance_sample,
     local_sample,
+    make_proposal,
     make_shaping,
-    make_proposal_model,
     sis,
     smc,
 )
@@ -93,13 +93,8 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
                 else:
                     if method == "is":
                         est = importance_sample(
-                            shaping.log_string_target,
-                            make_proposal_model(panel, cfg, shaping),
-                            particles=cfg.particles,
-                            max_len=cfg.max_len,
-                            seed=seed,
-                            # The optimal proposal reads the shaping's nodes.
-                            prefetch=shaping.prefetch if cfg.proposal == "optimal" else None,
+                            shaping.log_string_target, make_proposal(cfg, shaping),
+                            cfg.particles, cfg.max_len, seed, prefetch=shaping.prefetch,
                         )
                     else:
                         run = smc if method == "smc" else sis

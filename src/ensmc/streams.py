@@ -1,29 +1,25 @@
-"""The seed policy's random streams, derived without a numpy generator each.
+"""The seed policy's random streams, computed without numpy generators.
 
 Stream ``key`` of run seed ``seed`` is, by the seed policy,
 ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``.
-Everything that generator does before its first double is integer
-arithmetic: ``SeedSequence`` hashes the seed and key words (32-bit) into
-a four-word pool, expands the pool into four 64-bit seed words, and
-PCG64 turns those into a 128-bit state and increment, steps, and outputs
-XSL-RR bits. This module does the same arithmetic itself:
+Everything that generator does for its doubles is integer arithmetic:
+``SeedSequence`` hashes the seed and key words (32-bit) into a four-word
+pool, expands the pool into four 64-bit seed words, and PCG64 turns
+those into a 128-bit state and increment, then for each double steps
+and outputs XSL-RR bits. This module does the same arithmetic itself:
 
 * :class:`Pool` is the hashed pool of ``(seed, *key)``, extendable by
   more key words, so a prefix shared by many streams is hashed once.
-* :meth:`Pool.uniform` is the stream's first double, in Python ints.
 * :func:`uniforms` is the first double of the streams ``key + (m,)`` for
   many ``m`` at once, numpy-vectorised over ``m`` for large batches.
-* :meth:`Pool.generator` hands the pool's four 64-bit seed words to
-  numpy's PCG64 (through numpy's seed-sequence interface), so numpy
-  seeds it and draws the doubles, for callers that draw many doubles
-  from one stream.
+* :class:`Stream` is a stream's successive doubles, PCG64 stepped in
+  Python ints, for callers that draw many doubles from one stream.
 
 The results are the same bits as numpy's (pinned by
 ``tests/test_streams.py``), so the seed policy is unchanged.
 """
 from __future__ import annotations
 
-import functools
 import operator
 from typing import NamedTuple
 
@@ -102,13 +98,33 @@ def _pcg_state(words) -> tuple[int, int]:
     return ((inc + ((s[0] << 64) | s[1])) * _PCG_MULT + inc) & _MASK128, inc
 
 
-def _first_double(words) -> float:
-    """The first ``Generator.random()`` double of a pool's stream."""
-    state, inc = _pcg_state(words)
-    state = (state * _PCG_MULT + inc) & _MASK128
+def _double(state: int) -> float:
+    """The ``Generator.random()`` double of a stepped PCG64 state: the
+    XSL-RR output's top 53 bits."""
     rot = state >> 122
     x = ((state >> 64) ^ state) & _MASK64
     return ((((x >> rot) | (x << (64 - rot))) & _MASK64) >> 11) * _TO_DOUBLE
+
+
+def _first_double(words) -> float:
+    """The first ``Generator.random()`` double of a pool's stream."""
+    state, inc = _pcg_state(words)
+    return _double((state * _PCG_MULT + inc) & _MASK128)
+
+
+class Stream:
+    """A stream's successive ``Generator.random()`` doubles, with PCG64's
+    ``(state, inc)`` held and stepped as Python ints."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, words):
+        self.state, self.inc = _pcg_state(words)
+
+    def random(self) -> float:
+        """The stream's next double."""
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        return _double(state)
 
 
 class Pool(NamedTuple):
@@ -129,38 +145,6 @@ class Pool(NamedTuple):
             for w in _words(value):
                 words, h = _absorb(words, h, w)
         return Pool(tuple(words), h)
-
-    def uniform(self) -> float:
-        """The stream's first double, as ``Generator.random()`` returns it."""
-        return _first_double(self.words)
-
-    def generator(self) -> np.random.Generator:
-        """A numpy generator on this stream (numpy's PCG64 draws the doubles)."""
-        seed_sequence = _seed_words_type()(_seed_words(self.words))
-        return np.random.Generator(np.random.PCG64(seed_sequence))
-
-
-@functools.cache
-def _seed_words_type() -> type:
-    """A numpy ``ISeedSequence`` holding precomputed seed words.
-
-    Built on first use, because importing ``numpy.random`` takes about
-    20 ms that ``import ensmc`` need not pay.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        """Precomputed ``generate_state(4, uint64)`` output, as PCG64 requests it."""
-
-        def __init__(self, words: tuple[int, int, int, int]):
-            self._words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
-                raise ValueError("only PCG64's four 64-bit seed words are precomputed")
-            return np.array(self._words, dtype=np.uint64)
-
-    return SeedWords
 
 
 def pool(seed: int, *key: int) -> Pool:
@@ -264,5 +248,5 @@ def uniforms(base: Pool, ms: np.ndarray) -> np.ndarray:
         if 0 <= m <= _MASK32:
             out[j] = _first_double(_absorb(base.words, base.hash_const, m)[0])
         else:
-            out[j] = base.extend(m).uniform()
+            out[j] = _first_double(base.extend(m).words)
     return out

@@ -4,10 +4,11 @@ checked-in JSON Lines byte for byte, ``wall_time_s`` aside.
 The configs cover a table panel with resampling and the oracle, an
 order-3 n-gram panel under all four samplers with weight telescoping
 checked, a tokenized expert with the oracle, and the minimum operator
-with epsilon-shift shaping (experts die on some prefixes), and a table
+with epsilon-shift shaping (experts die on some prefixes), a table
 panel with 1 024 particles (a population large enough for the
-vectorised stream derivation) under ``smc``, ``sis`` and ``is``. A
-change that alters any sampled string, weight, estimate or counter fails
+vectorised stream derivation) under ``smc``, ``sis`` and ``is``, and a
+table panel with an expert proposal under ``is``, ``sis`` and ``local``.
+A change that alters any sampled string, weight, estimate or counter fails
 here.
 
 After a deliberate change to what runs compute, regenerate with::
@@ -36,7 +37,7 @@ def record_lines(name: str) -> list[str]:
 
 
 def test_every_config_has_golden_records():
-    assert CONFIGS == ["epsilon", "ngram", "table", "tokenized", "wide"]
+    assert CONFIGS == ["epsilon", "expert", "ngram", "table", "tokenized", "wide"]
     for name in CONFIGS:
         assert (GOLDEN / f"{name}.jsonl").is_file()
 

@@ -721,7 +721,7 @@ class TestOneRequestPerRound:
     SERVED = ["abcab", "bcaacb", "cab", "aabbc", "ca", "bcbca"]
     LOCAL = ["bacab", "abcc", "cbab", "acb", "bbca"]
 
-    def config(self, expert, method):
+    def config(self, expert, method, proposal):
         return {
             "alphabet": "abc",
             "experts": [
@@ -729,17 +729,23 @@ class TestOneRequestPerRound:
                 {"type": "ngram", "corpus": "local.txt", "order": 2, "smoothing": 0.5},
             ],
             "operator": "product",
-            "sampler": {"particles": 12, "max_len": 20, "seed": 5},
+            "sampler": {"particles": 12, "max_len": 20, "seed": 5, "proposal": proposal},
             "methods": [method],
             "repeats": 2,
         }
 
-    @pytest.mark.parametrize("method", ["smc", "sis", "is", "local"])
-    def test_requests_per_run_at_most_rounds(self, tmp_path, monkeypatch, method):
+    @pytest.mark.parametrize("method, proposal", [
+        *(pytest.param(m, "optimal", id=m) for m in ("smc", "sis", "is", "local")),
+        # The served expert is the proposal: its rows come from the nodes.
+        pytest.param("is", "expert:0", id="is-expert"),
+    ])
+    def test_requests_per_run_at_most_rounds(self, tmp_path, monkeypatch, method, proposal):
         (tmp_path / "served.txt").write_text("\n".join(self.SERVED) + "\n")
         (tmp_path / "local.txt").write_text("\n".join(self.LOCAL) + "\n")
         ngram = {"type": "ngram", "corpus": "served.txt", "order": 2, "smoothing": 0.5}
-        want = runner.run_experiment(config_from_dict(self.config(ngram, method), tmp_path))
+        want = runner.run_experiment(
+            config_from_dict(self.config(ngram, method, proposal), tmp_path)
+        )
 
         panels, runs = [], []
         build_panel = runner.build_panel
@@ -761,7 +767,7 @@ class TestOneRequestPerRound:
         monkeypatch.setattr(runner, name, counted)
         served = build_expert(ngram, Alphabet("abc"), tmp_path)
         with ModelServer(served) as server:
-            config = self.config({"type": "remote", "url": server.url}, method)
+            config = self.config({"type": "remote", "url": server.url}, method, proposal)
             got = runner.run_experiment(config_from_dict(config, tmp_path))
         for records in (got, want):
             for record in records:

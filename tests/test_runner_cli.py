@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ BASE_CONFIG = {
     "methods": ["smc", "sis", "is", "local"],
     "repeats": 2,
 }
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def beside_table(expert):
+    """Overrides for a panel of a table over {a, b} and ``expert``."""
+    return {"alphabet": "ab", "experts": [{"type": "table", "entries": GEO_P1}, expert]}
+
+
+NGRAM = {"type": "ngram", "corpus": str(GOLDEN / "bytes.txt")}
+REMOTE = {"type": "remote", "url": "http://127.0.0.1:1"}
+TOKENIZED = {"type": "tokenized", "tokenizer": str(GOLDEN / "tokens.tsv"),
+             "model": {"type": "table", "entries": {"A": 0.5, "AB": 0.5}}}
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -116,6 +131,16 @@ class TestConfigLoading:
         ({"predicate": {"kind": "in_set", "strings": "ab"}}, "strings"),
         ({"predicate": {"kind": "regex", "pattern": 5}}, "pattern"),
         ({"predicate": {"kind": "regex", "pattern": "("}}, "pattern"),
+        (beside_table({**NGRAM, "order": "3"}), "order"),
+        (beside_table({**NGRAM, "order": 2.5}), "order"),
+        (beside_table({**NGRAM, "order": True}), "order"),
+        (beside_table({**NGRAM, "smoothing": "0.5"}), "smoothing"),
+        (beside_table({"type": "table", "entries": {"a": "1"}}), "entries"),
+        (beside_table({**REMOTE, "retries": "3"}), "retries"),
+        (beside_table({**REMOTE, "timeout": "5"}), "timeout"),
+        (beside_table({**REMOTE, "backoff": "0.05"}), "backoff"),
+        (beside_table({**REMOTE, "defect_tol": True}), "defect_tol"),
+        (beside_table({**TOKENIZED, "log_floor": "-5"}), "log_floor"),
     ])
     def test_unknown_nested_keys_named(self, tmp_path, capsys, overrides, key):
         """An unknown key anywhere, or a known key holding a value of the

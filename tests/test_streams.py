@@ -5,11 +5,17 @@ spawn_key=key))``, the generator the seed policy names. Keys cover seed
 0, one-, two-, three- and five-word seeds, every stream tag, ``m = 0``
 and ``m >= 2**32``.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ensmc
 from ensmc import streams
-from ensmc.inference import _STREAM_IID, _STREAM_PARTICLE, _STREAM_RESAMPLE, _rng
+from ensmc.inference import _STREAM_IID, _STREAM_PARTICLE, _STREAM_RESAMPLE
 
 SEEDS = [0, 1, 20240611, 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**64 + 7, 2**128 + 5]
 TAGS = (_STREAM_PARTICLE, _STREAM_RESAMPLE, _STREAM_IID)
@@ -42,8 +48,8 @@ def test_bulk_and_scalar_uniforms_match_numpy(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rng_state_and_first_doubles_match_numpy(seed):
-    """``_rng`` hands numpy's PCG64 the (state, inc) numpy would derive,
-    so its first 16 doubles are numpy's."""
+    """A pool's ``(state, inc)`` is the one numpy's PCG64 derives, and its
+    :class:`~ensmc.streams.Stream` steps it to numpy's first 16 doubles."""
     for key in [(_STREAM_RESAMPLE, 0), (_STREAM_RESAMPLE, 9), (_STREAM_IID, 0),
                 (_STREAM_IID, 77), (_STREAM_PARTICLE, 3, 0), (_STREAM_PARTICLE, 0, 2**33)]:
         want = reference(seed, *key)
@@ -51,9 +57,17 @@ def test_rng_state_and_first_doubles_match_numpy(seed):
         assert streams._pcg_state(streams.pool(seed, *key).words) == (
             state["state"], state["inc"]
         )
-        got = _rng(seed, *key)
-        assert got.bit_generator.state == want.bit_generator.state
-        assert got.random(16).tobytes() == want.random(16).tobytes()
+        stream = streams.Stream(streams.pool(seed, *key).words)
+        got = np.array([stream.random() for _ in range(16)])
+        assert got.tobytes() == want.random(16).tobytes()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """``import ensmc`` does not pay for importing ``numpy.random``."""
+    code = "import sys, ensmc; assert 'numpy.random' not in sys.modules"
+    src = str(Path(ensmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_particle_index_beyond_one_word_is_exact():
