@@ -132,10 +132,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_intersect(args) -> int:
     config = load_config(args.config)
-    panel, _ = build_panel(config)
     predicate = build_predicate(config.predicate)
     if predicate is None:
         raise EnsmcError("intersect needs a 'predicate' in the config")
+    panel, _ = build_panel(config)
     report = intersection_report(
         panel, predicate, weights=config.weights, top=args.top, **config.oracle_limits()
     )

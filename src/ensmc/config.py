@@ -26,14 +26,15 @@ Shape (all keys except ``experts`` optional)::
       "repeats": 1
     }
 
-Relative paths are resolved against the config file's directory.
-Unknown keys are rejected with a ValueError that names them: at the top
-level, in ``sampler`` and ``oracle``, in each expert object (per
-``type``), and in the ``operator`` and ``predicate`` objects; so is a
-value of the wrong type (a string or bool where a number belongs).
-``weights`` defaults to uniform. ``alphabet`` may be omitted when every
-expert determines its own (tables, files); it is required for n-grams
-fit from a corpus. The ``regex`` predicate uses full-string matching.
+Relative paths are resolved against the config file's directory. Every
+JSON object is read through ``_Fields``, which names each key once, with
+its JSON kind: a value of the wrong kind (a string or bool where a
+number belongs) or a key nothing reads is a ValueError naming the key,
+raised before the object's files are read or connections opened.
+``sampler`` values are checked by ``SamplerConfig`` itself. ``weights``
+defaults to uniform. ``alphabet`` may be omitted when every expert
+determines its own (tables, files). The ``regex`` predicate uses
+full-string matching.
 """
 from __future__ import annotations
 
@@ -54,39 +55,65 @@ from .toy import NGramModel, PFSAModel, TableModel, fit_ngram, load_corpus
 
 KNOWN_METHODS = ("smc", "sis", "is", "local")
 
-#: The fields each expert ``type`` reads, besides ``type`` itself.
-EXPERT_FIELDS = {
-    "table": {"entries"},
-    "ngram": {"corpus", "order", "smoothing"},
-    "ngram_file": {"path"},
-    "pfsa": {"start", "transitions", "stops"},
-    "tokenized": {"tokenizer", "model", "log_floor"},
-    "remote": {"url", "timeout", "retries", "backoff", "defect_tol"},
-}
-
-#: The numeric expert fields and the kind of number each holds.
-EXPERT_NUMBERS = {
-    **dict.fromkeys(("order", "retries"), numbers.Integral),
-    **dict.fromkeys(("smoothing", "timeout", "backoff", "defect_tol", "log_floor"), numbers.Real),
-}
-
 
 def _is_number(value) -> bool:
     """A real number, numpy's included; a bool is not one here."""
     # Plain floats and ints skip the ABC check, which costs about 1 us a
-    # value: a table's entries are checked on every panel build.
+    # value: a table's entries are checked on every config parse.
     return type(value) in (float, int) or (
         isinstance(value, numbers.Real) and not isinstance(value, bool)
     )
 
 
-def _check_keys(obj, allowed, what: str) -> None:
-    """Reject a non-object, or an object with keys outside ``allowed``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what!r} must be a JSON object, got {obj!r}")
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+#: The JSON kinds a config value is checked against, by name.
+_KINDS = {
+    "integer": lambda v: type(v) is int or (
+        isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    ),
+    "number": _is_number,
+    "string": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+    "list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "object of numbers": lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+    "object of [state, number] pairs": lambda v: isinstance(v, dict) and all(
+        isinstance(a, list) and len(a) == 2 and isinstance(a[0], str) and _is_number(a[1])
+        for a in v.values()
+    ),
+}
+
+_REQUIRED = object()
+
+
+class _Fields:
+    """One JSON object of a config. ``read(key, kind, default)`` returns
+    the key's value checked against ``_KINDS[kind]`` (None: checked by
+    the caller), or ``default`` when the key is absent, or null with a
+    None default; without a default the key is required. ``done()``
+    rejects every key not read.
+    """
+
+    def __init__(self, obj, what: str):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+        self.obj = obj
+        self.what = what
+        self.unread = set(obj)
+
+    def __call__(self, key: str, kind: str | None, default=_REQUIRED):
+        self.unread.discard(key)
+        value = self.obj.get(key, default)
+        if value is _REQUIRED:
+            raise ValueError(f"{self.what} needs {key!r}")
+        if value is not default and kind is not None and not _KINDS[kind](value):
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise ValueError(f"{self.what} {key!r} must be {article} {kind}, got {value!r}")
+        return value
+
+    def done(self) -> None:
+        if self.unread:
+            raise ValueError(f"unknown {self.what} keys: {sorted(self.unread)}")
 
 
 @dataclass(frozen=True)
@@ -101,20 +128,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("smc",)
     repeats: int = 1
     base_dir: Path = field(default_factory=Path.cwd)
-
-    def __post_init__(self):
-        if not self.experts:
-            raise ValueError("config needs at least one expert")
-        if type(self.repeats) is not int or self.repeats < 1:  # a bool is no count
-            raise ValueError(f"'repeats' must be an integer >= 1, got {self.repeats!r}")
-        if self.alphabet is not None and not isinstance(self.alphabet, str):
-            raise ValueError(f"'alphabet' must be a string of symbols, got {self.alphabet!r}")
-        for m in self.methods:
-            if m not in KNOWN_METHODS:
-                raise ValueError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
-        for key, value in (self.oracle or {}).items():
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"oracle {key!r} must be an integer >= 0, got {value!r}")
 
     def oracle_limits(self) -> dict:
         """The oracle's ``max_len``/``max_nodes``: the ``oracle`` block's
@@ -134,145 +147,141 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
-    _check_keys(raw, {
-        "experts", "operator", "weights", "alphabet", "sampler",
-        "oracle", "predicate", "methods", "repeats",
-    }, "config")
-    sampler = raw.get("sampler", {})
-    _check_keys(sampler, {f.name for f in fields(SamplerConfig)}, "sampler")
-    if raw.get("oracle") is not None:
-        _check_keys(raw["oracle"], {"max_len", "max_nodes"}, "oracle")
-    return ExperimentConfig(
-        experts=_list_value(raw, "experts", ()),
-        operator=raw.get("operator", "product"),
-        weights=_list_value(raw, "weights", None),
-        alphabet=raw.get("alphabet"),
-        sampler=SamplerConfig(**sampler),
-        oracle=raw.get("oracle"),
-        predicate=raw.get("predicate"),
-        methods=_list_value(raw, "methods", ("smc",)),
-        repeats=raw.get("repeats", 1),
+    read = _Fields(raw, "config")
+    experts = read("experts", "list", ())
+    if not experts:
+        raise ValueError("config needs at least one expert")
+    weights = read("weights", "list of numbers", None)
+    methods = read("methods", "list of strings", ("smc",))
+    for m in methods:
+        if m not in KNOWN_METHODS:
+            raise ValueError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
+    repeats = read("repeats", "integer", 1)
+    if repeats < 1:
+        raise ValueError(f"config 'repeats' must be an integer >= 1, got {repeats!r}")
+    oracle = read("oracle", "object", None)
+    if oracle is not None:
+        limits = _Fields(oracle, "oracle")
+        for key in ("max_len", "max_nodes"):
+            value = limits(key, "integer", 0)
+            if value < 0:
+                raise ValueError(f"oracle {key!r} must be an integer >= 0, got {value!r}")
+        limits.done()
+    read_sampler = _Fields(read("sampler", "object", {}), "sampler")
+    sampler = SamplerConfig(
+        **{f.name: read_sampler(f.name, None, f.default) for f in fields(SamplerConfig)}
+    )
+    read_sampler.done()
+    config = ExperimentConfig(
+        experts=tuple(experts),
+        operator=read("operator", None, "product"),
+        weights=None if weights is None else tuple(weights),
+        alphabet=read("alphabet", "string", None),
+        sampler=sampler,
+        oracle=oracle,
+        predicate=read("predicate", "object", None),
+        methods=tuple(methods),
+        repeats=repeats,
         base_dir=Path(base_dir),
     )
-
-
-def _list_value(raw: dict, key: str, default):
-    """``raw[key]`` as a tuple, or ``default`` when the key is absent.
-
-    A value that is not a list is rejected with a ValueError naming ``key``.
-    """
-    value = raw.get(key, default)
-    if value is default:
-        return value
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key!r} must be a list, got {value!r}")
-    return tuple(value)
+    read.done()
+    return config
 
 
 def build_expert(
     spec: dict, alphabet: Alphabet | None, base_dir: Path
 ) -> SequenceModel:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError(f"expert spec must be an object with a 'type': {spec!r}")
-    kind = spec["type"]
-    if kind not in EXPERT_FIELDS:
-        raise ValueError(f"unknown expert type {kind!r}")
-    _check_keys(spec, EXPERT_FIELDS[kind] | {"type"}, f"{kind} expert")
-    for key, number in EXPERT_NUMBERS.items():
-        value = spec.get(key, 0)
-        if not isinstance(value, number) or isinstance(value, bool):
-            what = "an integer" if number is numbers.Integral else "a number"
-            raise ValueError(f"{kind} expert {key!r} must be {what}, got {value!r}")
+    read = _Fields(spec, "expert")
+    kind = read("type", "string")
+    read.what = f"{kind} expert"
     if kind == "table":
-        entries = spec["entries"]
-        if not isinstance(entries, dict) or not all(map(_is_number, entries.values())):
-            raise ValueError(f"table 'entries' must map strings to numbers, got {entries!r}")
+        entries = read("entries", "object of numbers")
+        read.done()
         return TableModel(entries, alphabet=alphabet)
     if kind == "ngram":
-        corpus = load_corpus(base_dir / spec["corpus"])
+        corpus = read("corpus", "string")
+        order = read("order", "integer", 2)
+        smoothing = read("smoothing", "number", 0.1)
+        read.done()
         if alphabet is None:
             raise ValueError("n-gram experts fit from a corpus need 'alphabet'")
-        return fit_ngram(
-            corpus,
-            order=spec.get("order", 2),
-            smoothing=spec.get("smoothing", 0.1),
-            alphabet=alphabet,
-        )
+        corpus = load_corpus(base_dir / corpus)
+        return fit_ngram(corpus, order=order, smoothing=smoothing, alphabet=alphabet)
     if kind == "ngram_file":
-        return NGramModel.load(base_dir / spec["path"])
+        path = read("path", "string")
+        read.done()
+        return NGramModel.load(base_dir / path)
     if kind == "pfsa":
+        start = read("start", "string")
+        transitions = read("transitions", "object")
+        read_arcs = _Fields(transitions, "pfsa 'transitions'")
+        for state in transitions:
+            read_arcs(state, "object of [state, number] pairs")
+        stops = read("stops", "object of numbers", {})
+        read.done()
         if alphabet is None:
             raise ValueError("pfsa experts need 'alphabet'")
-        transitions = {
-            state: {sym: (arc[0], float(arc[1])) for sym, arc in arcs.items()}
-            for state, arcs in spec["transitions"].items()
-        }
-        stops = {state: float(p) for state, p in spec.get("stops", {}).items()}
-        return PFSAModel(alphabet, spec["start"], transitions, stops)
+        return PFSAModel(alphabet, start, transitions, stops)
     if kind == "tokenized":
-        tokenizer = Tokenizer.load(base_dir / spec["tokenizer"])
-        inner = build_expert(spec["model"], tokenizer.token_alphabet, base_dir)
-        return as_byte_model(inner, tokenizer, log_floor=spec.get("log_floor"))
+        path = read("tokenizer", "string")
+        model = read("model", "object")
+        log_floor = read("log_floor", "number", None)
+        read.done()
+        tokenizer = Tokenizer.load(base_dir / path)
+        inner = build_expert(model, tokenizer.token_alphabet, base_dir)
+        return as_byte_model(inner, tokenizer, log_floor=log_floor)
     if kind == "remote":
+        url = read("url", "string")
+        timeout = read("timeout", "number", 5.0)
+        retries = read("retries", "integer", 3)
+        backoff = read("backoff", "number", 0.05)
+        defect_tol = read("defect_tol", "number", DEFAULT_DEFECT_TOL)
+        read.done()
         return RemoteModel(
-            spec["url"],
-            alphabet=alphabet,
-            timeout=spec.get("timeout", 5.0),
-            retries=spec.get("retries", 3),
-            backoff=spec.get("backoff", 0.05),
-            defect_tol=spec.get("defect_tol", DEFAULT_DEFECT_TOL),
+            url, alphabet=alphabet, timeout=timeout, retries=retries,
+            backoff=backoff, defect_tol=defect_tol,
         )
+    raise ValueError(f"unknown expert type {kind!r}")
 
 
 def build_panel(config: ExperimentConfig) -> tuple[ExpertPanel, EnsembleSpec]:
-    """Instantiate the experts and the ensemble operator from a config."""
-    alphabet = Alphabet(tuple(config.alphabet)) if config.alphabet else None
-    models = [build_expert(e, alphabet, config.base_dir) for e in config.experts]
-    panel = ExpertPanel(models)
-    if config.weights is not None:
-        for w in config.weights:
-            if not _is_number(w):
-                raise ValueError(f"'weights' entries must be numbers, got {w!r}")
-    weights = config.weights if config.weights is not None else len(models)
+    """Instantiate the ensemble operator, then the experts, from a config."""
+    weights = config.weights if config.weights is not None else len(config.experts)
     op = config.operator
     if isinstance(op, str):
         spec = EnsembleSpec.from_name(op, weights=weights)
     elif isinstance(op, dict):
-        kind = op.get("kind")
-        if not isinstance(kind, str):
-            raise ValueError(f"operator 'kind' must be an operator name, got {kind!r}")
-        allowed = {"kind", "tau"} if kind.lower() == "power" else {"kind"}
-        _check_keys(op, allowed, f"{kind} operator")
-        tau = op.get("tau")
-        if tau is not None and not _is_number(tau):
-            raise ValueError(f"operator 'tau' must be a number, got {tau!r}")
+        read = _Fields(op, "operator")
+        kind = read("kind", "string")
+        read.what = f"{kind} operator"
+        tau = read("tau", "number", None) if kind.lower() == "power" else None
+        read.done()
         spec = EnsembleSpec.from_name(kind, weights, tau=tau)
     else:
         raise ValueError(f"operator must be a name or an object, got {op!r}")
-    if spec.k != len(models):
-        raise ValueError(
-            f"{len(models)} experts but {spec.k} weights"
-        )
-    return panel, spec
+    if spec.k != len(config.experts):
+        raise ValueError(f"{len(config.experts)} experts but {spec.k} weights")
+    alphabet = Alphabet(tuple(config.alphabet)) if config.alphabet else None
+    models = [build_expert(e, alphabet, config.base_dir) for e in config.experts]
+    return ExpertPanel(models), spec
 
 
 def build_predicate(spec: dict | None) -> Callable[[str], bool] | None:
     if spec is None:
         return None
-    _check_keys(spec, {"kind", "strings", "pattern"}, "predicate")
-    kind = spec.get("kind")
+    read = _Fields(spec, "predicate")
+    kind = read("kind", "string")
+    read.what = f"{kind} predicate"
     if kind == "in_set":
-        _check_keys(spec, {"kind", "strings"}, "in_set predicate")
-        strings = spec.get("strings")
-        if not isinstance(strings, (list, tuple)) or not all(isinstance(x, str) for x in strings):
-            raise ValueError(f"'strings' must be a list of strings, got {strings!r}")
-        allowed = frozenset(strings)
+        allowed = frozenset(read("strings", "list of strings"))
+        read.done()
         return lambda x: x in allowed
     if kind == "regex":
-        _check_keys(spec, {"kind", "pattern"}, "regex predicate")
+        source = read("pattern", "string")
+        read.done()
         try:
-            pattern = re.compile(spec.get("pattern"))
-        except (TypeError, re.error) as exc:
+            pattern = re.compile(source)
+        except re.error as exc:
             raise ValueError(f"'pattern' must be a regular expression: {exc}") from None
         return lambda x: pattern.fullmatch(x) is not None
     raise ValueError(f"unknown predicate kind {kind!r}")

@@ -425,6 +425,11 @@ def make_proposal(config: SamplerConfig, shaping):
     :class:`PrefixPotentialShaping` and has ``k`` bounds-checked."""
     if config.proposal == "optimal":
         return OptimalProposal(shaping)
+    if not isinstance(shaping, PrefixPotentialShaping):
+        raise ValueError(
+            f"proposal {config.proposal!r} needs a PrefixPotentialShaping, "
+            f"got {type(shaping).__name__}"
+        )
     k = int(config.proposal.partition(":")[2])
     if k >= len(shaping.panel):
         raise ValueError(f"proposal {config.proposal!r}: panel has {len(shaping.panel)} experts")

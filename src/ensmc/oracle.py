@@ -284,22 +284,17 @@ def load_table(path) -> ExactTable:
 # -- exact divergences --------------------------------------------------
 
 
-def _check_common_support(q: dict, p: dict) -> list:
+def _check_common_support(q: dict, p: dict) -> tuple[list, list]:
+    """The values of ``q`` and ``p`` over their common support, aligned."""
     if set(q) != set(p):
         raise ValueError("distributions must be given on a common support")
-    return sorted(q)
+    keys = sorted(q)
+    return [q[x] for x in keys], [p[x] for x in keys]
 
 
 def kl_divergence(q: dict[str, float], p: dict[str, float]) -> float:
     """KL(q || p) over an explicit common support; 0 log 0 = 0."""
-    total = 0.0
-    for x in _check_common_support(q, p):
-        if q[x] == 0.0:
-            continue
-        if p[x] == 0.0:
-            return math.inf
-        total += q[x] * math.log(q[x] / p[x])
-    return total
+    return _alpha_divergence_arrays(*_check_common_support(q, p), 1.0)
 
 
 def total_variation(q: dict[str, float], p: dict[str, float]) -> float:
@@ -326,21 +321,15 @@ def alpha_divergence(q: dict[str, float], p: dict[str, float], alpha: float) -> 
     removable singularities alpha = 1 and alpha = 0 are the KL limits
     KL(q||p) and KL(p||q) respectively.
     """
-    if alpha == 1.0:
-        return kl_divergence(q, p)
-    if alpha == 0.0:
-        return kl_divergence(p, q)
-    keys = _check_common_support(q, p)
-    s = math.fsum(_power_term(q[x], p[x], alpha) for x in keys)
-    if math.isinf(s):
-        return math.inf
-    return (1.0 - s) / (alpha * (1.0 - alpha))
+    return _alpha_divergence_arrays(*_check_common_support(q, p), alpha)
 
 
 # -- divergence minimization over the simplex ---------------------------
 
 
-def _alpha_divergence_arrays(q: np.ndarray, p: np.ndarray, alpha: float) -> float:
+def _alpha_divergence_arrays(
+    q: Sequence[float], p: Sequence[float], alpha: float
+) -> float:
     if alpha == 1.0 or alpha == 0.0:
         a, b = (q, p) if alpha == 1.0 else (p, q)
         total = 0.0

@@ -55,8 +55,8 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
     appended after the sampler records. ``out`` may be a path or a
     writable text file; records are written as JSON Lines.
     """
-    panel, spec = build_panel(config)
     predicate = build_predicate(config.predicate)
+    panel, spec = build_panel(config)
     # One shaping per experiment: its row memo is shared by all runs.
     shaping = make_shaping(spec, panel, config.sampler)
     records: list[dict] = []

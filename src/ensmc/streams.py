@@ -106,12 +106,6 @@ def _double(state: int) -> float:
     return ((((x >> rot) | (x << (64 - rot))) & _MASK64) >> 11) * _TO_DOUBLE
 
 
-def _first_double(words) -> float:
-    """The first ``Generator.random()`` double of a pool's stream."""
-    state, inc = _pcg_state(words)
-    return _double((state * _PCG_MULT + inc) & _MASK128)
-
-
 class Stream:
     """A stream's successive ``Generator.random()`` doubles, with PCG64's
     ``(state, inc)`` held and stepped as Python ints."""
@@ -225,7 +219,7 @@ def _uniforms_vector(base: Pool, ms: np.ndarray) -> np.ndarray:
     lo = inc_lo + seed_words[1]
     hi = inc_hi + seed_words[0] + (lo < inc_lo)
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    # _first_double: one more step, then the XSL-RR output
+    # Stream.random: one more step, then the XSL-RR output
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
     rot = hi >> np.uint64(58)
     x = hi ^ lo
@@ -246,7 +240,7 @@ def uniforms(base: Pool, ms: np.ndarray) -> np.ndarray:
     out = np.empty(len(ms))
     for j, m in enumerate(ms.tolist()):
         if 0 <= m <= _MASK32:
-            out[j] = _first_double(_absorb(base.words, base.hash_const, m)[0])
+            out[j] = Stream(_absorb(base.words, base.hash_const, m)[0]).random()
         else:
-            out[j] = _first_double(base.extend(m).words)
+            out[j] = Stream(base.extend(m).words).random()
     return out

@@ -116,6 +116,12 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             make_proposal(config, shaping)
 
+    def test_expert_proposal_needs_prefix_shaping(self, geo_panel, geo_spec):
+        shaping = OracleShaping(enumerate_ensemble(geo_spec, geo_panel, 3))
+        config = SamplerConfig(proposal="expert:0", max_len=4)
+        with pytest.raises(ValueError, match="'expert:0' needs a PrefixPotentialShaping"):
+            sis(geo_spec, geo_panel, config, shaping=shaping)
+
 
 class TestPrefixShaping:
     def test_values_are_prefix_potentials(self, geo_panel, geo_spec):

@@ -60,6 +60,15 @@ TOKENIZED = {"type": "tokenized", "tokenizer": str(GOLDEN / "tokens.tsv"),
              "model": {"type": "table", "entries": {"A": 0.5, "AB": 0.5}}}
 
 
+def alone(expert):
+    """Overrides for a panel of ``expert`` alone over {a}."""
+    return {"alphabet": "a", "experts": [expert]}
+
+
+PFSA = {"type": "pfsa", "start": "s", "transitions": {"s": {"a": ["s", 0.5]}},
+        "stops": {"s": 0.5}}
+
+
 def write_config(tmp_path, overrides=None, name="config.json"):
     raw = dict(BASE_CONFIG)
     if overrides:
@@ -141,6 +150,15 @@ class TestConfigLoading:
         (beside_table({**REMOTE, "backoff": "0.05"}), "backoff"),
         (beside_table({**REMOTE, "defect_tol": True}), "defect_tol"),
         (beside_table({**TOKENIZED, "log_floor": "-5"}), "log_floor"),
+        (alone({**NGRAM, "corpus": 5}), "corpus"),
+        (alone({"type": "ngram_file", "path": 7}), "path"),
+        (alone({**REMOTE, "url": 5}), "url"),
+        (alone({**TOKENIZED, "tokenizer": 3}), "tokenizer"),
+        (alone({**PFSA, "transitions": ["s"]}), "transitions"),
+        (alone({**PFSA, "transitions": {"s": {"a": "s"}}}), "transitions"),
+        (alone({**PFSA, "transitions": {"s": {"a": ["s", "0.5"]}}}), "transitions"),
+        (alone({**PFSA, "transitions": {"s": {}}, "stops": {"s": True}}), "stops"),
+        (alone({**PFSA, "stops": {"s": "0.5"}}), "stops"),
     ])
     def test_unknown_nested_keys_named(self, tmp_path, capsys, overrides, key):
         """An unknown key anywhere, or a known key holding a value of the
