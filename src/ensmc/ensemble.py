@@ -182,7 +182,7 @@ class EnsembleSpec:
             return m.min(axis=0)
         if self.kind == "maximum":
             return m.max(axis=0)
-        any_zero = np.isneginf(m).any(axis=0)
+        any_zero = (m == LOG_ZERO).any(axis=0)
         if self.kind == "geometric":
             out = np.where(any_zero[None, :], 0.0, m).T @ w
             out[any_zero] = LOG_ZERO
@@ -195,7 +195,7 @@ class EnsembleSpec:
             out[any_zero] = LOG_ZERO
             return out
         out = weighted_logsumexp_columns(tau * m, w) / tau
-        out[np.isneginf(m).all(axis=0)] = LOG_ZERO
+        out[(m == LOG_ZERO).all(axis=0)] = LOG_ZERO
         return out
 
 

@@ -54,6 +54,7 @@ class Alphabet:
             raise ValueError("duplicate symbols in alphabet")
         self.symbols = symbols
         self.index = {s: i for i, s in enumerate(symbols)}
+        self.symbols_set = frozenset(symbols)
         self.size = len(symbols)
         self.eos_index = self.size
 
@@ -71,9 +72,12 @@ class Alphabet:
 
     def check_string(self, x: str) -> None:
         """Raise ValueError if ``x`` contains a symbol outside the alphabet."""
-        for ch in x:
-            if ch not in self.index:
-                raise ValueError(f"symbol {ch!r} not in alphabet {self!r}")
+        # The set test loops in C; only a failing string is searched for
+        # its first foreign symbol.
+        if not self.symbols_set.issuperset(x):
+            for ch in x:
+                if ch not in self.index:
+                    raise ValueError(f"symbol {ch!r} not in alphabet {self!r}")
 
     def row_from_dict(self, probs: dict) -> np.ndarray:
         """Dense log-domain row from ``{symbol: p, ..., EOS_KEY: p}``.

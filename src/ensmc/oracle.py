@@ -158,7 +158,7 @@ def enumerate_ensemble(
             entries[x] = float(cols[eos])
         for j, sym in enumerate(alphabet.symbols):
             child = logmat[:, j]
-            if np.isneginf(child[active]).all():
+            if (child[active] == LOG_ZERO).all():
                 continue
             if consensus and cols[j] == LOG_ZERO:
                 continue

@@ -15,7 +15,7 @@ table); prompt-pair experiments simply use two differently-fit experts.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -208,26 +208,53 @@ def fit_ngram(
     smoothing: float,
     alphabet: Alphabet | None = None,
 ) -> NGramModel:
-    """Count-and-normalize an :class:`NGramModel` from training strings."""
+    """Count-and-normalize an :class:`NGramModel` from training strings.
+
+    One counting pass: each event is the int ``key * width + event``
+    with ``width = |alphabet| + 1``. The key is a rolling base-``width``
+    code of the last ``order - 1`` symbols in which digit 0 means "no
+    symbol", so the shorter keys near a string's start stay distinct.
+    Counting ints in one ``Counter`` does no numpy work per symbol, and
+    its memory grows with the distinct events, not the corpus length.
+    """
     if alphabet is None:
         chars = sorted({ch for x in corpus for ch in x})
         if not chars:
             raise ValueError("cannot derive an alphabet from an empty corpus")
         alphabet = Alphabet(chars)
-    counts: dict[str, np.ndarray] = {}
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    width = alphabet.size + 1
+    modulus = width ** (order - 1)
+    index = alphabet.index
+    eos = alphabet.eos_index
 
-    def bump(ctx: str, idx: int) -> None:
-        vec = counts.setdefault(ctx, np.zeros(alphabet.size + 1))
-        vec[idx] += 1
+    def events():
+        for x in corpus:
+            alphabet.check_string(x)
+            key = 0
+            for ch in x:
+                i = index[ch]
+                yield key * width + i
+                key = (key * width + i + 1) % modulus
+            yield key * width + eos
 
-    key_len = order - 1
-    for x in corpus:
-        alphabet.check_string(x)
-        for t, ch in enumerate(x):
-            ctx = x[:t][-key_len:] if key_len else ""
-            bump(ctx, alphabet.index[ch])
-        ctx = x[-key_len:] if key_len else ""
-        bump(ctx, alphabet.eos_index)
+    # Counter keeps first-seen order, so keys get rows in the order they
+    # first occur in the corpus.
+    by_key: dict[int, np.ndarray] = {}
+    for code, n in Counter(events()).items():
+        key, event = divmod(code, width)
+        vec = by_key.get(key)
+        if vec is None:
+            vec = by_key[key] = np.zeros(width)
+        vec[event] = n
+    counts = {}
+    for key, vec in by_key.items():
+        ctx = []
+        while key:
+            key, digit = divmod(key, width)
+            ctx.append(alphabet.symbols[digit - 1])
+        counts["".join(reversed(ctx))] = vec
     return NGramModel(alphabet, order, smoothing, counts)
 
 

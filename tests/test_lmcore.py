@@ -44,8 +44,14 @@ class TestAlphabet:
             Alphabet("ab").row_from_dict({"c": 1.0})
 
     def test_check_string(self):
-        with pytest.raises(ValueError):
+        """Strings over the alphabet pass; otherwise the first foreign
+        symbol is named."""
+        Alphabet("ab").check_string("")
+        Alphabet("ab").check_string("abba")
+        with pytest.raises(ValueError, match="symbol 'c' not in alphabet"):
             Alphabet("ab").check_string("abc")
+        with pytest.raises(ValueError, match="symbol 'd' not in alphabet"):
+            Alphabet("ab").check_string("adc")
 
 
 class TestValidateLogRow:
