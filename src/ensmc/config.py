@@ -30,7 +30,7 @@ Relative paths are resolved against the config file's directory. Every
 JSON object is read through ``_Fields``, which names each key once, with
 its JSON kind: a value of the wrong kind (a string or bool where a
 number belongs) or a key nothing reads is a ValueError naming the key,
-raised before the object's files are read or connections opened.
+raised before any expert's files are read or connections opened.
 ``sampler`` values are checked by ``SamplerConfig`` itself. ``weights``
 defaults to uniform. ``alphabet`` may be omitted when every expert
 determines its own (tables, files). The ``regex`` predicate uses
@@ -188,29 +188,36 @@ def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     return config
 
 
-def build_expert(
-    spec: dict, alphabet: Alphabet | None, base_dir: Path
-) -> SequenceModel:
+def build_expert(spec: dict, alphabet: Alphabet | None, base_dir: str | Path) -> SequenceModel:
+    """Check every key of one expert object, then build the expert."""
+    return _read_expert(spec, alphabet is not None)(alphabet, Path(base_dir))
+
+
+def _read_expert(spec: dict, has_alphabet: bool) -> Callable[..., SequenceModel]:
+    """Check an expert object's keys, a tokenized expert's nested ``model``
+    included, and return the function of ``(alphabet, base_dir)`` that
+    builds the expert: only that function reads files or opens connections."""
     read = _Fields(spec, "expert")
     kind = read("type", "string")
     read.what = f"{kind} expert"
     if kind == "table":
         entries = read("entries", "object of numbers")
         read.done()
-        return TableModel(entries, alphabet=alphabet)
+        return lambda alphabet, base_dir: TableModel(entries, alphabet=alphabet)
     if kind == "ngram":
         corpus = read("corpus", "string")
         order = read("order", "integer", 2)
         smoothing = read("smoothing", "number", 0.1)
         read.done()
-        if alphabet is None:
+        if not has_alphabet:
             raise ValueError("n-gram experts fit from a corpus need 'alphabet'")
-        corpus = load_corpus(base_dir / corpus)
-        return fit_ngram(corpus, order=order, smoothing=smoothing, alphabet=alphabet)
+        return lambda alphabet, base_dir: fit_ngram(
+            load_corpus(base_dir / corpus), order=order, smoothing=smoothing, alphabet=alphabet
+        )
     if kind == "ngram_file":
         path = read("path", "string")
         read.done()
-        return NGramModel.load(base_dir / path)
+        return lambda alphabet, base_dir: NGramModel.load(base_dir / path)
     if kind == "pfsa":
         start = read("start", "string")
         transitions = read("transitions", "object")
@@ -219,17 +226,20 @@ def build_expert(
             read_arcs(state, "object of [state, number] pairs")
         stops = read("stops", "object of numbers", {})
         read.done()
-        if alphabet is None:
+        if not has_alphabet:
             raise ValueError("pfsa experts need 'alphabet'")
-        return PFSAModel(alphabet, start, transitions, stops)
+        return lambda alphabet, base_dir: PFSAModel(alphabet, start, transitions, stops)
     if kind == "tokenized":
         path = read("tokenizer", "string")
-        model = read("model", "object")
+        build_inner = _read_expert(read("model", "object"), True)
         log_floor = read("log_floor", "number", None)
         read.done()
-        tokenizer = Tokenizer.load(base_dir / path)
-        inner = build_expert(model, tokenizer.token_alphabet, base_dir)
-        return as_byte_model(inner, tokenizer, log_floor=log_floor)
+
+        def build(alphabet, base_dir):
+            tokenizer = Tokenizer.load(base_dir / path)
+            inner = build_inner(tokenizer.token_alphabet, base_dir)
+            return as_byte_model(inner, tokenizer, log_floor=log_floor)
+        return build
     if kind == "remote":
         url = read("url", "string")
         timeout = read("timeout", "number", 5.0)
@@ -237,7 +247,7 @@ def build_expert(
         backoff = read("backoff", "number", 0.05)
         defect_tol = read("defect_tol", "number", DEFAULT_DEFECT_TOL)
         read.done()
-        return RemoteModel(
+        return lambda alphabet, base_dir: RemoteModel(
             url, alphabet=alphabet, timeout=timeout, retries=retries,
             backoff=backoff, defect_tol=defect_tol,
         )
@@ -262,7 +272,8 @@ def build_panel(config: ExperimentConfig) -> tuple[ExpertPanel, EnsembleSpec]:
     if spec.k != len(config.experts):
         raise ValueError(f"{len(config.experts)} experts but {spec.k} weights")
     alphabet = Alphabet(tuple(config.alphabet)) if config.alphabet else None
-    models = [build_expert(e, alphabet, config.base_dir) for e in config.experts]
+    builders = [_read_expert(e, alphabet is not None) for e in config.experts]
+    models = [build(alphabet, config.base_dir) for build in builders]
     return ExpertPanel(models), spec
 
 

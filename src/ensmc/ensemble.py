@@ -113,7 +113,7 @@ class EnsembleSpec:
                 raise ValueError(f"{self.kind} operator takes no tau")
         else:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        # Fixed per spec, and combine_columns runs once per prefix node.
+        # Fixed per spec, and combine_columns runs once per batch of prefix nodes.
         weights = np.asarray(self.weights)
         object.__setattr__(self, "_active", weights > 0.0)
         object.__setattr__(self, "_active_weights", weights[weights > 0.0])
@@ -184,7 +184,9 @@ class EnsembleSpec:
             return m.max(axis=0)
         any_zero = (m == LOG_ZERO).any(axis=0)
         if self.kind == "geometric":
-            out = np.where(any_zero[None, :], 0.0, m).T @ w
+            # Summed in expert order, so each column's bits depend on it alone.
+            z = np.where(any_zero[None, :], 0.0, m) * w[:, None]
+            out = sum(z[1:], z[0])
             out[any_zero] = LOG_ZERO
             return out
         # power: shifted weighted log-sum-exp on tau * log-values.

@@ -240,26 +240,23 @@ class PrefixPotentialShaping:
         """Build the nodes of ``xs``, each the root or a built node's child,
         with one ``log_next_many`` per expert live at any of them."""
         k = len(self.panel)
-        index = self.panel.alphabet.index
-        masses = []
-        for x in xs:
+        masses = np.zeros((len(xs), k))
+        for i, x in enumerate(xs):
             if x:
                 parent = self._nodes[x[:-1]]
-                masses.append(parent[:-1, -1] + parent[:-1, index[x[-1]]])
-            else:
-                masses.append(np.zeros(k))
-        live = [(m != LOG_ZERO).tolist() for m in masses]
-        nodes = [np.full((k + 1, self.panel.alphabet.size + 2), LOG_ZERO) for _ in xs]
+                masses[i] = parent[:-1, -1] + parent[:-1, self.alphabet.index[x[-1]]]
+        nodes = np.full((len(xs), k + 1, self.alphabet.size + 2), LOG_ZERO)
+        nodes[:, :k, -1] = masses
         for j, model in enumerate(self.panel):
-            at = [i for i, alive in enumerate(live) if alive[j]]
-            if at:
-                for i, row in zip(at, model.log_next_many([xs[i] for i in at])):
-                    nodes[i][j, :-1] = row
-        for x, m, alive, node in zip(xs, masses, live, nodes):
-            node[:k, -1] = m
-            if any(alive):
-                node[k, :-1] = self.spec.combine_columns(m[:, None] + node[:k, :-1])
-            node[k, -1] = self.spec.combine(m)
+            at = np.flatnonzero(masses[:, j] != LOG_ZERO)
+            if len(at):
+                nodes[at, j, :-1] = model.log_next_many([xs[i] for i in at])
+        # One combine per batch: each node's prefix-plus-row and mass columns.
+        columns = nodes[:, :k].transpose(1, 0, 2).copy()
+        columns[:, :, :-1] += masses.T[:, :, None]
+        nodes[:, k] = self.spec.combine_columns(columns.reshape(k, -1)).reshape(len(xs), -1)
+        for x, node in zip(xs, nodes):
+            node = node.copy()  # a view of the batch would hold more heap per node
             node.flags.writeable = False
             self._nodes[x] = node
 
@@ -275,16 +272,6 @@ class PrefixPotentialShaping:
     def log_target(self, x: str) -> float:
         """Unnormalized log target of the complete string ``x`` (never shifted)."""
         return float(self._node(x)[-1, self.panel.alphabet.eos_index])
-
-    def log_string_target(self, x: str) -> float:
-        """The target of ``x`` as the operator on the experts' string masses.
-
-        Bit-identical to :func:`~ensmc.ensemble.log_string_potential`; it
-        may differ from :meth:`log_target` in the last bits, because the
-        operator's reductions round differently on a single column.
-        """
-        node = self._node(x)
-        return self.spec.combine(node[:-1, -1] + node[:-1, self.panel.alphabet.eos_index])
 
     def log_row(self, x: str) -> np.ndarray:
         node = self._node(x)

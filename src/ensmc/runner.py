@@ -93,7 +93,7 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
                 else:
                     if method == "is":
                         est = importance_sample(
-                            shaping.log_string_target, make_proposal(cfg, shaping),
+                            shaping.log_target, make_proposal(cfg, shaping),
                             cfg.particles, cfg.max_len, seed, prefetch=shaping.prefetch,
                         )
                     else:

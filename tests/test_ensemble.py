@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ensmc import (
@@ -129,21 +131,34 @@ class TestCombine:
             hi = EnsembleSpec.power(float(taus[1]), w).combine(_logs(v))
             assert lo <= hi + 1e-10
 
-    def test_matrix_and_vector_paths_agree(self):
-        rng = np.random.default_rng(24)
-        mat = rng.random((3, 8))
-        mat[rng.random((3, 8)) < 0.3] = 0.0
-        logmat = _logs(mat)
-        for spec in (
-            EnsembleSpec.geometric(3),
-            EnsembleSpec.minimum(3),
-            EnsembleSpec.maximum(3),
-            EnsembleSpec.power(-1.5, 3),
-            EnsembleSpec.power(0.7, 3),
-        ):
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda k: st.tuples(
+            st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=k, max_size=k).filter(any),
+            st.lists(
+                st.lists(st.one_of(st.floats(-40.0, 0.0), st.just(LOG_ZERO)),
+                         min_size=k, max_size=k),
+                min_size=1, max_size=9,
+            ),
+        )),
+        st.booleans(),
+    )
+    def test_matrix_and_vector_paths_agree(self, case, fortran):
+        """Column locality: each column of ``combine_columns`` has the
+        bytes ``combine`` gives that column alone, for every operator,
+        whatever the batch width, zero weights or memory order."""
+        weights, columns = case
+        logmat = np.array(columns).T  # (K, n), F-ordered
+        if not fortran:
+            logmat = np.ascontiguousarray(logmat)
+        specs = [EnsembleSpec.geometric(weights), EnsembleSpec.minimum(weights),
+                 EnsembleSpec.maximum(weights)]
+        specs += [EnsembleSpec.power(tau, weights) for tau in (-3.0, -1.0, 0.5, 1.0, 2.0)]
+        for spec in specs:
             cols = spec.combine_columns(logmat)
-            for j in range(8):
-                assert_allclose(cols[j], spec.combine(logmat[:, j]), rtol=1e-12, atol=1e-12)
+            for j in range(logmat.shape[1]):
+                want = np.float64(spec.combine(logmat[:, j]))
+                assert cols[j].tobytes() == want.tobytes(), (spec, j)
 
     def test_rejects_nan_and_positive_inf(self):
         spec = EnsembleSpec.geometric(2)

@@ -11,16 +11,26 @@ table panel with an expert proposal under ``is``, ``sis`` and ``local``.
 A change that alters any sampled string, weight, estimate or counter fails
 here.
 
+The bytes do not depend on the BLAS build: every operator reduces each
+column in a fixed order, with no BLAS call. Where numpy uses OpenBLAS on
+x86_64, a kernel gate re-runs the byte comparison in child processes
+forced onto other CPU kernels (``OPENBLAS_CORETYPE``).
+
 After a deliberate change to what runs compute, regenerate with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ensmc
 from ensmc import load_config, run_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -49,6 +59,27 @@ def test_records_byte_identical(name):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"{name}.jsonl line {i + 1} differs"
+
+
+def _openblas_on_x86_64() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return platform.machine() == "x86_64" and "openblas" in blas.get("name", "").lower()
+
+
+@pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs numpy on OpenBLAS, x86_64")
+def test_records_byte_identical_under_other_blas_kernels():
+    """The golden bytes hold whichever kernel OpenBLAS dispatches; the
+    kernel is forced in the child's environment only."""
+    src = str(Path(ensmc.__file__).resolve().parents[1])
+    for core in ("Haswell", "Prescott"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::test_records_byte_identical"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, f"{core}:\n{child.stdout[-3000:]}"
 
 
 if __name__ == "__main__":

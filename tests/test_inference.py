@@ -33,7 +33,7 @@ from ensmc import (
     sis,
     smc,
 )
-from ensmc.ensemble import log_string_potential
+from ensmc.ensemble import log_potential_columns, log_string_potential
 from ensmc.inference import _STREAM_IID, _STREAM_RESAMPLE, _ancestors, make_proposal
 from ensmc.lmcore import draw_index, prefix_log_prob, sample_with_log_prob, string_log_prob
 from ensmc.logtools import log_normalize, logsumexp
@@ -252,9 +252,41 @@ class TestPrefixNodeCache:
                 assert np.array_equal(shaping.log_row(y), incremental.log_row(y))
                 assert shaping.log_value(y) == incremental.log_value(y)
                 assert shaping.log_target(y) == incremental.log_target(y)
-                assert shaping.log_string_target(y) == log_string_potential(
+                assert shaping.log_target(y) == log_string_potential(
                     spec, shaping.panel, y
                 )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_nodes_equal_the_reference_potentials_bitwise(self, data):
+        """On random 2-4 table panels under the six named operators, each
+        node built in a round's batch holds, bit for bit, the reference
+        potentials: row K is ``log_potential_columns`` and the target is
+        ``log_string_potential``."""
+        alphabet = Alphabet("ab")
+        experts = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            strings = data.draw(st.lists(st.text("ab", max_size=3), min_size=4, max_size=15,
+                                         unique=True))
+            masses = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(strings),
+                                        max_size=len(strings)))
+            total = math.fsum(masses)
+            experts.append(TableModel({x: m / total for x, m in zip(strings, masses)}, alphabet))
+        panel = ExpertPanel(experts)
+        weights = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                                     min_size=len(panel), max_size=len(panel)).filter(any))
+        for name in ("minimum", "maximum", "geometric", "harmonic", "sum", "quadratic"):
+            spec = EnsembleSpec.from_name(name, weights)
+            shaping = PrefixPotentialShaping(spec, panel)
+            level = [""]
+            for _ in range(4):
+                shaping.prefetch(level)
+                for x in level:
+                    want = np.float64(log_string_potential(spec, panel, x))
+                    assert np.float64(shaping.log_target(x)).tobytes() == want.tobytes(), x
+                    row = shaping._node(x)[-1, :-1]
+                    assert row.tobytes() == log_potential_columns(spec, panel, x).tobytes(), x
+                level = [x + a for x in level for a in "ab"]
 
     def test_dead_experts_are_not_queried(self):
         alphabet = Alphabet("ab")
@@ -295,7 +327,7 @@ class TestPrefixNodeCache:
         config = SamplerConfig(particles=24, max_len=40, seed=3, proposal=proposal)
         if method == "is":
             est = importance_sample(
-                shaping.log_string_target, make_proposal(config, shaping),
+                shaping.log_target, make_proposal(config, shaping),
                 config.particles, config.max_len, config.seed, prefetch=shaping.prefetch,
             )
         elif method == "local":
@@ -335,7 +367,7 @@ class TestPrefixNodeCache:
         spec = EnsembleSpec.power(-1.0, [0.4, 0.6])
         x = "ab" * 1500
         shaping = PrefixPotentialShaping(spec, panel)
-        got = shaping.log_string_target(x)
+        got = shaping.log_target(x)
         for model in panel:
             assert model.contexts == [x[:t] for t in range(len(x) + 1)]
         assert got == log_string_potential(spec, panel, x)
@@ -758,7 +790,7 @@ class TestLockstepDraws:
             model = make_proposal(config, shaping)
             _assert_matches_reference(
                 lambda: importance_sample(
-                    shaping.log_string_target, model, particles, max_len, seed=seed
+                    shaping.log_target, model, particles, max_len, seed=seed
                 ),
                 model, particles, max_len, seed,
             )

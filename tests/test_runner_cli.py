@@ -159,11 +159,17 @@ class TestConfigLoading:
         (alone({**PFSA, "transitions": {"s": {"a": ["s", "0.5"]}}}), "transitions"),
         (alone({**PFSA, "transitions": {"s": {}}, "stops": {"s": True}}), "stops"),
         (alone({**PFSA, "stops": {"s": "0.5"}}), "stops"),
+        (alone({**TOKENIZED, "tokenizer": "missing.tsv",
+                "model": {"type": "table", "entries": {"A": 1.0}, "entires": {}}}), "entires"),
+        ({"alphabet": "ab", "experts": [{"type": "ngram", "corpus": "missing.txt"},
+                                        {"type": "table", "entries": GEO_P1, "wieght": 2}]},
+         "wieght"),
     ])
     def test_unknown_nested_keys_named(self, tmp_path, capsys, overrides, key):
         """An unknown key anywhere, or a known key holding a value of the
         wrong JSON type, is a ValueError naming the key, so the CLI
-        reports it and exits 2 before any run."""
+        reports it and exits 2 before any run, and before any expert's
+        files are read."""
         assert main(["sample", str(write_config(tmp_path, overrides))]) == 2
         captured = capsys.readouterr()
         assert repr(key) in captured.err and captured.out == ""
