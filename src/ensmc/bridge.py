@@ -193,7 +193,10 @@ class TokenToByteModel(SequenceModel):
     Frontiers are cached per byte context and extended incrementally, so
     sampling walks and prefix queries reuse earlier work; each frontier
     keeps its prefix and complete-string masses once summed, and
-    token-model rows are memoized (read-only) per token context. With
+    token-model rows are memoized (read-only) per token context.
+    :meth:`log_next_many` asks a token model that batches (a served one)
+    for the rows a batch of byte contexts needs in at most two
+    ``log_next_many`` calls. With
     ``log_floor`` set, frontier entries whose weight falls below
     ``log_floor`` plus the frontier's best weight are dropped;
     ``log_dropped_bound`` then tracks a running upper bound (log domain)
@@ -321,6 +324,19 @@ class TokenToByteModel(SequenceModel):
         frontier.prefix = prefix
         return prefix, stop
 
+    def _fetch_token_rows(self, frontiers) -> None:
+        """Ask the token model, in one ``log_next_many`` call, for the rows
+        that the entries of ``frontiers`` still need. :meth:`_token_row`
+        then reads them, and the token model answers those reads from the
+        rows this call fetched."""
+        rows = self._token_rows
+        missing = {
+            context for f in frontiers if f.prefix is None
+            for context, _, _ in f.entries if context not in rows
+        }
+        if missing:
+            self.token_model.log_next_many(sorted(missing))
+
     # -- model interface ------------------------------------------------
 
     def log_next(self, context: str) -> np.ndarray:
@@ -335,6 +351,20 @@ class TokenToByteModel(SequenceModel):
             row[j] = child - base
         row[self.alphabet.eos_index] = stop - base
         return row
+
+    def log_next_many(self, contexts) -> np.ndarray:
+        """The rows of ``contexts``. A token model that fetches rows
+        together (one that overrides ``log_next_many``, as a served model
+        does) is asked at most twice: for the token rows of the contexts'
+        frontiers, then for the new token contexts of their one-byte
+        extensions' frontiers. Any other one is asked row by row, as
+        :meth:`log_next` asks it, which computes each row once."""
+        if type(self.token_model).log_next_many is not SequenceModel.log_next_many:
+            self._fetch_token_rows(self._frontier(x) for x in contexts)
+            self._fetch_token_rows(
+                self._frontier(x + b) for x in contexts for b in self.alphabet.symbols
+            )
+        return super().log_next_many(contexts)
 
     def prefix_log_prob(self, x: str) -> float:
         """Log byte-prefix mass (direct frontier evaluation)."""

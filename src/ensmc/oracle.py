@@ -1,6 +1,6 @@
 """Exact reference computations for desk-scale fixtures.
 
-Everything here is brute force on purpose: exhaustive depth-first
+Everything here is brute force on purpose: exhaustive level-order
 enumeration of the ensemble target over all strings up to a length
 horizon, exact accuracy and divergence evaluation on the resulting
 table, and a derivative-free direct search for divergence minimization
@@ -30,6 +30,9 @@ TABLE_VERSION = 1
 DEFAULT_ALPHABET_CAP = 6
 DEFAULT_LEN_CAP = 10
 DEFAULT_NODE_CAP = 500_000
+#: Most nodes enumerate_ensemble takes in one batch: whole levels of a
+#: large enumeration would hold about twice the heap of the sliced walk.
+LEVEL_SLICE = 1024
 #: minimize_divergence_simplex: first transfer size, the size at which
 #: halving stops, and the sweep budget.
 SIMPLEX_STEP0 = 0.25
@@ -108,7 +111,15 @@ def enumerate_ensemble(
     max_len: int,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> ExactTable:
-    """Exhaustive DFS over all strings up to ``max_len``.
+    """Exhaustive level-order enumeration of all strings up to ``max_len``.
+
+    Each level lists its prefixes in lexicographic order: children in
+    parent order, then symbol order. A level is taken in slices of at
+    most ``LEVEL_SLICE`` nodes, each with one ``log_next_many`` per expert
+    live at any of its nodes and one ``combine_columns`` over all of their
+    columns. The operator is column-local, so every value has the bits a
+    node-at-a-time walk gives, and the residual terms come in the same
+    order.
 
     Pruning is only applied where sound: a subtree is dropped when every
     surviving expert has zero prefix mass, or when a consensus operator
@@ -123,7 +134,8 @@ def enumerate_ensemble(
     prefix masses is used instead.
 
     Exceeding any budget raises EnumerationBudgetError before partial
-    results are returned.
+    results are returned; the node budget is checked before a level is
+    fetched.
     """
     alphabet = panel.alphabet
     if alphabet.size > DEFAULT_ALPHABET_CAP:
@@ -135,42 +147,7 @@ def enumerate_ensemble(
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
 
-    eos = alphabet.eos_index
-    k = len(panel)
-    active = np.asarray(spec.weights) > 0.0
-    consensus = is_consensus(spec)
-
-    entries: dict[str, float] = {}
-    residual_terms: list[float] = []
-    nodes = 0
-
-    def visit(x: str, prefixes: np.ndarray) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise EnumerationBudgetError(f"enumeration exceeded {max_nodes} nodes")
-        logmat = np.full((k, eos + 1), LOG_ZERO)
-        for i, model in enumerate(panel):
-            if prefixes[i] != LOG_ZERO:
-                logmat[i] = prefixes[i] + model.log_next(x)
-        cols = spec.combine_columns(logmat)
-        if cols[eos] != LOG_ZERO:
-            entries[x] = float(cols[eos])
-        for j, sym in enumerate(alphabet.symbols):
-            child = logmat[:, j]
-            if (child[active] == LOG_ZERO).all():
-                continue
-            if consensus and cols[j] == LOG_ZERO:
-                continue
-            if len(x) < max_len:
-                visit(x + sym, child)
-            elif spec.kind == "maximum" or (spec.kind == "power" and spec.tau > 1.0):
-                residual_terms.append(float(logsumexp(child[active])))
-            else:
-                residual_terms.append(float(cols[j]))
-
-    visit("", np.zeros(k))
-
+    entries, residual_terms, nodes = _walk_levels(spec, panel, max_len, max_nodes)
     strings = tuple(sorted(entries))
     log_values = np.array([entries[s] for s in strings])
     if not strings:
@@ -195,10 +172,69 @@ def enumerate_ensemble(
     )
 
 
+def _walk_levels(
+    spec: EnsembleSpec, panel: ExpertPanel, max_len: int, max_nodes: int
+) -> tuple[dict[str, float], list[float], int]:
+    """The level walk of :func:`enumerate_ensemble`: the strings' values,
+    the residual terms in level order, and the number of nodes. A function
+    of its own, so the last level's arrays are freed before the table is
+    built."""
+    symbols = panel.alphabet.symbols
+    eos = panel.alphabet.eos_index
+    k = len(panel)
+    active = np.asarray(spec.weights) > 0.0
+    consensus = is_consensus(spec)
+    summed_residual = spec.kind == "maximum" or (spec.kind == "power" and spec.tau > 1.0)
+
+    entries: dict[str, float] = {}
+    residual_terms: list[float] = []
+    nodes = 0
+    # One level: its prefixes and their (n, K) expert prefix masses.
+    level, masses = [""], np.zeros((1, k))
+    for depth in range(max_len + 1):
+        nodes += len(level)
+        if nodes > max_nodes:
+            raise EnumerationBudgetError(f"enumeration exceeded {max_nodes} nodes")
+        children: list[str] = []
+        child_masses = []
+        for lo in range(0, len(level), LEVEL_SLICE):
+            xs = level[lo : lo + LEVEL_SLICE]
+            prefixes = masses[lo : lo + LEVEL_SLICE]
+            logmat = np.full((k, len(xs), eos + 1), LOG_ZERO)
+            for i, model in enumerate(panel):
+                at = np.flatnonzero(prefixes[:, i] != LOG_ZERO)
+                if len(at):
+                    rows = model.log_next_many([xs[j] for j in at])
+                    logmat[i, at] = prefixes[at, i, None] + rows
+            cols = spec.combine_columns(logmat.reshape(k, -1)).reshape(len(xs), eos + 1)
+            for j in np.flatnonzero(cols[:, eos] != LOG_ZERO).tolist():
+                entries[xs[j]] = float(cols[j, eos])
+            live = (logmat[active, :, :eos] != LOG_ZERO).any(axis=0)
+            if consensus:
+                live &= cols[:, :eos] != LOG_ZERO
+            parent, sym = np.nonzero(live)
+            # Row n: the experts' prefix masses at the n-th live child.
+            child = np.ascontiguousarray(logmat[:, parent, sym].T)
+            if depth < max_len:
+                children += [xs[p] + symbols[a] for p, a in zip(parent.tolist(), sym.tolist())]
+                child_masses.append(child)
+            elif summed_residual:
+                residual_terms += [float(logsumexp(c[active])) for c in child]
+            else:
+                residual_terms += cols[parent, sym].tolist()
+        if not children:
+            break
+        level, masses = children, np.concatenate(child_masses)
+    return entries, residual_terms, nodes
+
+
 def model_log_probs(
     model: SequenceModel, max_len: int, max_nodes: int = DEFAULT_NODE_CAP
 ) -> dict[str, float]:
-    """Complete-string log probabilities of one model up to ``max_len``."""
+    """Complete-string log probabilities of one model up to ``max_len``.
+
+    A depth-first walk on purpose: the dict's order is the order in which
+    the metrics' accuracy sums add its values, so it stays fixed."""
     alphabet = model.alphabet
     eos = alphabet.eos_index
     out: dict[str, float] = {}

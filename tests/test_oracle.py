@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import GEO_PROBS, GEO_Z, MIN_PROBS, MIN_Z
@@ -12,16 +15,20 @@ from ensmc import (
     Alphabet,
     EnsembleSpec,
     EnumerationBudgetError,
+    ExactTable,
     ExpertPanel,
     PFSAModel,
     TableModel,
     dump_table,
     enumerate_ensemble,
+    fit_ngram,
     load_table,
     minimize_divergence_simplex,
     string_log_prob,
     total_variation,
 )
+from ensmc.ensemble import is_consensus
+from ensmc.logtools import logsumexp
 from ensmc.oracle import alpha_divergence, kl_divergence, model_log_probs
 
 
@@ -36,6 +43,151 @@ def brute_force_table(spec, panel, max_len):
             if phi != LOG_ZERO:
                 out[x] = phi
     return out
+
+
+def reference_enumerate(spec, panel, max_len, max_nodes=500_000):
+    """The node-at-a-time depth-first walk ``enumerate_ensemble`` must match
+    bit for bit: one ``log_next`` per node and live expert, one
+    ``combine_columns`` per node, children in symbol order."""
+    alphabet = panel.alphabet
+    eos = alphabet.eos_index
+    k = len(panel)
+    active = np.asarray(spec.weights) > 0.0
+    consensus = is_consensus(spec)
+    entries = {}
+    residual_terms = []
+    nodes = 0
+
+    def visit(x, prefixes):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise EnumerationBudgetError(f"enumeration exceeded {max_nodes} nodes")
+        logmat = np.full((k, eos + 1), LOG_ZERO)
+        for i, model in enumerate(panel):
+            if prefixes[i] != LOG_ZERO:
+                logmat[i] = prefixes[i] + model.log_next(x)
+        cols = spec.combine_columns(logmat)
+        if cols[eos] != LOG_ZERO:
+            entries[x] = float(cols[eos])
+        for j, sym in enumerate(alphabet.symbols):
+            child = logmat[:, j]
+            if (child[active] == LOG_ZERO).all():
+                continue
+            if consensus and cols[j] == LOG_ZERO:
+                continue
+            if len(x) < max_len:
+                visit(x + sym, child)
+            elif spec.kind == "maximum" or (spec.kind == "power" and spec.tau > 1.0):
+                residual_terms.append(float(logsumexp(child[active])))
+            else:
+                residual_terms.append(float(cols[j]))
+
+    visit("", np.zeros(k))
+    strings = tuple(sorted(entries))
+    log_values = np.array([entries[s] for s in strings])
+    if not strings:
+        raise EnumerationBudgetError(
+            "target has no support within the horizon; nothing to normalize"
+        )
+    return ExactTable(
+        alphabet=alphabet,
+        max_len=max_len,
+        strings=strings,
+        log_values=log_values,
+        log_z=float(logsumexp(log_values)),
+        log_residual_bound=(
+            float(logsumexp(np.array(residual_terms))) if residual_terms else LOG_ZERO
+        ),
+        operator=spec.kind,
+        weights=spec.weights,
+        nodes_visited=nodes,
+    )
+
+
+def _outcome(enumerate_fn, spec, panel, max_len, max_nodes):
+    """What an enumeration gives, as bytes and numbers: its table's fields,
+    or the budget error's message."""
+    try:
+        table = enumerate_fn(spec, panel, max_len, max_nodes)
+    except EnumerationBudgetError as err:
+        return "error", str(err)
+    return (
+        table.strings,
+        table.log_values.tobytes(),
+        np.float64(table.log_residual_bound).tobytes(),
+        np.float64(table.log_z).tobytes(),
+        table.nodes_visited,
+    )
+
+
+@st.composite
+def _enumeration_cases(draw):
+    """A random table or n-gram panel of 1-3 experts, an operator of every
+    kind (consensus or not, tau above and below 1), weights that may be
+    zero, a horizon and a node budget that may be small."""
+    symbols = draw(st.sampled_from(["a", "ab", "abc"]))
+    alphabet = Alphabet(symbols)
+    k = draw(st.integers(1, 3))
+    experts = []
+    for _ in range(k):
+        strings = st.text(alphabet=symbols, max_size=4)
+        if draw(st.booleans()):
+            support = draw(st.dictionaries(strings, st.floats(0.05, 1.0), min_size=1, max_size=8))
+            total = math.fsum(support.values())
+            experts.append(TableModel({x: p / total for x, p in support.items()}, alphabet=alphabet))
+        else:
+            corpus = draw(st.lists(strings, min_size=1, max_size=6))
+            order = draw(st.integers(1, 3))
+            smoothing = draw(st.sampled_from([0.0, 0.5]))
+            experts.append(fit_ngram(corpus, order, smoothing, alphabet))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0]), min_size=k, max_size=k)
+                   .filter(lambda w: sum(w) > 0))
+    kind = draw(st.sampled_from(["geometric", "minimum", "maximum", "power"]))
+    if kind == "power":
+        spec = EnsembleSpec.power(draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0, 3.0])), weights)
+    else:
+        spec = EnsembleSpec(kind, weights)
+    max_len = draw(st.integers(0, 4))
+    max_nodes = draw(st.one_of(st.integers(1, 40), st.just(500_000)))
+    return spec, ExpertPanel(experts), max_len, max_nodes
+
+
+class TestLevelOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_enumeration_cases())
+    def test_equals_depth_first_walk_bitwise(self, case):
+        """Strings, value bytes, residual bound, node count and the budget
+        error come out as the node-at-a-time walk gives them."""
+        assert _outcome(enumerate_ensemble, *case) == _outcome(reference_enumerate, *case)
+
+    def test_slices_bound_memory(self):
+        """A 9 331-node enumeration (3 order-3 n-grams over ``abcdef``,
+        ``max_len`` 5, every prefix live) peaks within 1.1x the traced heap
+        of the node-at-a-time walk; its last level whole (7 776 nodes at
+        once) needs about twice. At ``max_len`` 6 the ratios are the same,
+        and tracing the node-at-a-time walk takes about 20 s."""
+        rng = np.random.default_rng(7)
+        alphabet = Alphabet("abcdef")
+        panel = ExpertPanel([
+            fit_ngram(
+                ["".join(rng.choice(list("abcdef"), size=n)) for n in rng.integers(0, 10, size=60)],
+                order=3, smoothing=0.5, alphabet=alphabet,
+            )
+            for _ in range(3)
+        ])
+        spec = EnsembleSpec.geometric(3)
+        peaks = []
+        for enumerate_fn in (reference_enumerate, enumerate_ensemble):
+            tracemalloc.start()
+            try:
+                table = enumerate_fn(spec, panel, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert table.nodes_visited == 9_331
+            del table
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestEnumerateEnsemble:
@@ -55,7 +207,7 @@ class TestEnumerateEnsemble:
             assert_allclose(table.probs()[x], p, rtol=1e-12)
 
     def test_matches_brute_force_across_operators(self, make_random_panel):
-        """DFS with pruning agrees with the unpruned product-space scan."""
+        """Enumeration with pruning agrees with the unpruned product-space scan."""
         rng = np.random.default_rng(30)
         specs = [
             EnsembleSpec.geometric(2),

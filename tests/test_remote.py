@@ -25,6 +25,7 @@ from ensmc import (
     RemoteModel,
     SequenceModel,
     TableModel,
+    Tokenizer,
     UndefinedConditionalError,
     check_remote,
     enumerate_ensemble,
@@ -716,23 +717,96 @@ class TestNextMany:
 
 class TestOneRequestPerRound:
     """Every sampler asks a served expert for a round's new rows in one
-    request, and gets the records of the same panel run in-process."""
+    request (a served token model behind a ``tokenized`` expert: two), the
+    oracle asks once per level (twice), and both give the records of the
+    same panel run in-process."""
 
     SERVED = ["abcab", "bcaacb", "cab", "aabbc", "ca", "bcbca"]
     LOCAL = ["bacab", "abcc", "cbab", "acb", "bbca"]
+    # Tokens over the bytes {a, b}: C and D decode to what A, B spell too.
+    TOKENS = {"A": "a", "B": "b", "C": "ab", "D": "ba"}
+    TOKEN_CORPUS = ["ACB", "DAB", "CCD", "BAD", "A", "CDBA"]
+    BYTE_CORPUS = ["abab", "ba", "aabb", "bab", "abba"]
 
-    def config(self, expert, method, proposal):
-        return {
-            "alphabet": "abc",
+    def write_inputs(self, tmp_path):
+        (tmp_path / "served.txt").write_text("\n".join(self.SERVED) + "\n")
+        (tmp_path / "local.txt").write_text("\n".join(self.LOCAL) + "\n")
+        (tmp_path / "tokens.txt").write_text("\n".join(self.TOKEN_CORPUS) + "\n")
+        (tmp_path / "bytes.txt").write_text("\n".join(self.BYTE_CORPUS) + "\n")
+        Tokenizer(Alphabet("ABCD"), self.TOKENS).save(tmp_path / "tok.tsv")
+
+    def config(self, expert, method, proposal, tokenized=False, oracle_len=None):
+        """Expert 0 is ``expert``, or, with ``tokenized``, the byte view of
+        ``expert`` as a token model; expert 1 is a local n-gram."""
+        if tokenized:
+            expert = {"type": "tokenized", "tokenizer": "tok.tsv", "model": expert}
+            alphabet, local = "ab", "bytes.txt"
+        else:
+            alphabet, local = "abc", "local.txt"
+        config = {
+            "alphabet": alphabet,
             "experts": [
                 expert,
-                {"type": "ngram", "corpus": "local.txt", "order": 2, "smoothing": 0.5},
+                {"type": "ngram", "corpus": local, "order": 2, "smoothing": 0.5},
             ],
             "operator": "product",
             "sampler": {"particles": 12, "max_len": 20, "seed": 5, "proposal": proposal},
             "methods": [method],
             "repeats": 2,
         }
+        if oracle_len is not None:
+            config["oracle"] = {"max_len": oracle_len}
+        return config
+
+    @staticmethod
+    def servable(tokenized):
+        """The expert that gets served (with ``tokenized``, the token model
+        behind expert 0), and its alphabet."""
+        if tokenized:
+            return ({"type": "ngram", "corpus": "tokens.txt", "order": 3, "smoothing": 0.5},
+                    Alphabet("ABCD"))
+        return ({"type": "ngram", "corpus": "served.txt", "order": 2, "smoothing": 0.5},
+                Alphabet("abc"))
+
+    def served_run(self, tmp_path, monkeypatch, tokenized, counted_name, **config):
+        """Records of the in-process run and of the run with expert 0 (its
+        token model, with ``tokenized``) served, and for each call of
+        ``runner.<counted_name>`` in the served run, the requests it sent
+        and what it returned."""
+        self.write_inputs(tmp_path)
+        inner, alphabet = self.servable(tokenized)
+        want = runner.run_experiment(
+            config_from_dict(self.config(inner, tokenized=tokenized, **config), tmp_path)
+        )
+
+        panels, calls = [], []
+        build_panel = runner.build_panel
+        counted_fn = getattr(runner, counted_name)
+
+        def kept(config):
+            panels.append(build_panel(config))
+            return panels[-1]
+
+        def counted(*args, **kwargs):
+            expert = panels[-1][0][0]
+            remote = expert.token_model if tokenized else expert
+            sent = remote.requests
+            out = counted_fn(*args, **kwargs)
+            calls.append((remote.requests - sent, out))
+            return out
+
+        monkeypatch.setattr(runner, "build_panel", kept)
+        monkeypatch.setattr(runner, counted_name, counted)
+        served = build_expert(inner, alphabet, tmp_path)
+        with ModelServer(served) as server:
+            remote = {"type": "remote", "url": server.url}
+            config = self.config(remote, tokenized=tokenized, **config)
+            got = runner.run_experiment(config_from_dict(config, tmp_path))
+        for records in (got, want):
+            for record in records:
+                del record["wall_time_s"]
+        assert json.dumps(got) == json.dumps(want)
+        return calls
 
     @pytest.mark.parametrize("method, proposal", [
         *(pytest.param(m, "optimal", id=m) for m in ("smc", "sis", "is", "local")),
@@ -740,41 +814,55 @@ class TestOneRequestPerRound:
         pytest.param("is", "expert:0", id="is-expert"),
     ])
     def test_requests_per_run_at_most_rounds(self, tmp_path, monkeypatch, method, proposal):
-        (tmp_path / "served.txt").write_text("\n".join(self.SERVED) + "\n")
-        (tmp_path / "local.txt").write_text("\n".join(self.LOCAL) + "\n")
-        ngram = {"type": "ngram", "corpus": "served.txt", "order": 2, "smoothing": 0.5}
-        want = runner.run_experiment(
-            config_from_dict(self.config(ngram, method, proposal), tmp_path)
-        )
-
-        panels, runs = [], []
-        build_panel = runner.build_panel
         name = {"is": "importance_sample", "local": "local_sample"}.get(method, method)
-        sampler = getattr(runner, name)
-
-        def kept(config):
-            panels.append(build_panel(config))
-            return panels[-1]
-
-        def counted(*args, **kwargs):
-            remote = panels[-1][0][0]
-            sent = remote.requests
-            estimate = sampler(*args, **kwargs)
-            runs.append((remote.requests - sent, estimate.diagnostics.rounds))
-            return estimate
-
-        monkeypatch.setattr(runner, "build_panel", kept)
-        monkeypatch.setattr(runner, name, counted)
-        served = build_expert(ngram, Alphabet("abc"), tmp_path)
-        with ModelServer(served) as server:
-            config = self.config({"type": "remote", "url": server.url}, method, proposal)
-            got = runner.run_experiment(config_from_dict(config, tmp_path))
-        for records in (got, want):
-            for record in records:
-                del record["wall_time_s"]
-        assert json.dumps(got) == json.dumps(want)
+        runs = self.served_run(tmp_path, monkeypatch, False, name,
+                               method=method, proposal=proposal)
         assert len(runs) == 2
         # The first run starts from an empty cache; the second shares its shaping.
         assert runs[0][0] > 0
-        for requests, rounds in runs:
-            assert requests <= rounds
+        for requests, estimate in runs:
+            assert requests <= estimate.diagnostics.rounds
+
+    @pytest.mark.parametrize("method", ["smc", "sis", "is", "local"])
+    def test_token_requests_per_run_at_most_twice_rounds(self, tmp_path, monkeypatch, method):
+        """Behind the byte bridge, a round's token rows come in two requests:
+        the frontiers' rows, then those of their one-byte extensions."""
+        name = {"is": "importance_sample", "local": "local_sample"}.get(method, method)
+        runs = self.served_run(tmp_path, monkeypatch, True, name,
+                               method=method, proposal="optimal")
+        assert len(runs) == 2
+        assert runs[0][0] > 0
+        for requests, estimate in runs:
+            assert requests <= 2 * estimate.diagnostics.rounds
+
+    @pytest.mark.parametrize("tokenized", [False, True], ids=["served", "token"])
+    def test_oracle_requests_per_level(self, tmp_path, monkeypatch, tokenized):
+        """The oracle sends one request per level to a served expert, two to
+        a served token model, and its table equals the in-process one."""
+        max_len = 6 if tokenized else 4
+        calls = self.served_run(tmp_path, monkeypatch, tokenized, "enumerate_ensemble",
+                                method="smc", proposal="optimal", oracle_len=max_len)
+        assert len(calls) == 1
+        assert calls[0][0] > 0
+        assert calls[0][0] <= (2 if tokenized else 1) * (max_len + 1)
+
+        # On its own, with nothing cached: the table of the in-process panel.
+        inner, alphabet = self.servable(tokenized)
+        config = config_from_dict(
+            self.config(inner, "smc", "optimal", tokenized=tokenized), tmp_path
+        )
+        panel, spec = runner.build_panel(config)
+        want = enumerate_ensemble(spec, panel, max_len)
+        with ModelServer(build_expert(inner, alphabet, tmp_path)) as server:
+            remote = {"type": "remote", "url": server.url}
+            config = config_from_dict(
+                self.config(remote, "smc", "optimal", tokenized=tokenized), tmp_path
+            )
+            panel, spec = runner.build_panel(config)
+            got = enumerate_ensemble(spec, panel, max_len)
+            sent = (panel[0].token_model if tokenized else panel[0]).requests
+        assert 0 < sent <= (2 if tokenized else 1) * (max_len + 1)
+        assert got.strings == want.strings
+        assert got.log_values.tobytes() == want.log_values.tobytes()
+        assert got.log_residual_bound == want.log_residual_bound
+        assert got.nodes_visited == want.nodes_visited
