@@ -60,6 +60,11 @@ from .logtools import LOG_ZERO, log_normalize, logsumexp
 _STREAM_PARTICLE = 0
 _STREAM_RESAMPLE = 1
 _STREAM_IID = 2
+#: At most about this many particle streams are derived in one block of
+#: rounds: the vectorised derivation costs nearly the same up to a few
+#: hundred streams, and a block's rounds may go unused once every
+#: particle has finished.
+_BLOCK_STREAMS = 256
 
 
 @dataclass
@@ -248,8 +253,11 @@ class PrefixPotentialShaping:
         nodes = np.full((len(xs), k + 1, self.alphabet.size + 2), LOG_ZERO)
         nodes[:, :k, -1] = masses
         for j, model in enumerate(self.panel):
-            at = np.flatnonzero(masses[:, j] != LOG_ZERO)
-            if len(at):
+            live = masses[:, j] != LOG_ZERO
+            if live.all():
+                nodes[:, j, :-1] = model.log_next_many(xs)
+            elif live.any():
+                at = np.flatnonzero(live)
                 nodes[at, j, :-1] = model.log_next_many([xs[i] for i in at])
         # One combine per batch: each node's prefix-plus-row and mass columns.
         columns = nodes[:, :k].transpose(1, 0, 2).copy()
@@ -553,10 +561,12 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
                 log_w[grown] = LOG_ZERO
             active[ids] = ~stop & (log_w[ids] != LOG_ZERO)
         if shaping is not None:
-            alive_mass = logsumexp(log_w) > LOG_ZERO
-            ess_val = ess(log_w) if alive_mass else 0.0
-            diag.ess_trace.append(ess_val)
-            if alive_mass and ess_val < resample_threshold * particles:
+            try:
+                ess_val = ess(log_w)
+            except DegenerateRunError:  # every weight is zero: nothing to resample
+                ess_val = None
+            diag.ess_trace.append(0.0 if ess_val is None else ess_val)
+            if ess_val is not None and ess_val < resample_threshold * particles:
                 idx, new_log_w = _ancestors(log_w, seed, diag.rounds)
                 xs = [xs[i] for i in idx.tolist()]
                 log_w = np.full(particles, new_log_w)
@@ -570,6 +580,36 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
     return _finalize(xs, log_w, completed, log_proposal, diag, debug_target)
 
 
+def _particle_doubles(seed: int, particles: int, horizon: int):
+    """``doubles(round, live)`` for ``sis``/``smc``: the first double of
+    stream ``(seed, 0, round, m)`` for each live particle ``m``.
+
+    Streams are derived a block of rounds at a time, for every particle:
+    at round ``r`` a block covers ``r`` rounds (so blocks double), at most
+    ``_BLOCK_STREAMS // particles`` and none past ``horizon``. A block of
+    one round or of fewer than ``streams.VECTOR_MIN_STREAMS`` streams is
+    not made; that round derives the live particles' streams alone. Each
+    round's row is handed out once, and a block is freed with its last
+    row. Rounds must be asked for in order, from 0.
+    """
+    base = streams.pool(seed, _STREAM_PARTICLE)
+    every = np.arange(particles)
+    rows: dict[int, np.ndarray] = {}
+
+    def doubles(round_no: int, live: np.ndarray) -> np.ndarray:
+        row = rows.pop(round_no, None)
+        if row is None:
+            size = min(round_no, _BLOCK_STREAMS // particles, horizon - round_no)
+            if size <= 1 or size * particles < streams.VECTOR_MIN_STREAMS:
+                return streams.uniforms(base.extend(round_no), live)
+            block = streams.block_uniforms(base, np.arange(round_no, round_no + size), every)
+            rows.update(zip(range(round_no + 1, round_no + size), block[1:]))
+            row = block[0]
+        return row[live]
+
+    return doubles
+
+
 def _shaped(spec, panel, config: SamplerConfig, shaping, proposal, resample_threshold: float):
     """``sis``/``smc``: round ``r`` draws the first double of stream
     ``(seed, 0, r, m)`` for particle ``m``."""
@@ -577,10 +617,9 @@ def _shaped(spec, panel, config: SamplerConfig, shaping, proposal, resample_thre
         shaping = make_shaping(spec, panel, config)
     if proposal is None:
         proposal = make_proposal(config, shaping)
-    particle_streams = streams.pool(config.seed, _STREAM_PARTICLE)
     return _sequential(
         panel.alphabet, config.particles, config.max_len,
-        lambda round_no, live: streams.uniforms(particle_streams.extend(round_no), live),
+        _particle_doubles(config.seed, config.particles, config.max_len),
         proposal.log_row, shaping, resample_threshold, config.seed,
         shaping.log_target if config.debug_check_weights else None, shaping.prefetch,
     )

@@ -183,8 +183,10 @@ def draw_indices(probs: np.ndarray, u):
     deterministically given the uniforms; a terminal rounding shortfall
     falls back to the last positive cell.
     """
-    cum = np.cumsum(probs)
-    idx = np.searchsorted(cum, u * cum[-1], side="right")
+    cum = probs.cumsum()
+    idx = cum.searchsorted(u * cum[-1], side="right")
+    if isinstance(u, float):
+        return idx if idx < len(probs) else np.flatnonzero(probs > 0.0)[-1]
     over = idx >= len(probs)
     if over.any():
         idx = np.where(over, np.flatnonzero(probs > 0.0)[-1], idx)

@@ -23,12 +23,14 @@ def logsumexp(a) -> float:
     arr = np.asarray(a, dtype=float)
     if not arr.size:
         return LOG_ZERO
-    m = float(arr.max())
+    # The ufunc reductions ``arr.max()`` and ``.sum()`` call, without
+    # their Python wrappers.
+    m = float(np.maximum.reduce(arr, axis=None))
     if not math.isfinite(m):
         # All -inf (sum is zero), a +inf entry, or a nan: in each case
         # the max already equals the reduction.
         return m
-    return m + math.log(float(np.exp(arr - m).sum()))
+    return m + math.log(float(np.add.reduce(np.exp(arr - m), axis=None)))
 
 
 def weighted_logsumexp_columns(a, w) -> np.ndarray:

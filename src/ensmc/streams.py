@@ -12,6 +12,10 @@ and outputs XSL-RR bits. This module does the same arithmetic itself:
   more key words, so a prefix shared by many streams is hashed once.
 * :func:`uniforms` is the first double of the streams ``key + (m,)`` for
   many ``m`` at once, numpy-vectorised over ``m`` for large batches.
+* :func:`block_uniforms` is the first double of the streams ``key + (r,
+  m)`` as a ``(rounds, particles)`` array: a block of sampler rounds in
+  one vectorised call. Both vectorised paths run one kernel, which mixes
+  each key word at its own shape before broadcasting.
 * :class:`Stream` is a stream's successive doubles, PCG64 stepped in
   Python ints, for callers that draw many doubles from one stream.
 
@@ -42,10 +46,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _TO_DOUBLE = 1.0 / 9007199254740992.0
 
 #: Batches of at least this many streams take the vectorised path. Its
-#: cost is nearly flat up to a few hundred streams (about 130 array
-#: operations: 0.15-0.28 ms on a 2-core Xeon host, 0.36 ms at 1 024
-#: streams), while Python ints cost 10-14 us a stream; the two meet
-#: between 18 and 24 streams.
+#: cost is nearly flat up to a few hundred streams (0.13-0.23 ms on a
+#: 2-core Xeon host whose speed varied between runs, 0.16-0.27 ms at
+#: 1 024 streams), while Python ints cost 8-12 us a stream; the two meet
+#: between 14 and 24 streams.
 VECTOR_MIN_STREAMS = 20
 
 
@@ -164,67 +168,114 @@ def pool(seed: int, *key: int) -> Pool:
     return Pool(tuple(words), h).extend(*entropy[_POOL_SIZE:], *key)
 
 
-def _mulhi64(a: np.ndarray, c: int) -> np.ndarray:
-    """High 64 bits of ``a * c`` for a uint64 array and a 64-bit constant."""
-    a0 = a & np.uint64(_MASK32)
-    a1 = a >> np.uint64(32)
-    c0 = np.uint64(c & _MASK32)
-    c1 = np.uint64(c >> 32)
-    p00 = a0 * c0
-    p01 = a0 * c1
-    p10 = a1 * c0
-    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_MASK32)) + (p10 & np.uint64(_MASK32))
-    return a1 * c1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+_U32 = np.uint32
+_U64 = np.uint64
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 step, ``state * mult + inc`` mod 2**128, on (hi, lo) arrays."""
-    m_hi = np.uint64(_PCG_MULT >> 64)
-    m_lo = np.uint64(_PCG_MULT & _MASK64)
-    new_hi = _mulhi64(lo, _PCG_MULT & _MASK64) + lo * m_hi + hi * m_lo
-    new_lo = lo * m_lo
-    out_lo = new_lo + inc_lo
-    return new_hi + inc_hi + (out_lo < new_lo), out_lo
-
-
-def _uniforms_vector(base: Pool, ms: np.ndarray) -> np.ndarray:
-    """:func:`uniforms` for ``0 <= m < 2**32``, numpy-vectorised over ``m``.
+def _first_doubles(base: Pool, *key: np.ndarray) -> np.ndarray:
+    """First doubles of the streams ``base.extend(*words)`` for the key
+    words broadcast from ``key``, uint32 arrays (so each below 2**32).
 
     The steps of the scalar path on uint32 and (hi, lo) uint64 arrays.
+    Each key word is mixed at its own shape (a round word once per round,
+    a particle word once per particle) before the pool words broadcast
+    to the output's shape. The uint64 steps run in place, and each pool
+    word and seed-word half is dropped once combined, so the heap peaks
+    at about 11 times the output's bytes.
     """
-    m = ms.astype(np.uint32)
-    # _absorb(base.words, base.hash_const, m)
+    # _absorb, one key word at a time; ``h`` does not depend on the data.
+    words = list(np.array(base.words, dtype=_U32)[:, None])
     h = base.hash_const
-    words = []
-    for i in range(_POOL_SIZE):
-        v = m ^ np.uint32(h)
-        h = (h * _MULT_A) & _MASK32
-        v *= np.uint32(h)
-        v ^= v >> np.uint32(_XSHIFT)
-        r = np.uint32((_MIX_MULT_L * base.words[i]) & _MASK32) - np.uint32(_MIX_MULT_R) * v
-        words.append(r ^ (r >> np.uint32(_XSHIFT)))
-    # _seed_words
-    halves = []
-    for i in range(2 * _POOL_SIZE):
-        v = words[i & 3] ^ np.uint32(_EXPAND_CONSTS[i])
-        v *= np.uint32(_EXPAND_CONSTS[i + 1])
-        v ^= v >> np.uint32(_XSHIFT)
-        halves.append(v.astype(np.uint64))
-    seed_words = [
-        halves[i] | (halves[i + 1] << np.uint64(32)) for i in range(0, 2 * _POOL_SIZE, 2)
-    ]
+    for w in key:
+        for i, x in enumerate(words):
+            v = w ^ _U32(h)
+            h = (h * _MULT_A) & _MASK32
+            v *= _U32(h)
+            v ^= v >> _U32(_XSHIFT)
+            v *= _U32(_MIX_MULT_R)
+            r = x * _U32(_MIX_MULT_L) - v
+            r ^= r >> _U32(_XSHIFT)
+            words[i] = r
+
+    def half(i: int) -> np.ndarray:
+        v = words[i & 3] ^ _U32(_EXPAND_CONSTS[i])
+        v *= _U32(_EXPAND_CONSTS[i + 1])
+        v ^= v >> _U32(_XSHIFT)
+        return v.astype(_U64)
+
+    # _seed_words: seed word j joins halves 2j and 2j + 1, which read pool
+    # words 2j & 3 and (2j + 1) & 3; seed words 0 and 1 are the last
+    # readers of pool words 0, 1 and 2, 3.
+    seed = [None] * _POOL_SIZE
+    for j in (2, 0, 3, 1):
+        seed[j] = half(2 * j)
+        high = half(2 * j + 1)
+        high <<= _U64(32)
+        seed[j] |= high
+        del high
+        if j < 2:
+            words[2 * j] = words[2 * j + 1] = None
     # _pcg_state: inc = initseq << 1 | 1, state = (inc + initstate) * mult + inc
-    inc_hi = (seed_words[2] << np.uint64(1)) | (seed_words[3] >> np.uint64(63))
-    inc_lo = (seed_words[3] << np.uint64(1)) | np.uint64(1)
-    lo = inc_lo + seed_words[1]
-    hi = inc_hi + seed_words[0] + (lo < inc_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    # Stream.random: one more step, then the XSL-RR output
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    rot = hi >> np.uint64(58)
-    x = hi ^ lo
-    bits = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (bits >> np.uint64(11)).astype(np.float64) * _TO_DOUBLE
+    hi, lo, inc_hi, inc_lo = seed
+    inc_hi <<= _U64(1)
+    inc_hi |= inc_lo >> _U64(63)
+    inc_lo <<= _U64(1)
+    inc_lo |= _U64(1)
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    # Two PCG64 steps (seeding, then Stream.random), then the XSL-RR output.
+    for _ in range(2):
+        _pcg_step(hi, lo, inc_hi, inc_lo)
+    lo ^= hi
+    hi >>= _U64(58)
+    out = lo >> hi
+    np.subtract(_U64(64), hi, out=hi)
+    hi &= _U64(63)
+    lo <<= hi
+    out |= lo
+    out >>= _U64(11)
+    return out.astype(np.float64) * _TO_DOUBLE
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
+    """One PCG64 step, ``state * mult + inc`` mod 2**128, in place on the
+    (hi, lo) uint64 arrays.
+
+    The high word is ``mulhi(lo, mult_lo) + lo * mult_hi + hi * mult_lo``,
+    with the 64x64-bit high product from 32-bit halves.
+    """
+    c0 = _U64(_PCG_MULT & _MASK32)
+    c1 = _U64((_PCG_MULT >> 32) & _MASK32)
+    # mulhi(lo, mult_lo): a0 = lo & MASK32, a1 = lo >> 32
+    t = lo & _U64(_MASK32)
+    mid = t * c0
+    mid >>= _U64(32)
+    t *= c1
+    mid += t & _U64(_MASK32)
+    t >>= _U64(32)
+    a1 = lo >> _U64(32)
+    p = a1 * c0
+    mid += p & _U64(_MASK32)
+    p >>= _U64(32)
+    t += p
+    a1 *= c1
+    t += a1
+    mid >>= _U64(32)
+    t += mid
+    hi *= _U64(_PCG_MULT & _MASK64)
+    hi += t
+    np.multiply(lo, _U64(_PCG_MULT >> 64), out=t)
+    hi += t
+    lo *= _U64(_PCG_MULT & _MASK64)
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+
+
+def _one_word(values: np.ndarray) -> bool:
+    """Whether every value is a single key word, ``0 <= v < 2**32``."""
+    return bool(0 <= values.min() and values.max() <= _MASK32)
 
 
 def uniforms(base: Pool, ms: np.ndarray) -> np.ndarray:
@@ -235,12 +286,30 @@ def uniforms(base: Pool, ms: np.ndarray) -> np.ndarray:
     handle any non-negative ``m`` and reject a negative one.
     """
     ms = np.asarray(ms)
-    if len(ms) >= VECTOR_MIN_STREAMS and 0 <= ms.min() and ms.max() <= _MASK32:
-        return _uniforms_vector(base, ms)
+    if len(ms) >= VECTOR_MIN_STREAMS and _one_word(ms):
+        return _first_doubles(base, ms.astype(np.uint32))
     out = np.empty(len(ms))
     for j, m in enumerate(ms.tolist()):
         if 0 <= m <= _MASK32:
             out[j] = Stream(_absorb(base.words, base.hash_const, m)[0]).random()
         else:
             out[j] = Stream(base.extend(m).words).random()
+    return out
+
+
+def block_uniforms(base: Pool, rounds: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """First doubles of the streams ``base.extend(r, m)``: a ``(len(rounds),
+    len(ms))`` array, row ``i`` for round ``rounds[i]``.
+
+    Vectorised over both when the block holds :data:`VECTOR_MIN_STREAMS`
+    or more streams and every ``r`` and ``m`` is below 2**32; otherwise
+    one :func:`uniforms` call per round, exact for any non-negative key.
+    """
+    rounds = np.asarray(rounds)
+    ms = np.asarray(ms)
+    if len(rounds) * len(ms) >= VECTOR_MIN_STREAMS and _one_word(rounds) and _one_word(ms):
+        return _first_doubles(base, rounds.astype(np.uint32)[:, None], ms.astype(np.uint32))
+    out = np.empty((len(rounds), len(ms)))
+    for i, r in enumerate(rounds.tolist()):
+        out[i] = uniforms(base.extend(r), ms)
     return out

@@ -3,19 +3,22 @@
 Reference: ``np.random.default_rng(np.random.SeedSequence(seed,
 spawn_key=key))``, the generator the seed policy names. Keys cover seed
 0, one-, two-, three- and five-word seeds, every stream tag, ``m = 0``
-and ``m >= 2**32``.
+and ``m >= 2**32``, and blocks of rounds from round 0 and across 2**32.
 """
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ensmc
 from ensmc import streams
-from ensmc.inference import _STREAM_IID, _STREAM_PARTICLE, _STREAM_RESAMPLE
+from ensmc.inference import _STREAM_IID, _STREAM_PARTICLE, _STREAM_RESAMPLE, _particle_doubles
 
 SEEDS = [0, 1, 20240611, 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**64 + 7, 2**128 + 5]
 TAGS = (_STREAM_PARTICLE, _STREAM_RESAMPLE, _STREAM_IID)
@@ -44,6 +47,61 @@ def test_bulk_and_scalar_uniforms_match_numpy(seed):
             ])
             assert bulk.tobytes() == want.tobytes()
             assert scalar.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_uniforms_match_numpy(seed):
+    """A block's ``(rounds, particles)`` array holds stream ``(seed, 0, r,
+    m)``'s first double at row ``r``, column ``m``: vectorised from round
+    0, and exact per round for a block reaching round 2**32 + 1 and for
+    a block below :data:`~ensmc.streams.VECTOR_MIN_STREAMS` streams."""
+    base = streams.pool(seed, _STREAM_PARTICLE)
+    for rounds, ms in [
+        (np.arange(5), np.arange(9)),
+        (np.arange(2**32 - 1, 2**32 + 2), np.array([0, 5, 2**32 - 1, 2**32, 7, 1, 2, 3])),
+        (np.arange(3, 5), np.arange(4)),
+    ]:
+        want = np.array([
+            [reference(seed, _STREAM_PARTICLE, r, m).random() for m in ms.tolist()]
+            for r in rounds.tolist()
+        ])
+        got = streams.block_uniforms(base, rounds, ms)
+        assert got.shape == (len(rounds), len(ms))
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    particles=st.integers(1, 300),
+    max_len=st.integers(1, 40),
+    seed=st.integers(0, 2**64),
+    pick=st.integers(0, 2**32 - 1),
+)
+def test_particle_doubles_are_each_rounds_streams(particles, max_len, seed, pick):
+    """Whatever blocks ``sis``/``smc`` derive, each round hands every live
+    particle ``m`` the first double of stream ``(seed, 0, round, m)``."""
+    doubles = _particle_doubles(seed, particles, max_len)
+    base = streams.pool(seed, _STREAM_PARTICLE)
+    gen = np.random.default_rng(pick)
+    for round_no in range(max_len):
+        live = np.flatnonzero(gen.random(particles) < gen.random())
+        want = streams.uniforms(base.extend(round_no), live)
+        assert doubles(round_no, live).tobytes() == want.tobytes()
+
+
+def test_vector_derivation_heap_is_bounded():
+    """Deriving 1 024 streams at once peaks below 20 times the bytes of
+    the doubles it returns."""
+    base = streams.pool(3, _STREAM_PARTICLE, 7)
+    ms = np.arange(1024)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = streams.uniforms(base, ms)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * out.nbytes
 
 
 @pytest.mark.parametrize("seed", SEEDS)
