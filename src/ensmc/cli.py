@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the sampler seed")
     p.add_argument("--particles", type=int, help="override the particle count")
 
-    p = sub.add_parser("enumerate", help="exact target by depth-first enumeration")
+    p = sub.add_parser("enumerate", help="exact target by level-order enumeration")
     p.add_argument("config")
     p.add_argument("--out", help="write the table as TSV here")
 

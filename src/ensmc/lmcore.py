@@ -21,14 +21,13 @@ Conventions
 from __future__ import annotations
 
 import abc
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .logtools import LOG_ZERO, log_row
+from .logtools import LOG_ZERO
 
-#: Reserved key naming the end marker in dict-shaped distributions.
+#: Reserved key naming the end marker in n-gram count files.
 #: Deliberately longer than one character so it cannot collide with a symbol.
 EOS_KEY = "<eos>"
 
@@ -78,34 +77,6 @@ class Alphabet:
             for ch in x:
                 if ch not in self.index:
                     raise ValueError(f"symbol {ch!r} not in alphabet {self!r}")
-
-    def row_from_dict(self, probs: dict) -> np.ndarray:
-        """Dense log-domain row from ``{symbol: p, ..., EOS_KEY: p}``.
-
-        Missing entries are zero probability; unknown keys are an error.
-        """
-        row = np.zeros(self.size + 1)
-        for key, p in probs.items():
-            if key == EOS_KEY:
-                row[self.eos_index] = p
-            elif key in self.index:
-                row[self.index[key]] = p
-            else:
-                raise ValueError(f"unknown symbol {key!r}")
-        return log_row(row)
-
-    def row_to_dict(self, logs: np.ndarray) -> dict:
-        """Inverse of :meth:`row_from_dict`, in linear domain; zero entries
-        are left out."""
-        out = {}
-        for i, s in enumerate(self.symbols):
-            p = math.exp(logs[i]) if logs[i] != LOG_ZERO else 0.0
-            if p:
-                out[s] = p
-        p = math.exp(logs[self.eos_index]) if logs[self.eos_index] != LOG_ZERO else 0.0
-        if p:
-            out[EOS_KEY] = p
-        return out
 
 
 def validate_log_row(row: np.ndarray, alphabet: Alphabet) -> None:

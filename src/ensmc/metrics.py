@@ -16,7 +16,7 @@ import numpy as np
 from .ensemble import EnsembleSpec, ExpertPanel
 from .errors import DegenerateRunError
 from .inference import Estimate
-from .oracle import ExactTable, enumerate_ensemble, model_log_probs, total_variation
+from .oracle import DEFAULT_NODE_CAP, ExactTable, enumerate_ensemble, total_variation
 
 Predicate = Callable[[str], bool]
 
@@ -61,7 +61,7 @@ def mixture_identity(
     weights,
     predicate: Predicate,
     max_len: int,
-    max_nodes: int | None = None,
+    max_nodes: int = DEFAULT_NODE_CAP,
 ) -> tuple[float, float]:
     """Expected accuracy of the weighted linear pool, two ways.
 
@@ -70,22 +70,21 @@ def mixture_identity(
     accuracies with the same weights. For normalized experts the two are
     equal to rounding, since the weighted-sum target *is* the mixture.
     """
-    kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
     spec = EnsembleSpec.from_name("sum", weights=weights)
-    table = enumerate_ensemble(spec, panel, max_len, **kwargs)
+    table = enumerate_ensemble(spec, panel, max_len, max_nodes)
     ensemble = table.expected_accuracy(predicate)
-    parts = [
-        _log_probs_accuracy(model_log_probs(model, max_len, **kwargs), predicate)
-        for model in panel
-    ]
+    parts = [_expert_accuracy(model, predicate, max_len, max_nodes) for model in panel]
     mixture = float(np.dot(spec.weights, parts))
     return ensemble, mixture
 
 
-def _log_probs_accuracy(log_probs: dict[str, float], predicate: Predicate) -> float:
-    """Accuracy under an enumerated single model's log-probability dict."""
-    total = float(sum(np.exp(lv) for lv in log_probs.values()))
-    hits = float(sum(np.exp(lv) for x, lv in log_probs.items() if predicate(x)))
+def _expert_accuracy(model, predicate: Predicate, max_len: int, max_nodes: int) -> float:
+    """Accuracy under one expert alone, from its one-expert oracle table
+    (the geometric operator at weight 1 is the model itself). The sums
+    run in the table's sorted order."""
+    table = enumerate_ensemble(EnsembleSpec.geometric(1), ExpertPanel([model]), max_len, max_nodes)
+    total = float(sum(np.exp(lv) for lv in table.log_values))
+    hits = float(sum(np.exp(lv) for x, lv in zip(table.strings, table.log_values) if predicate(x)))
     if not total > 0.0:
         raise ValueError("model has no enumerated mass")
     return hits / total
@@ -97,7 +96,7 @@ def intersection_report(
     max_len: int,
     weights=None,
     top: int = 5,
-    max_nodes: int | None = None,
+    max_nodes: int = DEFAULT_NODE_CAP,
 ) -> dict:
     """How a product ensemble concentrates where all experts agree.
 
@@ -105,17 +104,12 @@ def intersection_report(
     reporting predicate accuracy for each and the ensemble's highest
     probability strings.
     """
-    kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
     spec = EnsembleSpec.geometric(weights if weights is not None else len(panel))
-    table = enumerate_ensemble(spec, panel, max_len, **kwargs)
+    table = enumerate_ensemble(spec, panel, max_len, max_nodes)
     probs = table.probs()
     ranked = sorted(probs.items(), key=lambda kv: (-kv[1], kv[0]))
-    expert_acc = [
-        _log_probs_accuracy(model_log_probs(m, max_len, **kwargs), predicate)
-        for m in panel
-    ]
     return {
-        "expert_accuracy": expert_acc,
+        "expert_accuracy": [_expert_accuracy(m, predicate, max_len, max_nodes) for m in panel],
         "ensemble_accuracy": table.expected_accuracy(predicate),
         "log_z": table.log_z if np.isfinite(table.log_z) else None,
         "top_strings": [{"x": x, "p": p} for x, p in ranked[:top]],

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ensemble import EnsembleSpec, ExpertPanel, is_consensus
 from .errors import EnumerationBudgetError
-from .lmcore import Alphabet, SequenceModel
+from .lmcore import Alphabet
 from .logtools import LOG_ZERO, logsumexp
 from .textio import escape_field, unescape_field
 from .toy import TableModel
@@ -226,35 +226,6 @@ def _walk_levels(
             break
         level, masses = children, np.concatenate(child_masses)
     return entries, residual_terms, nodes
-
-
-def model_log_probs(
-    model: SequenceModel, max_len: int, max_nodes: int = DEFAULT_NODE_CAP
-) -> dict[str, float]:
-    """Complete-string log probabilities of one model up to ``max_len``.
-
-    A depth-first walk on purpose: the dict's order is the order in which
-    the metrics' accuracy sums add its values, so it stays fixed."""
-    alphabet = model.alphabet
-    eos = alphabet.eos_index
-    out: dict[str, float] = {}
-    nodes = 0
-
-    def visit(x: str, log_prefix: float) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise EnumerationBudgetError(f"enumeration exceeded {max_nodes} nodes")
-        row = model.log_next(x)
-        if log_prefix + row[eos] != LOG_ZERO:
-            out[x] = log_prefix + row[eos]
-        if len(x) < max_len:
-            for j, sym in enumerate(alphabet.symbols):
-                if row[j] != LOG_ZERO:
-                    visit(x + sym, log_prefix + row[j])
-
-    visit("", 0.0)
-    return out
 
 
 # -- table file format --------------------------------------------------

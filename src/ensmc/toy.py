@@ -112,8 +112,8 @@ class NGramModel(SequenceModel):
     def __init__(self, alphabet: Alphabet, order: int, smoothing: float, counts: dict):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if smoothing < 0.0:
-            raise ValueError("smoothing must be >= 0")
+        if not 0.0 <= smoothing < math.inf:
+            raise ValueError("smoothing must be finite and >= 0")
         self.alphabet = alphabet
         self.order = int(order)
         self.smoothing = float(smoothing)
@@ -173,7 +173,8 @@ class NGramModel(SequenceModel):
 
     @classmethod
     def load(cls, path) -> "NGramModel":
-        """Read a file written by :meth:`save`."""
+        """Read a file written by :meth:`save`; a malformed file is a
+        ValueError that names it."""
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
         try:
@@ -186,20 +187,31 @@ class NGramModel(SequenceModel):
             _, n_rows = lines[4].split("\t")
         except (IndexError, ValueError):
             raise ValueError(f"{path}: not a {NGRAM_MAGIC} v{NGRAM_VERSION} file")
-        alphabet = Alphabet(unescape_field(alpha))
+        try:
+            alphabet = Alphabet(unescape_field(alpha))
+            order, smoothing, n_rows = int(order), float(smoothing), int(n_rows)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad header: {exc}")
         counts: dict[str, np.ndarray] = {}
-        body = lines[5 : 5 + int(n_rows)]
-        if len(body) != int(n_rows):
+        body = lines[5 : 5 + n_rows]
+        if len(body) != n_rows:
             raise ValueError(f"{path}: truncated count table")
-        for line in body:
-            ctx_f, sym_f, c = line.split("\t")
-            ctx = unescape_field(ctx_f)
-            vec = counts.setdefault(ctx, np.zeros(alphabet.size + 1))
-            if sym_f == EOS_KEY:
-                vec[alphabet.eos_index] += int(c)
-            else:
-                vec[alphabet.index[unescape_field(sym_f)]] += int(c)
-        return cls(alphabet, int(order), float(smoothing), counts)
+        for lineno, line in enumerate(body, start=6):
+            try:
+                ctx_f, sym_f, c = line.split("\t")
+                ctx = unescape_field(ctx_f)
+                if sym_f == EOS_KEY:
+                    event = alphabet.eos_index
+                else:
+                    event = alphabet.index[unescape_field(sym_f)]
+                count = int(c)
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}: line {lineno}: bad count row {line!r}")
+            counts.setdefault(ctx, np.zeros(alphabet.size + 1))[event] += count
+        try:
+            return cls(alphabet, order, smoothing, counts)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}")
 
 
 def fit_ngram(

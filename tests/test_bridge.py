@@ -94,7 +94,7 @@ def _byte_marginal_cases(draw):
     prefixes = ["".join(t) for n in range(5)
                 for t in itertools.product(byte_alphabet.symbols, repeat=n)]
     contexts = [x for x in prefixes if len(x) < 4]
-    # Prefix queries first (as the oracle's DFS and the prefix nodes ask),
+    # Prefix queries first (as the oracle's level walk and the prefix nodes ask),
     # then rows in any order, revisits included (as sampler particles ask).
     queries = draw(st.lists(st.sampled_from(prefixes), max_size=12))
     order = draw(st.permutations(contexts))

@@ -34,7 +34,13 @@ from ensmc import (
     smc,
 )
 from ensmc.ensemble import log_potential_columns, log_string_potential
-from ensmc.inference import _STREAM_IID, _STREAM_RESAMPLE, _ancestors, make_proposal
+from ensmc.inference import (
+    _STREAM_IID,
+    _STREAM_RESAMPLE,
+    ExpertProposal,
+    _ancestors,
+    make_proposal,
+)
 from ensmc.lmcore import draw_index, prefix_log_prob, sample_with_log_prob, string_log_prob
 from ensmc.logtools import log_normalize, logsumexp
 
@@ -405,6 +411,23 @@ class TestOptimalProposal:
             OptimalProposal(PrefixPotentialShaping(spec, panel)).log_row("a")
 
 
+class TestExpertProposal:
+    def test_dead_prefix_of_the_expert_raises(self):
+        """Expert 0 has no string through "ab", expert 1 has: the sum keeps
+        the prefix alive, expert 1 proposes its own row there, and expert 0
+        cannot propose from it."""
+        panel = ExpertPanel(
+            [
+                TableModel({"a": 0.5, "b": 0.5}, alphabet=Alphabet("ab")),
+                TableModel({"a": 0.5, "ab": 0.5}, alphabet=Alphabet("ab")),
+            ]
+        )
+        shaping = PrefixPotentialShaping(EnsembleSpec.from_name("sum", weights=[0.5, 0.5]), panel)
+        assert (ExpertProposal(shaping, 1).log_row("ab") == panel[1].log_next("ab")).all()
+        with pytest.raises(DeadPrefixError, match="zero mass under expert 0"):
+            ExpertProposal(shaping, 0).log_row("ab")
+
+
 class TestDeterminism:
     def test_same_seed_reproduces_runs(self, geo_panel, geo_spec):
         config = SamplerConfig(particles=16, seed=7, proposal="expert:0")
@@ -575,6 +598,14 @@ class TestEpsilonShiftRuns:
         assert abs(z_hats.mean() - 0.1) < 3.0 * se
 
 
+class _ShiftedTarget(PrefixPotentialShaping):
+    """Reports each complete string's target 1e-6 above the one its
+    weight telescopes to."""
+
+    def log_target(self, x):
+        return super().log_target(x) + 1e-6
+
+
 class TestWeightBookkeeping:
     def test_debug_check_passes_on_expert_proposal(self, geo_panel, geo_spec):
         config = SamplerConfig(
@@ -592,6 +623,25 @@ class TestWeightBookkeeping:
             debug_check_weights=True,
         )
         out = smc(geo_spec, geo_panel, config)
+        assert out.diagnostics.resample_rounds != []
+
+    def test_debug_check_catches_a_shifted_target(self, geo_panel, geo_spec):
+        """A target 1e-6 off the one the weights telescope to fails the
+        check in a run that never resampled, and is not checked in one
+        that did."""
+        config = SamplerConfig(
+            particles=16, seed=2, proposal="expert:0", debug_check_weights=True
+        )
+        with pytest.raises(AssertionError, match="weight decomposition violated"):
+            sis(geo_spec, geo_panel, config, shaping=_ShiftedTarget(geo_spec, geo_panel))
+        config = SamplerConfig(
+            particles=16,
+            seed=2,
+            proposal="expert:0",
+            resample_threshold=1.0,
+            debug_check_weights=True,
+        )
+        out = smc(geo_spec, geo_panel, config, shaping=_ShiftedTarget(geo_spec, geo_panel))
         assert out.diagnostics.resample_rounds != []
 
     def test_zero_variance_with_exact_shaping(self, geo_panel, geo_spec):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ensmc import (
-    EOS_KEY,
     LOG_ZERO,
     Alphabet,
     TableModel,
@@ -30,18 +29,6 @@ class TestAlphabet:
             Alphabet(["ab"])
         with pytest.raises(ValueError):
             Alphabet([])
-
-    def test_dict_row_round_trip(self):
-        a = Alphabet("ab")
-        row = a.row_from_dict({"a": 0.25, EOS_KEY: 0.75})
-        assert row[a.index["b"]] == LOG_ZERO
-        back = a.row_to_dict(row)
-        assert_allclose([back["a"], back[EOS_KEY]], [0.25, 0.75], rtol=1e-15)
-        assert "b" not in back
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            Alphabet("ab").row_from_dict({"c": 1.0})
 
     def test_check_string(self):
         """Strings over the alphabet pass; otherwise the first foreign

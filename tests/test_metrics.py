@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from ensmc import (
     Alphabet,
     EnsembleSpec,
+    EnumerationBudgetError,
     ExpertPanel,
     SamplerConfig,
     TableModel,
@@ -97,6 +98,15 @@ class TestMixtureIdentity:
         ensemble, mixture = mixture_identity(geo_panel, [0.5, 0.5], predicate, max_len=3)
         assert_allclose(mixture, (0.5 + 0.25) / 2.0, rtol=1e-12)
         assert_allclose(ensemble, mixture, rtol=1e-12)
+
+
+    def test_expert_without_support_in_the_horizon_refused(self, geo_panel):
+        """An expert whose only string is longer than the horizon has no
+        one-expert table to take an accuracy from."""
+        long_only = TableModel({"aaa": 1.0}, alphabet=Alphabet("ab"))
+        panel = ExpertPanel([geo_panel[0], long_only])
+        with pytest.raises(EnumerationBudgetError, match="no support within the horizon"):
+            mixture_identity(panel, [0.5, 0.5], lambda x: x == "a", max_len=2)
 
 
 class TestIntersectionReport:

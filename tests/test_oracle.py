@@ -29,7 +29,7 @@ from ensmc import (
 )
 from ensmc.ensemble import is_consensus
 from ensmc.logtools import logsumexp
-from ensmc.oracle import alpha_divergence, kl_divergence, model_log_probs
+from ensmc.oracle import alpha_divergence, kl_divergence
 
 
 def brute_force_table(spec, panel, max_len):
@@ -121,26 +121,28 @@ def _outcome(enumerate_fn, spec, panel, max_len, max_nodes):
     )
 
 
+def _draw_expert(draw, symbols):
+    """A random table, or an n-gram fitted to a random corpus, over ``symbols``."""
+    alphabet = Alphabet(symbols)
+    strings = st.text(alphabet=symbols, max_size=4)
+    if draw(st.booleans()):
+        support = draw(st.dictionaries(strings, st.floats(0.05, 1.0), min_size=1, max_size=8))
+        total = math.fsum(support.values())
+        return TableModel({x: p / total for x, p in support.items()}, alphabet=alphabet)
+    corpus = draw(st.lists(strings, min_size=1, max_size=6))
+    order = draw(st.integers(1, 3))
+    smoothing = draw(st.sampled_from([0.0, 0.5]))
+    return fit_ngram(corpus, order, smoothing, alphabet)
+
+
 @st.composite
 def _enumeration_cases(draw):
     """A random table or n-gram panel of 1-3 experts, an operator of every
     kind (consensus or not, tau above and below 1), weights that may be
     zero, a horizon and a node budget that may be small."""
     symbols = draw(st.sampled_from(["a", "ab", "abc"]))
-    alphabet = Alphabet(symbols)
     k = draw(st.integers(1, 3))
-    experts = []
-    for _ in range(k):
-        strings = st.text(alphabet=symbols, max_size=4)
-        if draw(st.booleans()):
-            support = draw(st.dictionaries(strings, st.floats(0.05, 1.0), min_size=1, max_size=8))
-            total = math.fsum(support.values())
-            experts.append(TableModel({x: p / total for x, p in support.items()}, alphabet=alphabet))
-        else:
-            corpus = draw(st.lists(strings, min_size=1, max_size=6))
-            order = draw(st.integers(1, 3))
-            smoothing = draw(st.sampled_from([0.0, 0.5]))
-            experts.append(fit_ngram(corpus, order, smoothing, alphabet))
+    experts = [_draw_expert(draw, symbols) for _ in range(k)]
     weights = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0]), min_size=k, max_size=k)
                    .filter(lambda w: sum(w) > 0))
     kind = draw(st.sampled_from(["geometric", "minimum", "maximum", "power"]))
@@ -354,14 +356,33 @@ class TestTableSerialization:
             load_table(path)
 
 
-class TestModelLogProbs:
-    def test_matches_direct_scoring(self, make_random_table):
-        rng = np.random.default_rng(32)
-        model = make_random_table(rng)
-        out = model_log_probs(model, max_len=2)
-        assert set(out) == set(model.entries)
-        for x, lv in out.items():
-            assert_allclose(lv, math.log(model.entries[x]), rtol=1e-12)
+class TestOneExpertTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        symbols=st.sampled_from(["a", "ab", "ba", "abc", "cab", "bca"]),
+        max_len=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_matches_direct_scoring(self, symbols, max_len, data):
+        """The geometric operator at weight 1 is the model itself: a
+        one-expert table holds exactly the strings of positive probability
+        within the horizon, each with the bits ``string_log_prob`` gives,
+        for alphabets in and out of code-point order."""
+        model = _draw_expert(data.draw, symbols)
+        want = {}
+        for length in range(max_len + 1):
+            for tup in itertools.product(symbols, repeat=length):
+                lv = string_log_prob(model, "".join(tup))
+                if lv != LOG_ZERO:
+                    want["".join(tup)] = lv
+        spec, panel = EnsembleSpec.geometric(1), ExpertPanel([model])
+        if not want:
+            with pytest.raises(EnumerationBudgetError, match="no support"):
+                enumerate_ensemble(spec, panel, max_len)
+            return
+        table = enumerate_ensemble(spec, panel, max_len)
+        assert table.strings == tuple(sorted(want))
+        assert table.log_values.tobytes() == np.array([want[x] for x in table.strings]).tobytes()
 
 
 class TestDivergences:

@@ -47,6 +47,7 @@ BASE_CONFIG = {
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def beside_table(expert):
@@ -540,6 +541,23 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert len(report["top_strings"]) == 2
         assert report["ensemble_accuracy"] == pytest.approx(GEO_PROBS["a"], rel=1e-9)
+
+    def test_readme_worked_example(self, tmp_path, capsys, monkeypatch):
+        """The README's ``ensemble.json`` prints the lines the README shows
+        for ``enumerate`` and ``intersect``."""
+        text = README.read_text(encoding="utf-8")
+        config = text.split("cat > ensemble.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+        (tmp_path / "ensemble.json").write_text(config)
+        monkeypatch.chdir(tmp_path)
+        line = "strings=3 Z=0.9436424353626948 residual<=0 nodes=3"
+        assert f"# {line}\n" in text
+        assert main(["enumerate", "ensemble.json", "--out", "exact.tsv"]) == 0
+        assert capsys.readouterr().out == line + "\n"
+        assert '# {"expert_accuracy": [0.5, 0.25], ' in text
+        assert main(["intersect", "ensemble.json", "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith('{"expert_accuracy": [0.5, 0.25], ')
+        assert [x["x"] for x in json.loads(out)["top_strings"]] == ["a", "", "b"]
 
     def test_intersect_requires_predicate(self, tmp_path, capsys):
         config = write_config(tmp_path, {"predicate": None})

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -197,17 +198,33 @@ class TestNGramModel:
         model = fit_ngram(["ab"], order=2, smoothing=0.1)
         path = tmp_path / "model.tsv"
         model.save(path)
-        lines = path.read_text().splitlines()
-        lines[0] = lines[0].replace("1", "9", 1)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            NGramModel.load(path)
+        saved = path.read_text().splitlines()
+        assert saved[5:] == ["\ta\t1", "a\tb\t1", "b\t<eos>\t1"]
+        # Each is a ValueError naming the file, never a bare KeyError.
+        for at, line in [
+            (0, "ensmc-ngram\t9"),  # unknown version
+            (1, "order\t2.5"),  # non-integer order
+            (2, "smoothing\tlow"),  # non-number smoothing
+            (2, "smoothing\tnan"),  # refused by the constructor
+            (4, "counts\tthree"),  # non-integer row count
+            (1, "order\t0"),  # refused by the constructor
+            (5, "\tz\t1"),  # symbol outside the file's alphabet
+            (5, "\ta"),  # too few fields
+            (5, "\ta\t1\t1"),  # too many fields
+            (5, "\ta\t1.5"),  # non-integer count
+        ]:
+            lines = list(saved)
+            lines[at] = line
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                NGramModel.load(path)
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ValueError):
             NGramModel(Alphabet("ab"), order=0, smoothing=0.1, counts={})
-        with pytest.raises(ValueError):
-            NGramModel(Alphabet("ab"), order=2, smoothing=-0.1, counts={})
+        for smoothing in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                NGramModel(Alphabet("ab"), order=2, smoothing=smoothing, counts={})
 
 
 class TestSharedRowsAreReadOnly:
