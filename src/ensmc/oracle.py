@@ -249,7 +249,10 @@ def dump_table(table: ExactTable, path) -> None:
 
 
 def load_table(path) -> ExactTable:
-    """Read a file written by :func:`dump_table`; the normalizer is recomputed."""
+    """Read a file written by :func:`dump_table`; the normalizer is recomputed.
+
+    A malformed file is a ValueError that names it (and the line, for a
+    body row)."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     try:
@@ -269,9 +272,14 @@ def load_table(path) -> ExactTable:
     if len(body) != n:
         raise ValueError(f"{path}: truncated table")
     pairs = []
-    for line in body:
-        field, lv = line.split("\t")
-        pairs.append((unescape_field(field), float(lv)))
+    for lineno, line in enumerate(body, start=8):
+        try:
+            field, lv = line.split("\t")
+            string = unescape_field(field)
+            alphabet.check_string(string)
+            pairs.append((string, float(lv)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad table row {line!r}: {exc}")
     pairs.sort(key=lambda kv: kv[0])
     strings = tuple(s for s, _ in pairs)
     log_values = np.array([lv for _, lv in pairs])

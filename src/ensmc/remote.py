@@ -34,6 +34,16 @@ one connection per ``RemoteModel`` and reuses it for every request; the server
 closes a connection after ``IDLE_TIMEOUT_S`` idle seconds. A request that
 fails on a reused connection because the server had closed it is resent
 once on a fresh connection; that resend is not a retry and does not sleep.
+The client sends each request (request line, headers and body) in one
+write, and reads the reply with a small HTTP/1.1 reader of its own: the
+body is framed by chunks (``Transfer-Encoding: chunked``), by
+``Content-Length`` or, without either, by the server closing the
+connection. After an HTTP/1.0 or ``Connection: close`` reply the next
+request opens a new connection. A transfer coding other than chunked, a
+malformed status line or chunk size, a status, header or chunk-size line
+over 64 KiB, more than 100 header or trailer lines and a body cut short
+are transport failures. The server's replies always carry
+``Content-Length``.
 
 Client behavior: transport failures, HTTP 5xx, and unparseable bodies
 are retried with exponential backoff (``retries`` attempts total); after
@@ -55,6 +65,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
+import numbers
 import socket
 import sys
 import threading
@@ -78,6 +90,11 @@ POLL_INTERVAL_S = 0.05
 IDLE_TIMEOUT_S = 30.0
 #: Largest request body the server reads.
 MAX_BODY_BYTES = 1 << 20
+#: Longest status or header line, and most header lines, a reply may have.
+_MAX_LINE = 1 << 16
+_MAX_HEADERS = 100
+#: The types ``json.loads`` gives numbers (``bool`` is an ``int``).
+_JSON_NUMBERS = frozenset({int, float, bool})
 
 
 def _close_all(connections: dict) -> None:
@@ -85,6 +102,112 @@ def _close_all(connections: dict) -> None:
         conn = connections.pop(thread, None)
         if conn is not None:
             conn.close()
+
+
+def _json_body(payload: dict) -> bytes:
+    return json.dumps(payload).encode("utf-8")
+
+
+class _Connection:
+    """A kept-alive connection: the socket that the URL's connection class
+    opened (TLS-wrapped for ``https``) and one buffered reader over it."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()  # the socket stays open while a reader holds it
+        self.sock.close()
+
+
+def _read_line(rfile) -> bytes:
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong("reply line")
+    return line
+
+
+def _read_exactly(rfile, n: int) -> bytes:
+    data = rfile.read(n)
+    if len(data) < n:
+        raise http.client.IncompleteRead(data, n - len(data))
+    return data
+
+
+def _read_chunks(rfile) -> bytes:
+    """A chunked body: hex-sized chunks up to a zero one, then trailer lines."""
+    chunks = []
+    while True:
+        line = _read_line(rfile)
+        size = line.split(b";", 1)[0].strip()  # a chunk extension is ignored
+        if not size or size.strip(b"0123456789abcdefABCDEF"):  # hex digits only
+            raise http.client.HTTPException(f"bad chunk size line {line!r}")
+        size = int(size, 16)
+        if size == 0:
+            break
+        chunks.append(_read_exactly(rfile, size))
+        if _read_line(rfile) not in (b"\r\n", b"\n"):
+            raise http.client.HTTPException("chunk not followed by CRLF")
+    for _ in range(_MAX_HEADERS + 1):
+        if _read_line(rfile) in (b"\r\n", b"\n", b""):
+            return b"".join(chunks)
+    raise http.client.HTTPException(f"more than {_MAX_HEADERS} trailer lines")
+
+
+def _read_reply(rfile) -> tuple[int, bytes, bool]:
+    """Read one HTTP/1.x reply: ``(status, body, whether the server closes)``.
+
+    Interim 1xx replies are skipped. The body is framed by chunks, by
+    ``Content-Length`` or, without either, by the server closing the
+    connection; a transfer coding other than chunked is refused. A
+    connection that ends before the status line is ``RemoteDisconnected``;
+    any other malformed reply is an ``HTTPException``.
+    """
+    status = 100
+    while status < 200:
+        line = _read_line(rfile)
+        if not line:
+            raise http.client.RemoteDisconnected("remote end closed connection without a reply")
+        parts = line.split(None, 2)
+        if (
+            len(parts) < 2
+            or parts[0] not in (b"HTTP/1.0", b"HTTP/1.1")
+            or len(parts[1]) != 3
+            or not parts[1].isdigit()
+        ):
+            raise http.client.BadStatusLine(repr(line))
+        status = int(parts[1])
+        length, chunked, close = None, False, parts[0] == b"HTTP/1.0"
+        for _ in range(_MAX_HEADERS + 1):
+            line = _read_line(rfile)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                raise http.client.IncompleteRead(b"")
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name == b"content-length":
+                if not value.strip().isdigit():
+                    raise http.client.HTTPException(f"bad Content-Length {value!r}")
+                length = int(value)
+            elif name == b"connection":
+                close = close or b"close" in [t.strip() for t in value.lower().split(b",")]
+            elif name == b"transfer-encoding":
+                chunked = value.strip().lower() == b"chunked"
+                if not chunked:
+                    raise http.client.HTTPException(f"unsupported Transfer-Encoding {value!r}")
+        else:
+            raise http.client.HTTPException(f"more than {_MAX_HEADERS} header lines")
+    if status in (204, 304):  # never a body
+        return status, b"", close
+    if chunked:
+        return status, _read_chunks(rfile), close
+    if length is None:
+        return status, rfile.read(), True
+    return status, _read_exactly(rfile, length), close
 
 
 class RemoteModel(SequenceModel):
@@ -99,12 +222,19 @@ class RemoteModel(SequenceModel):
         backoff: float = 0.05,
         defect_tol: float = DEFAULT_DEFECT_TOL,
     ):
-        if retries < 1:
-            raise ValueError("retries must be >= 1")
+        if not (isinstance(retries, numbers.Integral) and retries >= 1):
+            raise ValueError(f"retries must be an integer >= 1, got {retries!r}")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be finite and > 0, got {timeout!r}")
+        for name, value in (("backoff", backoff), ("defect_tol", defect_tol)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         self.base_url = base_url.rstrip("/")
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https"):
             raise ValueError(f"remote expert URL must be http or https: {base_url!r}")
+        if not (self.base_url.isascii() and self.base_url.isprintable()) or " " in self.base_url:
+            raise ValueError(f"remote expert URL must be printable ASCII: {base_url!r}")
         self._connection_class = (
             http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
         )
@@ -123,7 +253,7 @@ class RemoteModel(SequenceModel):
         # One kept-alive connection per calling thread (keyed by thread id),
         # since concurrent read-only use must stay safe. They are closed
         # with the model, or by ``close``.
-        self._connections: dict[int, http.client.HTTPConnection] = {}
+        self._connections: dict[int, _Connection] = {}
         weakref.finalize(self, _close_all, self._connections)
         self.alphabet = alphabet if alphabet is not None else self._fetch_alphabet()
 
@@ -133,8 +263,7 @@ class RemoteModel(SequenceModel):
 
     # -- transport ------------------------------------------------------
 
-    def _request(self, method: str, path: str, payload: dict | None = None):
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
+    def _request(self, method: str, path: str, body: bytes | None = None):
         last_error: Exception | None = None
         for attempt in range(self.retries):
             if attempt:
@@ -170,23 +299,36 @@ class RemoteModel(SequenceModel):
     def _exchange(self, method: str, url_path: str, body: bytes | None) -> tuple[int, bytes]:
         """One request on this thread's connection: ``(status, whole body)``.
 
-        The body is read for every status, so the connection stays usable.
+        The request line, headers and body go out in one write. The reply
+        is read whole for every status, so the connection stays usable
+        unless the server says it closes it.
         """
         with self._requests_lock:
             self.requests += 1
+        head = (
+            f"{method} {url_path} HTTP/1.1\r\nHost: {self._netloc}\r\n"
+            "Accept-Encoding: identity\r\n"
+        )
+        if body is None:
+            message = (head + "\r\n").encode("ascii")
+        else:
+            message = (
+                head + f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+            ).encode("ascii") + body
         thread = threading.get_ident()
         conn = self._connections.get(thread)
         reused = conn is not None
         if not reused:
-            conn = self._connections[thread] = self._connection_class(
-                self._netloc, timeout=self.timeout
-            )
+            opener = self._connection_class(self._netloc, timeout=self.timeout)
+            try:
+                opener.connect()
+            except BaseException:
+                opener.close()  # a TLS handshake that failed leaves the TCP socket open
+                raise
+            conn = self._connections[thread] = _Connection(opener.sock)
         try:
-            conn.request(
-                method, url_path, body=body, headers={"Content-Type": "application/json"}
-            )
-            resp = conn.getresponse()
-            data = resp.read()
+            conn.sock.sendall(message)
+            status, data, close = _read_reply(conn.rfile)
         except (ConnectionResetError, BrokenPipeError):
             # Also http.client.RemoteDisconnected. On a reused connection this
             # means the server closed it while idle: resend once, fresh. Both
@@ -198,11 +340,11 @@ class RemoteModel(SequenceModel):
         except BaseException:
             self._drop(thread, conn)
             raise
-        if resp.will_close:
+        if close:
             self._drop(thread, conn)
-        return resp.status, data
+        return status, data
 
-    def _drop(self, thread: int, conn: http.client.HTTPConnection) -> None:
+    def _drop(self, thread: int, conn: _Connection) -> None:
         self._connections.pop(thread, None)
         conn.close()
 
@@ -220,8 +362,9 @@ class RemoteModel(SequenceModel):
         if cached is not None:
             return cached
         self.alphabet.check_string(context)
-        reply = self._request("POST", "/next", {"context": context})
-        return self._store(context, self._parse_row(context, reply))
+        reply = self._request("POST", "/next", _json_body({"context": context}))
+        row = self._cache[context] = self._parse_rows([context], [reply])[0]
+        return row
 
     def log_next_many(self, contexts) -> np.ndarray:
         """The rows of ``contexts``; the uncached ones come from one
@@ -230,63 +373,104 @@ class RemoteModel(SequenceModel):
         missing = [c for c in dict.fromkeys(contexts) if c not in self._cache]
         for context in missing:
             self.alphabet.check_string(context)
-        for batch in self._batches(missing):
-            reply = self._request("POST", "/next_many", {"contexts": batch})
+        for batch, body in self._batches(missing):
+            reply = self._request("POST", "/next_many", body)
             entries = reply.get("rows") if isinstance(reply, dict) else None
             if not isinstance(entries, list) or len(entries) != len(batch):
                 raise ExpertUnavailableError(
                     f"malformed /next_many reply for {len(batch)} contexts"
                 )
-            undefined = None
-            for context, entry in zip(batch, entries):
-                if isinstance(entry, dict) and "error" in entry:
-                    undefined = undefined or UndefinedConditionalError(
-                        f"server rejected context {context!r}: {entry['error']}"
-                    )
-                else:
-                    self._store(context, self._parse_row(context, entry))
-            if undefined is not None:
-                raise undefined
-        out = np.empty((len(contexts), self.alphabet.size + 1))
-        for i, context in enumerate(contexts):
-            out[i] = self._cache[context]
-        return out
+            errors = {
+                context: entry["error"]
+                for context, entry in zip(batch, entries)
+                if isinstance(entry, dict) and "error" in entry
+            }
+            if errors:  # the batch's contexts are distinct
+                entries = [e for c, e in zip(batch, entries) if c not in errors]
+                batch = [c for c in batch if c not in errors]
+            self._cache.update(zip(batch, self._parse_rows(batch, entries)))
+            if errors:
+                context, error = next(iter(errors.items()))
+                raise UndefinedConditionalError(f"server rejected context {context!r}: {error}")
+        cache = self._cache
+        rows = np.array([cache[c] for c in contexts])
+        return rows.reshape(len(contexts), self.alphabet.size + 1)
 
     @staticmethod
     def _batches(contexts: list[str]):
-        """Split ``contexts`` so that no ``/next_many`` body exceeds
-        ``MAX_BODY_BYTES`` (a lone context larger than that gets the 413)."""
+        """``(batch, body)`` pairs for ``contexts``: one ``/next_many`` body
+        for all of them, split only where it would exceed ``MAX_BODY_BYTES``
+        (a lone context larger than that gets the 413)."""
+        if not contexts:
+            return
+        body = _json_body({"contexts": contexts})
+        if len(body) <= MAX_BODY_BYTES:
+            yield contexts, body
+            return
         room = MAX_BODY_BYTES - len(json.dumps({"contexts": []}))
         batch: list[str] = []
         used = 0
         for context in contexts:
             size = len(json.dumps(context)) + 2  # its separator ", " included
             if batch and used + size > room:
-                yield batch
+                yield batch, _json_body({"contexts": batch})
                 batch, used = [], 0
             batch.append(context)
             used += size
-        if batch:
-            yield batch
+        yield batch, _json_body({"contexts": batch})
 
-    def _store(self, context: str, row: np.ndarray) -> np.ndarray:
-        row.flags.writeable = False  # shared by every caller of this context
-        self._cache[context] = row
-        return row
+    def _parse_rows(self, contexts: list[str], entries: list) -> np.ndarray:
+        """The rows of reply ``entries``, one per context, as one read-only
+        ``(n, |Σ|+1)`` array.
 
-    def _parse_row(self, context: str, reply) -> np.ndarray:
-        if not isinstance(reply, dict) or not isinstance(reply.get("log_probs"), dict):
-            raise ExpertUnavailableError(f"malformed row reply for {context!r}")
-        row = np.full(self.alphabet.size + 1, LOG_ZERO)
-        for sym, lp in reply["log_probs"].items():
-            if sym not in self.alphabet.index:
-                raise ExpertUnavailableError(
-                    f"server sent unknown symbol {sym!r} for {context!r}"
-                )
-            row[self.alphabet.index[sym]] = self._parse_value(context, lp)
-        eos = reply.get("eos_log_prob")
-        if eos is not None:
-            row[self.alphabet.eos_index] = self._parse_value(context, eos)
+        Every entry's shape, symbols and value types are checked first;
+        then one vector sum per row finds the rows whose linear-domain sum
+        is off by more than ``ROW_TOL / 2``, and only those take
+        ``_checked_row`` (non-finite values, defect bound, renormalization).
+        Every other row keeps the server's bits, as that check would leave it.
+        """
+        index, eos, width = self.alphabet.index, self.alphabet.eos_index, self.alphabet.size + 1
+        cells: list[int] = []
+        values: list = []
+        for i, (context, entry) in enumerate(zip(contexts, entries)):
+            log_probs = entry.get("log_probs") if isinstance(entry, dict) else None
+            if not isinstance(log_probs, dict):
+                raise ExpertUnavailableError(f"malformed row reply for {context!r}")
+            base = i * width
+            for sym in log_probs:
+                col = index.get(sym)
+                if col is None:
+                    raise ExpertUnavailableError(
+                        f"server sent unknown symbol {sym!r} for {context!r}"
+                    )
+                cells.append(base + col)
+            values += log_probs.values()
+            eos_lp = entry.get("eos_log_prob")
+            if eos_lp is not None:
+                cells.append(base + eos)
+                values.append(eos_lp)
+        if not set(map(type, values)) <= _JSON_NUMBERS:
+            for cell, value in zip(cells, values):
+                if type(value) not in _JSON_NUMBERS:
+                    raise ExpertUnavailableError(
+                        f"non-numeric log probability {value!r} for {contexts[cell // width]!r}"
+                    )
+        rows = np.full((len(contexts), width), LOG_ZERO)
+        rows.reshape(-1)[cells] = values
+        with np.errstate(over="ignore"):
+            sums = np.exp(rows).sum(axis=1)
+        # A quick sum within ROW_TOL / 2 puts the exact total within ROW_TOL
+        # (and within a defect_tol that is at least ROW_TOL): nothing to do.
+        # NaN and +inf rows fail the test, as does every row when a tighter
+        # defect_tol needs the exact total.
+        limit = ROW_TOL / 2 if self.defect_tol >= ROW_TOL else -1.0
+        for i, total in enumerate(sums.tolist()):
+            if not abs(total - 1.0) <= limit:
+                rows[i] = self._checked_row(contexts[i], rows[i])
+        rows.flags.writeable = False  # rows are shared by every caller of their context
+        return rows
+
+    def _checked_row(self, context: str, row: np.ndarray) -> np.ndarray:
         if np.isnan(row).any() or (row == np.inf).any():
             raise ExpertUnavailableError(f"non-finite log probability for {context!r}")
         total = float(np.exp(logsumexp(row))) if not np.isneginf(row).all() else 0.0
@@ -298,14 +482,6 @@ class RemoteModel(SequenceModel):
             self.defects.append((context, total))
             row = row - logsumexp(row)
         return row
-
-    @staticmethod
-    def _parse_value(context: str, value) -> float:
-        if not isinstance(value, (int, float)):
-            raise ExpertUnavailableError(
-                f"non-numeric log probability {value!r} for {context!r}"
-            )
-        return float(value)
 
 
 def _row_reply(alphabet: Alphabet, row: np.ndarray) -> dict:

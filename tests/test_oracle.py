@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -354,6 +355,22 @@ class TestTableSerialization:
         path.write_text("not a table\n")
         with pytest.raises(ValueError):
             load_table(path)
+
+    def test_load_rejects_tampered_rows(self, geo_panel, geo_spec, tmp_path):
+        path = tmp_path / "table.tsv"
+        dump_table(enumerate_ensemble(geo_spec, geo_panel, max_len=3), path)
+        saved = path.read_text().splitlines()
+        assert saved[8].split("\t")[0] == "a"
+        # Each is a ValueError naming the file and the line.
+        for line in [
+            "a\tx",  # non-number value
+            "a",  # too few fields
+            "a\t-1.0\t-1.0",  # too many fields
+            "z\t-1.0",  # symbol outside the header's alphabet
+        ]:
+            path.write_text("\n".join([*saved[:8], line, *saved[9:]]) + "\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: line 9: ")):
+                load_table(path)
 
 
 class TestOneExpertTable:

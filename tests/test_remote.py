@@ -310,8 +310,18 @@ class TestRetriesAndCaching:
             row[0] = 0.0
 
     def test_rejects_nonpositive_retries(self):
-        with pytest.raises(ValueError):
-            RemoteModel("http://127.0.0.1:1", alphabet=Alphabet("a"), retries=0)
+        # Bad settings are rejected when the model is built, not at the
+        # first row or the first transport failure.
+        nan, inf = float("nan"), float("inf")
+        for setting in [
+            {"retries": 0},
+            {"retries": 1.5},
+            *({"timeout": t} for t in (-1.0, 0.0, nan, inf)),
+            *({"backoff": b} for b in (-1.0, nan, inf)),
+            *({"defect_tol": d} for d in (-0.1, nan, inf)),
+        ]:
+            with pytest.raises(ValueError, match=next(iter(setting))):
+                RemoteModel("http://127.0.0.1:1", alphabet=Alphabet("a"), **setting)
 
 
 class TestSampling:
@@ -866,3 +876,257 @@ class TestOneRequestPerRound:
         assert got.log_values.tobytes() == want.log_values.tobytes()
         assert got.log_residual_bound == want.log_residual_bound
         assert got.nodes_visited == want.nodes_visited
+
+
+ROW_A = {"log_probs": {"a": math.log(0.5)}, "eos_log_prob": math.log(0.5)}
+
+
+@contextlib.contextmanager
+def raw_server(reply):
+    """Answer each HTTP request with ``reply(n) -> (raw bytes, close)``, the
+    ``n``-th reply (from 0) sent verbatim, for client framing tests. With
+    ``close``, the server closes the connection after the reply. Yields
+    the base URL and the list of ``(connection, request line)`` seen."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(POLL_INTERVAL_S)
+    seen = []
+    stop = threading.Event()
+
+    def serve():
+        connection = 0
+        while not stop.is_set():
+            try:
+                sock, _ = listener.accept()
+            except TimeoutError:
+                continue
+            connection += 1
+            with sock, sock.makefile("rb") as rfile:
+                while True:
+                    request_line = rfile.readline()
+                    if not request_line:
+                        break
+                    length = 0
+                    while (line := rfile.readline()) not in (b"\r\n", b""):
+                        name, _, value = line.partition(b":")
+                        if name.lower() == b"content-length":
+                            length = int(value)
+                    rfile.read(length)
+                    data, close = reply(len(seen))
+                    seen.append((connection, request_line.split()[1].decode()))
+                    sock.sendall(data)
+                    if close:
+                        break
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield "http://127.0.0.1:%d" % listener.getsockname()[1], seen
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+        listener.close()
+
+
+def http_reply(head: str, body: bytes) -> bytes:
+    return head.replace("\n", "\r\n").encode("ascii") + b"\r\n" + body
+
+
+class TestWire:
+    """The client's HTTP/1.1 exchange: one write per request, replies framed
+    by ``Content-Length``, by chunks or by the server closing the
+    connection, and a malformed reply retried like a transport failure."""
+
+    def test_one_write_per_request(self, monkeypatch):
+        client = threading.get_ident()
+        writes = []
+        sendall = socket.socket.sendall
+
+        def counting_sendall(sock, data, *args):
+            if threading.get_ident() == client:
+                writes.append(len(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+        local = abc_ngram()
+        with ModelServer(local) as server:
+            remote = RemoteModel(server.url)
+            remote.log_next("a")
+            remote.log_next_many(["b", "cab", "ca"])
+        assert remote.requests == 3  # the alphabet, one row, one batch
+        assert len(writes) == 3
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "HTTP/1.0 200 OK\nContent-Type: application/json\n",  # read to the close
+            "HTTP/1.1 200 OK\nConnection: close\n",  # likewise
+            "HTTP/1.1 200 OK\nConnection: close\nContent-Length: {n}\n",
+            "HTTP/1.0 200 OK\nContent-Length: {n}\n",
+        ],
+        ids=["1.0-to-close", "close-to-close", "close-with-length", "1.0-with-length"],
+    )
+    def test_closing_replies_read_whole_then_reconnected(self, connects, head):
+        body = json.dumps(ROW_A).encode("utf-8")
+        reply = http_reply(head.format(n=len(body)), body)
+        with raw_server(lambda n: (reply, True)) as (url, seen):
+            remote = RemoteModel(url, alphabet=Alphabet("a"), retries=1)
+            for context in ("", "a", "aa"):
+                assert np.array_equal(remote.log_next(context), [math.log(0.5)] * 2)
+        assert seen == [(1, "/next"), (2, "/next"), (3, "/next")]
+        assert len(connects) == 3
+
+    def test_kept_alive_replies_share_a_connection(self, connects):
+        body = json.dumps(ROW_A).encode("utf-8")
+        # An interim 100 reply comes first and is skipped.
+        reply = http_reply("HTTP/1.1 100 Continue\n", b"") + http_reply(
+            f"HTTP/1.1 200 OK\nContent-Length: {len(body)}\n", body
+        )
+        with raw_server(lambda n: (reply, False)) as (url, seen):
+            remote = RemoteModel(url, alphabet=Alphabet("a"), retries=1)
+            for context in ("", "a", "aa"):
+                assert np.array_equal(remote.log_next(context), [math.log(0.5)] * 2)
+            remote.close()  # so that the server's connection ends
+        assert [connection for connection, _ in seen] == [1, 1, 1]
+        assert len(connects) == 1
+
+    def test_chunked_replies_are_decoded(self, connects):
+        # Servers without a Content-Length for a large body send it in chunks
+        # (here three, with a chunk extension and a trailer) and keep the
+        # connection open.
+        def respond(n):
+            body = json.dumps({"rows": [ROW_A, ROW_A]} if n == 0 else ROW_A).encode("utf-8")
+            parts = (body[:5], body[5:9], body[9:])
+            chunks = b"".join(b"%x;x=1\r\n%s\r\n" % (len(part), part) for part in parts)
+            head = "HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n"
+            return http_reply(head, chunks + b"0\r\nX-Trailer: 1\r\n\r\n"), False
+
+        with raw_server(respond) as (url, seen):
+            remote = RemoteModel(url, alphabet=Alphabet("a"), retries=1)
+            rows = remote.log_next_many(["", "a"])
+            row = remote.log_next("aa")
+            remote.close()  # so that the server's connection ends
+        assert rows.tolist() == [[math.log(0.5)] * 2] * 2
+        assert row.tolist() == [math.log(0.5)] * 2
+        assert seen == [(1, "/next_many"), (1, "/next")]
+        assert len(connects) == 1
+
+    def test_no_content_reply_has_no_body(self):
+        # Without a Content-Length, a 204 on a kept-alive connection must not
+        # be read to the close: each attempt fails at once on the empty body.
+        reply = http_reply("HTTP/1.1 204 No Content\n", b"")
+        with raw_server(lambda n: (reply, False)) as (url, seen):
+            remote = RemoteModel(url, alphabet=Alphabet("a"), retries=2, backoff=0.001)
+            t0 = time.perf_counter()
+            with pytest.raises(ExpertUnavailableError, match="after 2 attempts"):
+                remote.log_next("")
+            assert time.perf_counter() - t0 < 1.0
+            remote.close()
+        assert seen == [(1, "/next"), (1, "/next")]
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            http_reply("SPDY/9 200 OK\nContent-Length: 2\n", b"{}"),  # garbage status line
+            http_reply("HTTP/1.1 OK 200\nContent-Length: 2\n", b"{}"),
+            http_reply("HTTP/1.1 200 OK\nContent-Length: 80\n", b'{"log_probs": '),  # cut short
+            http_reply("HTTP/1.1 200 OK\nContent-Length: -2\n", b"{}"),
+            http_reply("HTTP/1.1 200 OK\nTransfer-Encoding: gzip\n", b"{}"),
+            http_reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"-2\r\n{}\r\n0\r\n\r\n"),
+            http_reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"8\r\n{}"),  # cut short
+            http_reply("HTTP/1.1 200 OK\nX-Pad: " + "x" * 70_000 + "\n", b"{}"),  # over 64 KiB
+            http_reply("HTTP/1.1 200 OK\n" + "X-Pad: x\n" * 101, b"{}"),  # too many headers
+        ],
+        ids=["status-protocol", "status-code", "truncated", "negative-length", "transfer-coding",
+             "chunk-size", "chunk-truncated", "long-header", "many-headers"],
+    )
+    def test_bad_framing_retried_then_unavailable(self, reply):
+        with raw_server(lambda n: (reply, True)) as (url, seen):
+            remote = RemoteModel(url, alphabet=Alphabet("a"), retries=3, backoff=0.001)
+            with pytest.raises(ExpertUnavailableError, match="after 3 attempts"):
+                remote.log_next("")
+        assert len(seen) == 3
+
+    def test_url_must_be_printable_ascii(self):
+        # It goes into the request line and the Host header as it is.
+        for url in ("http://127.0.0.1:1/a b", "http://127.0.0.1:1/\u00e9", "http://127.0.0.1:1/\x7f"):
+            with pytest.raises(ValueError, match="printable ASCII"):
+                RemoteModel(url, alphabet=Alphabet("a"))
+
+    def test_tight_defect_tolerance_checks_each_row_exactly(self):
+        # A sum off by 3e-10 is within the row tolerance, so the default
+        # keeps the row as sent, but it exceeds a defect_tol of 1e-10.
+        values = [math.log(0.5), math.log(0.5 + 3e-10)]
+        row = {"log_probs": {"a": values[0]}, "eos_log_prob": values[1]}
+
+        def respond(method, path, payload):
+            return 200, {"rows": [row] * len(payload["contexts"])}
+
+        with scripted_server(respond) as url:
+            remote = RemoteModel(url, alphabet=Alphabet("a"))
+            assert remote.log_next_many(["", "a"]).tolist() == [values] * 2
+            assert remote.defects == []
+            tight = RemoteModel(url, alphabet=Alphabet("a"), defect_tol=1e-10)
+            with pytest.raises(ExpertUnavailableError, match="defect exceeds"):
+                tight.log_next_many(["", "a"])
+
+    def test_https_rows_match_the_local_model(self, tmp_path, monkeypatch, connects):
+        x509 = pytest.importorskip("cryptography.x509")
+        import datetime
+        import ipaddress
+        import ssl
+
+        from cryptography.hazmat.primitives import hashes, serialization
+        from cryptography.hazmat.primitives.asymmetric import ec
+
+        key = ec.generate_private_key(ec.SECP256R1())
+        name = x509.Name([x509.NameAttribute(x509.oid.NameOID.COMMON_NAME, "localhost")])
+        now = datetime.datetime.now(datetime.timezone.utc)
+        cert = (
+            x509.CertificateBuilder()
+            .subject_name(name)
+            .issuer_name(name)
+            .public_key(key.public_key())
+            .serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(minutes=5))
+            .not_valid_after(now + datetime.timedelta(days=1))
+            .add_extension(
+                x509.SubjectAlternativeName(
+                    [x509.DNSName("localhost"), x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]
+                ),
+                critical=False,
+            )
+            .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+            .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()), False)
+            .add_extension(
+                x509.AuthorityKeyIdentifier.from_issuer_public_key(key.public_key()), False
+            )
+            .sign(key, hashes.SHA256())
+        )
+        cert_file, key_file = tmp_path / "cert.pem", tmp_path / "key.pem"
+        cert_file.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+        key_file.write_bytes(
+            key.private_bytes(
+                serialization.Encoding.PEM,
+                serialization.PrivateFormat.PKCS8,
+                serialization.NoEncryption(),
+            )
+        )
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert_file))  # the client trusts the certificate
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(cert_file, key_file)
+        server = ModelServer(abc_ngram()).start()
+        server._httpd.socket = context.wrap_socket(server._httpd.socket, server_side=True)
+        local = abc_ngram()
+        contexts = ["", "a", "cab", "bb", "ca"]
+        try:
+            remote = RemoteModel("https" + server.url.removeprefix("http"))
+            assert remote.alphabet == local.alphabet
+            rows = remote.log_next_many(contexts)
+            row = remote.log_next("abc")
+        finally:
+            server.stop()
+        for got, context in zip(rows, contexts):
+            assert got.tobytes() == local.log_next(context).tobytes()
+        assert row.tobytes() == local.log_next("abc").tobytes()
+        assert remote.requests == 3
+        assert len(connects) == 1
