@@ -213,7 +213,6 @@ class PrefixPotentialShaping:
         self.epsilon = epsilon
         self._log_eps = math.log(epsilon) if epsilon is not None else None
         self._nodes: dict[str, np.ndarray] = {}
-        self._local_rows: dict[str, np.ndarray] = {}
 
     def _node(self, x: str) -> np.ndarray:
         node = self._nodes.get(x)
@@ -299,18 +298,15 @@ class PrefixPotentialShaping:
         """The step-local row at ``x``: the operator on the experts' raw
         ``log_next(x)`` rows, normalized (no prefix reweighting).
 
-        Memoized per prefix; raises DeadPrefixError when the combination
-        is identically zero.
+        Computed from the node on every call (a run reads each prefix
+        once); raises DeadPrefixError when the combination is identically
+        zero.
         """
-        row = self._local_rows.get(x)
-        if row is None:
-            combined = self.spec.combine_columns(self._node(x)[:-1, :-1])
-            try:
-                row = log_normalize(combined)
-            except ValueError:
-                raise DeadPrefixError(f"local combination is identically zero at {x!r}")
-            self._local_rows[x] = row
-        return row
+        combined = self.spec.combine_columns(self._node(x)[:-1, :-1])
+        try:
+            return log_normalize(combined)
+        except ValueError:
+            raise DeadPrefixError(f"local combination is identically zero at {x!r}")
 
 
 class OracleShaping:
@@ -359,31 +355,25 @@ class OracleShaping:
 class OptimalProposal(SequenceModel):
     """The locally optimal proposal: the shaping row normalized to sum 1.
 
-    Rows are memoized per context (shapings are deterministic), so one
-    instance can be shared across runs over the same shaping. As a
-    sequence model (``log_next`` is ``log_row``) it is the i.i.d.
-    proposal of :func:`importance_sample`.
+    Rows are normalized from the shaping on every call and kept nowhere
+    else: over a :class:`PrefixPotentialShaping` the prefix node is the
+    one store, so an instance holds no per-prefix state and can be shared
+    across runs. As a sequence model (``log_next`` is ``log_row``) it is
+    the i.i.d. proposal of :func:`importance_sample`.
     """
 
     def __init__(self, shaping):
         self.shaping = shaping
         self.alphabet = shaping.alphabet
-        self._memo: dict[str, np.ndarray] = {}
 
     def log_next(self, context: str) -> np.ndarray:
         return self.log_row(context)
 
     def log_row(self, x: str) -> np.ndarray:
-        row = self._memo.get(x)
-        if row is None:
-            try:
-                row = log_normalize(self.shaping.log_row(x))
-            except ValueError:
-                raise DeadPrefixError(
-                    f"every continuation of {x!r} has zero potential"
-                )
-            self._memo[x] = row
-        return row
+        try:
+            return log_normalize(self.shaping.log_row(x))
+        except ValueError:
+            raise DeadPrefixError(f"every continuation of {x!r} has zero potential")
 
 
 class ExpertProposal(SequenceModel):

@@ -57,7 +57,7 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
     """
     predicate = build_predicate(config.predicate)
     panel, spec = build_panel(config)
-    # One shaping per experiment: its row memo is shared by all runs.
+    # One shaping per experiment: its prefix nodes are shared by all runs.
     shaping = make_shaping(spec, panel, config.sampler)
     records: list[dict] = []
     for method in config.methods:

@@ -19,6 +19,8 @@ forced onto other CPU kernels (``OPENBLAS_CORETYPE``).
 After a deliberate change to what runs compute, regenerate with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the files whose bytes changed and prints their names.
 """
 import json
 import os
@@ -83,7 +85,11 @@ def test_records_byte_identical_under_other_blas_kernels():
 
 
 if __name__ == "__main__":
+    # Only files whose bytes change are rewritten, and each is named, so a
+    # deliberate regeneration lists what it touched.
     for name in CONFIGS:
+        path = GOLDEN / f"{name}.jsonl"
         text = "".join(line + "\n" for line in record_lines(name))
-        (GOLDEN / f"{name}.jsonl").write_text(text, encoding="utf-8")
-        print(f"wrote {name}.jsonl", file=sys.stderr)
+        if not path.is_file() or path.read_text(encoding="utf-8") != text:
+            path.write_text(text, encoding="utf-8")
+            print(f"rewrote {path.name}")

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -393,9 +394,7 @@ class TestOptimalProposal:
     def test_matches_wrapped_shaping(self, geo_panel, geo_spec):
         shaping = PrefixPotentialShaping(geo_spec, geo_panel)
         proposal = OptimalProposal(shaping)
-        assert_allclose(
-            proposal.log_row(""), log_normalize(shaping.log_row("")), rtol=1e-15
-        )
+        assert np.array_equal(proposal.log_row(""), log_normalize(shaping.log_row("")))
 
     def test_dead_row_raises(self):
         # Expert one stops after "a" while expert two must continue: the
@@ -426,6 +425,66 @@ class TestExpertProposal:
         assert (ExpertProposal(shaping, 1).log_row("ab") == panel[1].log_next("ab")).all()
         with pytest.raises(DeadPrefixError, match="zero mass under expert 0"):
             ExpertProposal(shaping, 0).log_row("ab")
+
+
+class TestOneRowStore:
+    """The prefix node is the one per-prefix row store: the optimal
+    proposal and the step-local baseline normalize from it on every read
+    and keep nothing of their own."""
+
+    @staticmethod
+    def _built(make_random_panel, alphabet="abcd", max_len=5):
+        """A panel of full-support tables, and a shaping whose nodes are
+        built for every prefix up to ``max_len``."""
+        panel = make_random_panel(
+            np.random.default_rng(5), k=2, alphabet=alphabet, max_len=max_len, full_support=True
+        )
+        spec = EnsembleSpec.geometric(2)
+        shaping = PrefixPotentialShaping(spec, panel)
+        level = [""]
+        for _ in range(max_len + 1):
+            for x in level:
+                shaping.log_value(x)
+            level = [x + s for x in level for s in alphabet]
+        return spec, panel, shaping
+
+    def test_shared_proposal_draws_as_a_new_one(self, make_random_panel):
+        spec, panel, shaping = self._built(make_random_panel, alphabet="abc")
+        shared = OptimalProposal(shaping)
+        for seed in range(3):
+            config = SamplerConfig(particles=32, max_len=5, seed=seed)
+            for run in (sis, smc):
+                want = particle_states(run(spec, panel, config, shaping=shaping))
+                got = run(spec, panel, config, shaping=shaping, proposal=shared)
+                assert particle_states(got) == want
+
+    def test_runs_over_built_nodes_retain_no_heap(self, make_random_panel):
+        """Once the estimates are dropped, an ``smc`` run with a shared
+        proposal and a ``local`` run over built nodes leave about nothing
+        on the traced heap. A normalized row kept per prefix read held
+        about 60 KB for each run here; what is left is numpy's bounded
+        cache of small buffers (4-11 KB)."""
+        spec, panel, shaping = self._built(make_random_panel)
+        proposal = OptimalProposal(shaping)
+        config = SamplerConfig(particles=256, max_len=5, seed=3)
+        # Lazy interpreter and numpy state is filled by the same runs on
+        # other shapings.
+        for warm in (self._built(make_random_panel)[2] for _ in range(2)):
+            smc(spec, panel, config, shaping=warm, proposal=OptimalProposal(warm))
+            local_sample(spec, panel, 256, 5, seed=3, shaping=warm)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            smc(spec, panel, config, shaping=shaping, proposal=proposal)
+            gc.collect()
+            after_smc = tracemalloc.get_traced_memory()[0] - start
+            local_sample(spec, panel, 256, 5, seed=3, shaping=shaping)
+            gc.collect()
+            after_local = tracemalloc.get_traced_memory()[0] - start - after_smc
+        finally:
+            tracemalloc.stop()
+        assert after_smc < 16_384 and after_local < 16_384, (after_smc, after_local)
 
 
 class TestDeterminism:
