@@ -489,7 +489,10 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
     ``shaping``, weights take its per-step ratios and an ESS below
     ``resample_threshold * particles`` resamples. Without one the draws
     are i.i.d., weights stay 0 unless truncated, and a dead prefix raises
-    the error of the lowest-index particle that met one."""
+    the error of the lowest-index particle that met one. Strings of up to
+    ``max_len`` symbols complete: a particle that draws a symbol at length
+    ``max_len`` is truncated (zero weight, counted in ``truncated``), so
+    rounds run from 0 to ``max_len``."""
     eos = alphabet.eos_index
     symbols = alphabet.symbols
     init = shaping.log_value("") if shaping is not None else 0.0
@@ -519,7 +522,7 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
                 active[ids] = False
                 continue
             probs = np.exp(row)
-            at_horizon = len(x) + 1 >= max_len
+            at_horizon = len(x) >= max_len
             if len(ids) == 1:
                 # One particle: scalar updates, cheaper than fancy indexing.
                 i = ids[0]
@@ -576,7 +579,8 @@ def _particle_doubles(seed: int, particles: int, horizon: int):
 
     Streams are derived a block of rounds at a time, for every particle:
     at round ``r`` a block covers ``r`` rounds (so blocks double), at most
-    ``_BLOCK_STREAMS // particles`` and none past ``horizon``. A block of
+    ``_BLOCK_STREAMS // particles`` and none past ``horizon``, the number
+    of rounds a run can take (``max_len + 1``). A block of
     one round or of fewer than ``streams.VECTOR_MIN_STREAMS`` streams is
     not made; that round derives the live particles' streams alone. Each
     round's row is handed out once, and a block is freed with its last
@@ -609,7 +613,7 @@ def _shaped(spec, panel, config: SamplerConfig, shaping, proposal, resample_thre
         proposal = make_proposal(config, shaping)
     return _sequential(
         panel.alphabet, config.particles, config.max_len,
-        _particle_doubles(config.seed, config.particles, config.max_len),
+        _particle_doubles(config.seed, config.particles, config.max_len + 1),
         proposal.log_row, shaping, resample_threshold, config.seed,
         shaping.log_target if config.debug_check_weights else None, shaping.prefetch,
     )

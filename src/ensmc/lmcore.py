@@ -176,6 +176,8 @@ def sample_with_log_prob(
 
     The accumulated value includes the final end-marker factor when the
     draw completed, i.e. it equals ``string_log_prob(model, x)`` then.
+    Strings of up to ``max_len`` symbols can complete; a draw that adds a
+    symbol past them stops incomplete, with ``max_len + 1`` symbols.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -189,7 +191,7 @@ def sample_with_log_prob(
         if idx == eos:
             return x, log_p, True
         x += model.alphabet.symbols[idx]
-        if len(x) >= max_len:
+        if len(x) > max_len:
             return x, log_p, False
 
 

