@@ -355,11 +355,10 @@ class OracleShaping:
 class OptimalProposal(SequenceModel):
     """The locally optimal proposal: the shaping row normalized to sum 1.
 
-    Rows are normalized from the shaping on every call and kept nowhere
-    else: over a :class:`PrefixPotentialShaping` the prefix node is the
-    one store, so an instance holds no per-prefix state and can be shared
-    across runs. As a sequence model (``log_next`` is ``log_row``) it is
-    the i.i.d. proposal of :func:`importance_sample`.
+    Each row is normalized from the shaping when it is read and kept
+    nowhere (the prefix node is the one store), so one instance can be
+    shared across runs. As a sequence model (``log_next`` is ``log_row``)
+    it is the i.i.d. proposal of :func:`importance_sample`.
     """
 
     def __init__(self, shaping):

@@ -85,8 +85,6 @@ def test_records_byte_identical_under_other_blas_kernels():
 
 
 if __name__ == "__main__":
-    # Only files whose bytes change are rewritten, and each is named, so a
-    # deliberate regeneration lists what it touched.
     for name in CONFIGS:
         path = GOLDEN / f"{name}.jsonl"
         text = "".join(line + "\n" for line in record_lines(name))
