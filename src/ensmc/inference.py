@@ -314,7 +314,9 @@ class OracleShaping:
 
     With this shaping the next-step row is the true conditional of the
     target, so the locally optimal proposal reproduces the normalizer
-    with zero weight variance.
+    with zero weight variance. The table knows no string longer than its
+    ``max_len``, so symbol entries at that length are zero: over an
+    incomplete table, a run estimates Z within the table's horizon.
     """
 
     def __init__(self, table):
@@ -339,12 +341,8 @@ class OracleShaping:
         for j, sym in enumerate(alphabet.symbols):
             if len(x) < self.table.max_len:
                 row[j] = self.table.log_prefix_target(x + sym)
-            elif self.table.is_complete:
-                row[j] = LOG_ZERO
             else:
-                raise DeadPrefixError(
-                    f"cannot shape beyond the horizon of an incomplete table at {x!r}"
-                )
+                row[j] = LOG_ZERO
         row[alphabet.eos_index] = self.table.log_value(x)
         return row - base
 

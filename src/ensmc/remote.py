@@ -34,16 +34,24 @@ one connection per ``RemoteModel`` and reuses it for every request; the server
 closes a connection after ``IDLE_TIMEOUT_S`` idle seconds. A request that
 fails on a reused connection because the server had closed it is resent
 once on a fresh connection; that resend is not a retry and does not sleep.
-The client sends each request (request line, headers and body) in one
-write, and reads the reply with a small HTTP/1.1 reader of its own: the
-body is framed by chunks (``Transfer-Encoding: chunked``), by
-``Content-Length`` or, without either, by the server closing the
-connection. After an HTTP/1.0 or ``Connection: close`` reply the next
-request opens a new connection. A transfer coding other than chunked, a
-malformed status line or chunk size, a status, header or chunk-size line
-over 64 KiB, more than 100 header or trailer lines and a body cut short
-are transport failures. The server's replies always carry
-``Content-Length``.
+Both sides send each message (start line, headers and body) in one write
+and read the other's start line and headers with one small reader,
+``_read_head``. A start, header or chunk-size line over 64 KiB and more
+than 100 header or trailer lines are malformed on either side.
+
+The client frames a reply's body by chunks (``Transfer-Encoding:
+chunked``), by ``Content-Length`` or, without either, by the server
+closing the connection. After an HTTP/1.0 or ``Connection: close`` reply
+the next request opens a new connection. A transfer coding other than
+chunked, a malformed status line or chunk size, a malformed head as above
+and a body cut short are transport failures.
+
+The server (``ModelServer``) frames a request's body by ``Content-Length``
+alone: a POST without one, a chunked request and a malformed request line
+or head get HTTP 400, and a method other than GET and POST gets 501; these
+replies close the connection. It answers requests in the order they come,
+pipelined ones included, each with ``Content-Length``, and closes the
+connection after answering an HTTP/1.0 or ``Connection: close`` request.
 
 Client behavior: transport failures, HTTP 5xx, and unparseable bodies
 are retried with exponential backoff (``retries`` attempts total); after
@@ -68,11 +76,13 @@ import json
 import math
 import numbers
 import socket
+import socketserver
 import sys
 import threading
 import time
 import weakref
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -90,7 +100,7 @@ POLL_INTERVAL_S = 0.05
 IDLE_TIMEOUT_S = 30.0
 #: Largest request body the server reads.
 MAX_BODY_BYTES = 1 << 20
-#: Longest status or header line, and most header lines, a reply may have.
+#: Longest start or header line, and most header lines, a request or reply may have.
 _MAX_LINE = 1 << 16
 _MAX_HEADERS = 100
 #: The types ``json.loads`` gives numbers (``bool`` is an ``int``).
@@ -126,7 +136,7 @@ class _Connection:
 def _read_line(rfile) -> bytes:
     line = rfile.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
-        raise http.client.LineTooLong("reply line")
+        raise http.client.LineTooLong("line")
     return line
 
 
@@ -157,18 +167,52 @@ def _read_chunks(rfile) -> bytes:
     raise http.client.HTTPException(f"more than {_MAX_HEADERS} trailer lines")
 
 
+def _read_head(rfile) -> tuple[bytes, int | None, bool, bool]:
+    """Read the start line and header lines of one HTTP/1.x message, request
+    or reply: ``(start line, Content-Length or None, whether the body is
+    chunked, whether a Connection header says close)``.
+
+    The start line is empty when the connection ends before it. A line over
+    64 KiB, more than 100 header lines, a Content-Length that is not a
+    non-negative integer, a transfer coding other than chunked and an end
+    within the headers are ``HTTPException``s.
+    """
+    start = _read_line(rfile)
+    length, chunked, close = None, False, False
+    if not start:
+        return start, length, chunked, close
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(rfile)
+        if line in (b"\r\n", b"\n"):
+            return start, length, chunked, close
+        if not line:
+            raise http.client.IncompleteRead(b"")
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name == b"content-length":
+            if not value.strip().isdigit():
+                raise http.client.HTTPException(f"bad Content-Length {value!r}")
+            length = int(value)
+        elif name == b"connection":
+            close = close or b"close" in [t.strip() for t in value.lower().split(b",")]
+        elif name == b"transfer-encoding":
+            chunked = value.strip().lower() == b"chunked"
+            if not chunked:
+                raise http.client.HTTPException(f"unsupported Transfer-Encoding {value!r}")
+    raise http.client.HTTPException(f"more than {_MAX_HEADERS} header lines")
+
+
 def _read_reply(rfile) -> tuple[int, bytes, bool]:
     """Read one HTTP/1.x reply: ``(status, body, whether the server closes)``.
 
     Interim 1xx replies are skipped. The body is framed by chunks, by
     ``Content-Length`` or, without either, by the server closing the
-    connection; a transfer coding other than chunked is refused. A
-    connection that ends before the status line is ``RemoteDisconnected``;
-    any other malformed reply is an ``HTTPException``.
+    connection. A connection that ends before the status line is
+    ``RemoteDisconnected``; any other malformed reply is an ``HTTPException``.
     """
     status = 100
     while status < 200:
-        line = _read_line(rfile)
+        line, length, chunked, close = _read_head(rfile)
         if not line:
             raise http.client.RemoteDisconnected("remote end closed connection without a reply")
         parts = line.split(None, 2)
@@ -180,27 +224,7 @@ def _read_reply(rfile) -> tuple[int, bytes, bool]:
         ):
             raise http.client.BadStatusLine(repr(line))
         status = int(parts[1])
-        length, chunked, close = None, False, parts[0] == b"HTTP/1.0"
-        for _ in range(_MAX_HEADERS + 1):
-            line = _read_line(rfile)
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise http.client.IncompleteRead(b"")
-            name, _, value = line.partition(b":")
-            name = name.strip().lower()
-            if name == b"content-length":
-                if not value.strip().isdigit():
-                    raise http.client.HTTPException(f"bad Content-Length {value!r}")
-                length = int(value)
-            elif name == b"connection":
-                close = close or b"close" in [t.strip() for t in value.lower().split(b",")]
-            elif name == b"transfer-encoding":
-                chunked = value.strip().lower() == b"chunked"
-                if not chunked:
-                    raise http.client.HTTPException(f"unsupported Transfer-Encoding {value!r}")
-        else:
-            raise http.client.HTTPException(f"more than {_MAX_HEADERS} header lines")
+        close = close or parts[0] == b"HTTP/1.0"
     if status in (204, 304):  # never a body
         return status, b"", close
     if chunked:
@@ -486,30 +510,139 @@ class RemoteModel(SequenceModel):
 
 def _row_reply(alphabet: Alphabet, row: np.ndarray) -> dict:
     """A row as the wire sends it: nonzero symbol entries, and the end
-    marker's only when nonzero."""
+    marker's only when nonzero. The values are Python floats, which
+    ``json`` writes as their repr, so the client reads the same bits."""
+    values = row.tolist()
     reply = {
-        "log_probs": {
-            sym: float(row[i]) for i, sym in enumerate(alphabet.symbols) if row[i] != LOG_ZERO
-        }
+        "log_probs": {sym: v for sym, v in zip(alphabet.symbols, values) if v != LOG_ZERO}
     }
-    if row[alphabet.eos_index] != LOG_ZERO:
-        reply["eos_log_prob"] = float(row[alphabet.eos_index])
+    eos = values[alphabet.eos_index]
+    if eos != LOG_ZERO:
+        reply["eos_log_prob"] = eos
     return reply
 
 
-class _Server(ThreadingHTTPServer):
-    """A threaded HTTP server whose ``server_close`` also ends open connections.
+def _request_contexts(alphabet: Alphabet, path: bytes, body: bytes) -> list[str]:
+    """The contexts of a ``/next`` or ``/next_many`` request body; a
+    ValueError says what is wrong with it."""
+    many = path == b"/next_many"
+    key = "contexts" if many else "context"
+    payload = json.loads(body.decode("utf-8"))  # not JSON or not UTF-8: a ValueError
+    value = payload.get(key) if isinstance(payload, dict) else None
+    contexts = value if many else [value]
+    if not isinstance(contexts, list) or not all(isinstance(c, str) for c in contexts):
+        raise ValueError(f"{key!r} must be " + ("a list of strings" if many else "a string"))
+    for context in contexts:
+        alphabet.check_string(context)
+    return contexts
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One client connection: read a request with ``_read_head``, answer it
+    in one write, and repeat until the client or a reply closes the
+    connection, or it sits idle for the server's ``idle_timeout``."""
+
+    # A reply is one write, but one longer than a TCP segment ends in a short
+    # segment, which Nagle's algorithm would hold back until the client's
+    # delayed ACK (about 40 ms).
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        self.timeout = self.server.idle_timeout
+        super().setup()
+
+    def handle(self):
+        while True:
+            try:
+                answer = self._answer()
+            except OSError:  # the idle timeout, or the client is gone
+                return
+            if answer is None:  # the client closed the connection
+                return
+            code, payload, close = answer
+            body = json.dumps(payload).encode("utf-8")
+            head = (
+                f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\n"
+                f"Date: {formatdate(usegmt=True)}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+            )
+            if close:
+                head += "Connection: close\r\n"
+            self.connection.sendall((head + "\r\n").encode("ascii") + body)
+            if close:
+                return
+
+    def _answer(self) -> tuple[int, dict, bool] | None:
+        """Read one request: ``(status, JSON reply, whether to close)``, or
+        None when the client has closed the connection.
+
+        A request that cannot be framed gets a reply that closes the
+        connection, since its unread bytes would be read as the next request.
+        """
+        try:
+            line, length, chunked, close = _read_head(self.rfile)
+        except http.client.HTTPException as exc:
+            return 400, {"error": str(exc)}, True
+        if not line:
+            return None
+        parts = line.split()
+        if len(parts) != 3 or parts[2] not in (b"HTTP/1.0", b"HTTP/1.1"):
+            return 400, {"error": f"malformed request line {line!r}"}, True
+        method, path, version = parts
+        if method not in (b"GET", b"POST"):
+            return 501, {"error": f"unsupported method {method.decode('latin-1')}"}, True
+        framed = not chunked and (length is not None or method == b"GET")
+        if not framed or (length or 0) > MAX_BODY_BYTES:
+            error = f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]"
+            return (413 if framed else 400), {"error": error}, True
+        try:
+            body = _read_exactly(self.rfile, length or 0)
+        except http.client.IncompleteRead:
+            return None
+        close = close or version == b"HTTP/1.0"
+        model = self.server.model
+        alphabet = model.alphabet
+        if method == b"GET" and path == b"/alphabet":
+            return 200, {"symbols": list(alphabet.symbols)}, close
+        if method == b"GET" or path not in (b"/next", b"/next_many"):
+            return 404, {"error": "unknown path"}, close
+        try:
+            contexts = _request_contexts(alphabet, path, body)
+        except ValueError as exc:
+            return 400, {"error": str(exc)}, close
+        entries = []
+        try:
+            for context in contexts:
+                try:
+                    entries.append(_row_reply(alphabet, model.log_next(context)))
+                except UndefinedConditionalError as exc:
+                    entries.append({"error": str(exc)})
+        except Exception as exc:
+            return 500, {"error": str(exc)}, close
+        if path == b"/next_many":
+            return 200, {"rows": entries}, close
+        return (422 if "error" in entries[0] else 200), entries[0], close
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    """A threaded TCP server for ``_Handler`` whose ``server_close`` also
+    ends open connections.
 
     Each kept-alive connection has a daemon handler thread, which
     ``server_close`` neither waits for nor stops. Without this, a client
     holding a connection would go on getting rows from a stopped server
-    for up to ``IDLE_TIMEOUT_S``.
+    for up to ``idle_timeout``.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address, model: SequenceModel, idle_timeout: float):
+        self.model = model
+        self.idle_timeout = idle_timeout
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
+        super().__init__(address, _Handler)
 
     def process_request(self, request, client_address):
         with self._lock:
@@ -562,103 +695,7 @@ class ModelServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "ModelServer":
-        model = self.model
-        alphabet = model.alphabet
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # Headers and body are separate writes; with Nagle's algorithm the
-            # body waits for the client's delayed ACK (about 40 ms a row).
-            disable_nagle_algorithm = True
-            timeout = IDLE_TIMEOUT_S
-
-            def log_message(self, *args):  # keep test output quiet
-                pass
-
-            def _send(self, code: int, payload: dict, close: bool = False) -> None:
-                body = json.dumps(payload).encode("utf-8")
-                self.send_response(code)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                if close:
-                    self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self):
-                if self.path == "/alphabet":
-                    self._send(200, {"symbols": list(alphabet.symbols)})
-                else:
-                    self._send(404, {"error": "unknown path"})
-
-            def _read_body(self) -> bytes | None:
-                """The request body, or None once a 400/413 reply is sent.
-
-                An unread body would be parsed as the next request, so an
-                error reply here also closes the connection.
-                """
-                try:
-                    length = int(self.headers["Content-Length"])
-                except (TypeError, ValueError):  # missing or not an integer
-                    length = -1
-                if not 0 <= length <= MAX_BODY_BYTES:
-                    self._send(
-                        413 if length > MAX_BODY_BYTES else 400,
-                        {"error": f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]"},
-                        close=True,
-                    )
-                    return None
-                return self.rfile.read(length)
-
-            def _contexts(self, body: bytes) -> list[str] | None:
-                """The request's contexts, or None once a 400 reply is sent."""
-                many = self.path == "/next_many"
-                key = "contexts" if many else "context"
-                try:  # a body that is not JSON or not UTF-8 is a ValueError
-                    payload = json.loads(body.decode("utf-8"))
-                    value = payload.get(key) if isinstance(payload, dict) else None
-                    contexts = value if many else [value]
-                    if not isinstance(contexts, list) or not all(
-                        isinstance(c, str) for c in contexts
-                    ):
-                        raise ValueError(
-                            f"{key!r} must be " + ("a list of strings" if many else "a string")
-                        )
-                    for context in contexts:
-                        alphabet.check_string(context)
-                except ValueError as exc:
-                    self._send(400, {"error": str(exc)})
-                    return None
-                return contexts
-
-            def do_POST(self):
-                body = self._read_body()
-                if body is None:
-                    return
-                if self.path not in ("/next", "/next_many"):
-                    self._send(404, {"error": "unknown path"})
-                    return
-                contexts = self._contexts(body)
-                if contexts is None:
-                    return
-                entries = []
-                try:
-                    for context in contexts:
-                        try:
-                            entries.append(_row_reply(alphabet, model.log_next(context)))
-                        except UndefinedConditionalError as exc:
-                            entries.append({"error": str(exc)})
-                except Exception as exc:
-                    self._send(500, {"error": str(exc)})
-                    return
-                if self.path == "/next_many":
-                    self._send(200, {"rows": entries})
-                elif "error" in entries[0]:
-                    self._send(422, entries[0])
-                else:
-                    self._send(200, entries[0])
-
-        self._httpd = _Server((self._host, self._port), Handler)
+        self._httpd = _Server((self._host, self._port), self.model, IDLE_TIMEOUT_S)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
         )

@@ -713,6 +713,27 @@ class TestWeightBookkeeping:
         assert_allclose(weights, GEO_Z, rtol=1e-12)
         assert_allclose(math.exp(out.log_z_hat), GEO_Z, rtol=1e-12)
 
+    @pytest.mark.parametrize("sampler", [smc, sis])
+    def test_exact_shaping_over_an_incomplete_table_estimates_z_within_its_horizon(
+        self, sampler
+    ):
+        # Both tables put mass on "abb", beyond the horizon of 2: a particle
+        # at "ab" must still be able to end there.
+        panel = ExpertPanel(
+            [
+                TableModel({"ab": 0.3, "a": 0.2, "abb": 0.5}),
+                TableModel({"ab": 0.4, "a": 0.3, "abb": 0.3}),
+            ]
+        )
+        spec = EnsembleSpec.geometric(2)
+        table = enumerate_ensemble(spec, panel, max_len=2)
+        assert not table.is_complete
+        shaping = OracleShaping(table)
+        config = SamplerConfig(particles=200, seed=1, max_len=2)
+        out = sampler(spec, panel, config, shaping=shaping, proposal=OptimalProposal(shaping))
+        assert out.diagnostics.truncated == 0
+        assert_allclose(out.log_z_hat, table.log_z, rtol=1e-12)
+
     def test_expert_proposal_unbiased_and_noisier(self, geo_panel, geo_spec):
         runs = 300
         expert = np.array(

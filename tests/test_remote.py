@@ -3,12 +3,15 @@ import http.client
 import itertools
 import json
 import math
+import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from numpy.testing import assert_allclose
 
 from conftest import GEO_P1, GEO_P2
 
+import ensmc
 from ensmc import (
     Alphabet,
     EnsembleSpec,
@@ -1130,3 +1134,145 @@ class TestWire:
         assert row.tobytes() == local.log_next("abc").tobytes()
         assert remote.requests == 3
         assert len(connects) == 1
+
+
+def exchange(url: str, data: bytes) -> bytes:
+    """Send ``data`` in one write on a fresh connection and read until the
+    server closes it (a timeout fails the test if it never does)."""
+    host, port = url.removeprefix("http://").split(":")
+    received = []
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+        sock.sendall(data)
+        while True:
+            try:
+                chunk = sock.recv(1 << 16)
+            except ConnectionResetError:  # closed with part of the request unread
+                break
+            if not chunk:
+                break
+            received.append(chunk)
+    return b"".join(received)
+
+
+def split_replies(data: bytes) -> list[tuple[int, dict, dict]]:
+    """``(status, headers, JSON body)`` of each reply in ``data``, framed by
+    ``Content-Length``; header names are lowercased."""
+    replies = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status_line, *fields = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for field in fields:
+            name, _, value = field.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        replies.append((int(status_line.split()[1]), headers, json.loads(data[:length])))
+        data = data[length:]
+    return replies
+
+
+def wire_row(model, context: str) -> dict:
+    """The ``/next`` reply for a row with no zero entry."""
+    *values, eos = model.log_next(context).tolist()
+    return {"log_probs": dict(zip(model.alphabet.symbols, values)), "eos_log_prob": eos}
+
+
+def raw_post(path: str, payload: dict, *headers: str, version: str = "HTTP/1.1") -> bytes:
+    body = json.dumps(payload).encode("utf-8")
+    head = "".join(f"{h}\r\n" for h in (*headers, f"Content-Length: {len(body)}"))
+    return f"POST {path} {version}\r\nHost: x\r\n{head}\r\n".encode("ascii") + body
+
+
+class TestServerWire:
+    """``ModelServer``'s HTTP/1.1 framing: requests read in order from one
+    connection, one write per reply, and a closing reply for a request it
+    cannot frame or a client that asks to close."""
+
+    def test_pipelined_requests_answered_in_order_on_one_connection(self):
+        local = abc_ngram()
+        data = raw_post("/next", {"context": "ca"}) + raw_post(
+            "/next_many", {"contexts": ["", "b"]}, "Connection: close"
+        )
+        with ModelServer(local) as server:
+            replies = split_replies(exchange(server.url, data))
+        assert [(status, "connection" in headers) for status, headers, _ in replies] == [
+            (200, False),
+            (200, True),
+        ]
+        assert replies[0][2] == wire_row(local, "ca")
+        assert replies[1][2] == {"rows": [wire_row(local, ""), wire_row(local, "b")]}
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /next\r\nContent-Length: 2\r\n\r\n{}",  # no version
+            b"POST /next SPDY/9\r\nContent-Length: 2\r\n\r\n{}",
+            b"POST /next HTTP/1.1\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",  # over 64 KiB
+            b"GET /alphabet HTTP/1.1\r\n" + b"X-Pad: x\r\n" * 101 + b"\r\n",  # too many headers
+        ],
+        ids=["request-line-parts", "request-line-version", "long-header", "many-headers"],
+    )
+    def test_malformed_request_gets_400_and_the_connection_closes(self, request_bytes):
+        model = CountingModel(abc_ngram())
+        with ModelServer(model) as server:
+            # A valid request pipelined after the bad one is never answered.
+            data = request_bytes + raw_post("/next", {"context": "a"})
+            replies = split_replies(exchange(server.url, data))
+        assert [(status, headers["connection"]) for status, headers, _ in replies] == [
+            (400, "close")
+        ]
+        assert replies[0][2]["error"]
+        assert model.calls == 0
+
+    def test_unknown_method_gets_501(self):
+        with ModelServer(abc_ngram()) as server:
+            data = b"PUT /next HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+            [(status, headers, reply)] = split_replies(exchange(server.url, data))
+        assert (status, headers["connection"]) == (501, "close")
+        assert "PUT" in reply["error"]
+
+    @pytest.mark.parametrize(
+        "headers, version",
+        [((), "HTTP/1.0"), (("Connection: close",), "HTTP/1.1")],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_closing_request_gets_a_closing_reply(self, headers, version):
+        local = abc_ngram()
+        data = raw_post("/next", {"context": "b"}, *headers, version=version)
+        with ModelServer(local) as server:
+            # exchange reads to the server's close, which must follow the reply.
+            [(status, reply_headers, reply)] = split_replies(exchange(server.url, data))
+        assert (status, reply_headers["connection"]) == (200, "close")
+        assert reply_headers["content-type"] == "application/json"
+        assert reply_headers["date"]
+        assert reply == wire_row(local, "b")
+
+    def test_one_write_per_reply(self, monkeypatch):
+        client = threading.get_ident()
+        writes = []
+        sendall = socket.socket.sendall
+
+        def counting_sendall(sock, data, *args):
+            if threading.get_ident() != client:
+                writes.append(data)
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+        with ModelServer(abc_ngram()) as server:
+            remote = RemoteModel(server.url)
+            remote.log_next("a")
+            remote.log_next_many(["b", "cab", "ca"])
+            status, _ = post(server.url, "/nowhere", {})
+        assert remote.requests == 3  # the alphabet, one row, one batch
+        assert status == 404
+        assert len(writes) == 4
+        assert all(w.startswith(b"HTTP/1.1 ") and w.endswith((b"}", b"]")) for w in writes)
+
+
+def test_import_leaves_http_server_unloaded():
+    """``import ensmc`` does not pay for ``http.server`` (nor ``html`` and
+    ``mimetypes``, which it imports)."""
+    code = "import sys, ensmc; assert 'http.server' not in sys.modules"
+    src = str(Path(ensmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
