@@ -4,25 +4,21 @@ Protocol (all bodies JSON, UTF-8):
 
 * ``GET /alphabet`` → ``{"symbols": ["a", "b", ...]}`` — the server's
   alphabet, in dense-row order.
-* ``POST /next`` with ``{"context": "<string>"}`` →
-  ``{"log_probs": {"a": -0.3, ...}, "eos_log_prob": -1.2}``.
-  Symbols absent from ``log_probs`` have zero probability; a missing or
-  null ``eos_log_prob`` means a zero-probability end marker. Values are
-  natural-log probabilities.
-* A context with zero probability under the server's model yields HTTP
-  422 with ``{"error": "<message>"}``; the client raises
-  UndefinedConditionalError without retrying.
 * ``POST /next_many`` with ``{"contexts": ["<string>", ...]}`` →
-  ``{"rows": [<entry>, ...]}``, one entry per context in order: the
-  ``/next`` reply for that context, or ``{"error": "<message>"}`` where
-  ``/next`` would answer 422. The client raises UndefinedConditionalError
-  for the first such context, without retrying, after caching the rows
-  of the others.
-* A body that is not JSON, a ``context`` that is missing or not a string,
-  ``contexts`` that are not a list of strings, and a context with a
-  symbol outside the alphabet get HTTP 400 with ``{"error": ...}``. The
-  client checks its contexts against its alphabet before sending, and
-  raises ValueError for a foreign symbol, as a local model does.
+  ``{"rows": [<entry>, ...]}``, one entry per context in order. A row
+  entry is ``{"log_probs": {"a": -0.3, ...}, "eos_log_prob": -1.2}``:
+  symbols absent from ``log_probs`` have zero probability, a missing or
+  null ``eos_log_prob`` means a zero-probability end marker, and values
+  are natural-log probabilities. A context with zero probability under
+  the server's model gets ``{"error": "<message>"}`` in place of its row;
+  the client raises UndefinedConditionalError for the first such context,
+  without retrying, after caching the rows of the others. This is the
+  only row request: ``log_next`` asks for one context with it.
+* A body that is not JSON, ``contexts`` that are not a list of strings,
+  and a context with a symbol outside the alphabet get HTTP 400 with
+  ``{"error": ...}``. The client checks its contexts against its alphabet
+  before sending, and raises ValueError for a foreign symbol, as a local
+  model does. Any other path gets 404.
 
 A request body larger than ``MAX_BODY_BYTES``, or one whose
 ``Content-Length`` is missing, not an integer or negative, gets HTTP 413 or
@@ -36,15 +32,17 @@ fails on a reused connection because the server had closed it is resent
 once on a fresh connection; that resend is not a retry and does not sleep.
 Both sides send each message (start line, headers and body) in one write
 and read the other's start line and headers with one small reader,
-``_read_head``. A start, header or chunk-size line over 64 KiB and more
-than 100 header or trailer lines are malformed on either side.
+``_read_head``. A start, header or chunk-size line over 64 KiB, more than
+100 header or trailer lines and conflicting ``Content-Length`` values are
+malformed on either side.
 
 The client frames a reply's body by chunks (``Transfer-Encoding:
 chunked``), by ``Content-Length`` or, without either, by the server
 closing the connection. After an HTTP/1.0 or ``Connection: close`` reply
 the next request opens a new connection. A transfer coding other than
 chunked, a malformed status line or chunk size, a malformed head as above
-and a body cut short are transport failures.
+and a body cut short are transport failures. A body is read 64 KiB at a
+time, so an announced length costs memory only for the bytes that arrive.
 
 The server (``ModelServer``) frames a request's body by ``Content-Length``
 alone: a POST without one, a chunked request and a malformed request line
@@ -61,9 +59,9 @@ the standard row tolerance but within ``defect_tol`` (default 1e-2) of 1
 is renormalized and the defect recorded on ``RemoteModel.defects``; a
 larger defect raises ExpertUnavailableError immediately. Rows are cached
 per context, so retries and re-queries cannot change an answer already
-used. Retry, backoff and these rules apply per request: to each row of a
-``/next_many`` reply as to a ``/next`` reply. ``RemoteModel.requests``
-counts the requests sent, retries included.
+used. Retry and backoff apply per request, and the row checks to each
+row of a reply. ``RemoteModel.requests`` counts the requests sent,
+retries included.
 
 The samplers ask each expert for all of a round's new rows at once
 (``log_next_many``), so a run makes one ``/next_many`` request per round
@@ -103,6 +101,9 @@ MAX_BODY_BYTES = 1 << 20
 #: Longest start or header line, and most header lines, a request or reply may have.
 _MAX_LINE = 1 << 16
 _MAX_HEADERS = 100
+#: Most bytes one read of a body asks for: memory follows the bytes that
+#: arrive, not the length the other side announced.
+_READ_PIECE = 1 << 16
 #: The types ``json.loads`` gives numbers (``bool`` is an ``int``).
 _JSON_NUMBERS = frozenset({int, float, bool})
 
@@ -141,10 +142,14 @@ def _read_line(rfile) -> bytes:
 
 
 def _read_exactly(rfile, n: int) -> bytes:
-    data = rfile.read(n)
-    if len(data) < n:
-        raise http.client.IncompleteRead(data, n - len(data))
-    return data
+    pieces = []
+    while n:
+        piece = rfile.read(min(n, _READ_PIECE))
+        if not piece:
+            raise http.client.IncompleteRead(b"".join(pieces), n)
+        pieces.append(piece)
+        n -= len(piece)
+    return b"".join(pieces)
 
 
 def _read_chunks(rfile) -> bytes:
@@ -174,8 +179,8 @@ def _read_head(rfile) -> tuple[bytes, int | None, bool, bool]:
 
     The start line is empty when the connection ends before it. A line over
     64 KiB, more than 100 header lines, a Content-Length that is not a
-    non-negative integer, a transfer coding other than chunked and an end
-    within the headers are ``HTTPException``s.
+    non-negative integer or differs from an earlier one, a transfer coding
+    other than chunked and an end within the headers are ``HTTPException``s.
     """
     start = _read_line(rfile)
     length, chunked, close = None, False, False
@@ -192,6 +197,8 @@ def _read_head(rfile) -> tuple[bytes, int | None, bool, bool]:
         if name == b"content-length":
             if not value.strip().isdigit():
                 raise http.client.HTTPException(f"bad Content-Length {value!r}")
+            if length is not None and int(value) != length:
+                raise http.client.HTTPException("conflicting Content-Length headers")
             length = int(value)
         elif name == b"connection":
             close = close or b"close" in [t.strip() for t in value.lower().split(b",")]
@@ -308,10 +315,6 @@ class RemoteModel(SequenceModel):
                     detail = json.loads(data.decode("utf-8")).get("error") or ""
                 except Exception:
                     detail = ""
-                if status == 422:
-                    raise UndefinedConditionalError(
-                        detail or f"server rejected the context ({path})"
-                    )
                 raise ExpertUnavailableError(
                     f"{method} {path} failed with HTTP {status}" + (f": {detail}" if detail else "")
                 )
@@ -382,18 +385,21 @@ class RemoteModel(SequenceModel):
     # -- model interface ------------------------------------------------
 
     def log_next(self, context: str) -> np.ndarray:
-        cached = self._cache.get(context)
-        if cached is not None:
-            return cached
-        self.alphabet.check_string(context)
-        reply = self._request("POST", "/next", _json_body({"context": context}))
-        row = self._cache[context] = self._parse_rows([context], [reply])[0]
-        return row
+        if context not in self._cache:
+            self._fetch([context])
+        return self._cache[context]
 
     def log_next_many(self, contexts) -> np.ndarray:
         """The rows of ``contexts``; the uncached ones come from one
         ``/next_many`` request (more only if the body would exceed
         ``MAX_BODY_BYTES``)."""
+        self._fetch(contexts)
+        rows = np.array([self._cache[c] for c in contexts])
+        return rows.reshape(len(contexts), self.alphabet.size + 1)
+
+    def _fetch(self, contexts) -> None:
+        """Cache the uncached ``contexts``' rows; a context the server
+        rejects raises UndefinedConditionalError once the others' are cached."""
         missing = [c for c in dict.fromkeys(contexts) if c not in self._cache]
         for context in missing:
             self.alphabet.check_string(context)
@@ -416,9 +422,6 @@ class RemoteModel(SequenceModel):
             if errors:
                 context, error = next(iter(errors.items()))
                 raise UndefinedConditionalError(f"server rejected context {context!r}: {error}")
-        cache = self._cache
-        rows = np.array([cache[c] for c in contexts])
-        return rows.reshape(len(contexts), self.alphabet.size + 1)
 
     @staticmethod
     def _batches(contexts: list[str]):
@@ -522,16 +525,13 @@ def _row_reply(alphabet: Alphabet, row: np.ndarray) -> dict:
     return reply
 
 
-def _request_contexts(alphabet: Alphabet, path: bytes, body: bytes) -> list[str]:
-    """The contexts of a ``/next`` or ``/next_many`` request body; a
-    ValueError says what is wrong with it."""
-    many = path == b"/next_many"
-    key = "contexts" if many else "context"
+def _request_contexts(alphabet: Alphabet, body: bytes) -> list[str]:
+    """The contexts of a ``/next_many`` request body; a ValueError says
+    what is wrong with it."""
     payload = json.loads(body.decode("utf-8"))  # not JSON or not UTF-8: a ValueError
-    value = payload.get(key) if isinstance(payload, dict) else None
-    contexts = value if many else [value]
+    contexts = payload.get("contexts") if isinstance(payload, dict) else None
     if not isinstance(contexts, list) or not all(isinstance(c, str) for c in contexts):
-        raise ValueError(f"{key!r} must be " + ("a list of strings" if many else "a string"))
+        raise ValueError("'contexts' must be a list of strings")
     for context in contexts:
         alphabet.check_string(context)
     return contexts
@@ -604,10 +604,10 @@ class _Handler(socketserver.StreamRequestHandler):
         alphabet = model.alphabet
         if method == b"GET" and path == b"/alphabet":
             return 200, {"symbols": list(alphabet.symbols)}, close
-        if method == b"GET" or path not in (b"/next", b"/next_many"):
+        if method == b"GET" or path != b"/next_many":
             return 404, {"error": "unknown path"}, close
         try:
-            contexts = _request_contexts(alphabet, path, body)
+            contexts = _request_contexts(alphabet, body)
         except ValueError as exc:
             return 400, {"error": str(exc)}, close
         entries = []
@@ -619,9 +619,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     entries.append({"error": str(exc)})
         except Exception as exc:
             return 500, {"error": str(exc)}, close
-        if path == b"/next_many":
-            return 200, {"rows": entries}, close
-        return (422 if "error" in entries[0] else 200), entries[0], close
+        return 200, {"rows": entries}, close
 
 
 class _Server(socketserver.ThreadingTCPServer):

@@ -18,13 +18,16 @@ from ensmc import (
     EnumerationBudgetError,
     ExactTable,
     ExpertPanel,
+    OracleShaping,
     PFSAModel,
+    SamplerConfig,
     TableModel,
     dump_table,
     enumerate_ensemble,
     fit_ngram,
     load_table,
     minimize_divergence_simplex,
+    sis,
     string_log_prob,
     total_variation,
 )
@@ -191,6 +194,76 @@ class TestLevelOrder:
             assert table.nodes_visited == 9_331
             del table
         assert peaks[1] <= 1.1 * peaks[0]
+
+
+@st.composite
+def _sampler_cases(draw):
+    """A panel of 1-3 random tables over ``ab`` (strings up to 4 symbols),
+    one of the six named operators or a power at tau -3, 0.5 or 3, weights
+    that may be zero, a horizon of 1-4 and a sampler seed; with the oracle
+    table at that horizon, or None when the target has no support there."""
+    alphabet = Alphabet("ab")
+    k = draw(st.integers(1, 3))
+    experts = []
+    for _ in range(k):
+        support = draw(st.dictionaries(st.text(alphabet="ab", max_size=4), st.floats(0.05, 1.0),
+                                       min_size=1, max_size=8))
+        total = math.fsum(support.values())
+        experts.append(TableModel({x: p / total for x, p in support.items()}, alphabet=alphabet))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0]), min_size=k, max_size=k)
+                   .filter(lambda w: sum(w) > 0))
+    name = draw(st.sampled_from(
+        ["minimum", "maximum", "product", "sum", "harmonic", "quadratic", "power"]
+    ))
+    tau = draw(st.sampled_from([-3.0, 0.5, 3.0])) if name == "power" else None
+    spec, panel = EnsembleSpec.from_name(name, weights, tau), ExpertPanel(experts)
+    max_len = draw(st.integers(1, 4))
+    try:
+        table = enumerate_ensemble(spec, panel, max_len)
+    except EnumerationBudgetError:  # no supported string within the horizon
+        table = None
+    config = SamplerConfig(particles=16, max_len=max_len, seed=draw(st.integers(0, 2**16)),
+                           debug_check_weights=True)
+    return spec, panel, config, table
+
+
+class TestSamplersAgainstTheOracle:
+    """Deterministic properties of the oracle and of ``sis`` on random small
+    panels, checked against the enumerated table at the samplers' horizon."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sampler_cases())
+    def test_values_lie_between_the_active_experts(self, case):
+        spec, panel, config, table = case
+        if table is None:
+            return
+        active = [model for model, w in zip(panel, spec.weights) if w > 0.0]
+        for x, value in zip(table.strings, table.log_values.tolist()):
+            experts = [string_log_prob(model, x) for model in active]
+            assert min(experts) - 1e-12 <= value <= max(experts) + 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sampler_cases())
+    def test_sis_weights_are_the_oracle_target_over_the_proposal(self, case):
+        spec, panel, config, table = case
+        if table is None:
+            return
+        estimate = sis(spec, panel, config)
+        for x, log_w, log_q, done in zip(estimate.xs, estimate.log_w.tolist(),
+                                         estimate.log_proposal.tolist(),
+                                         estimate.completed.tolist()):
+            if done:
+                want = table.log_value(x) - log_q
+                assert log_w == want or abs(log_w - want) <= 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sampler_cases())
+    def test_sis_over_exact_shaping_gives_z(self, case):
+        spec, panel, config, table = case
+        if table is None:
+            return
+        estimate = sis(spec, panel, config, shaping=OracleShaping(table))
+        assert abs(math.expm1(estimate.log_z_hat - table.log_z)) <= 1e-12
 
 
 class TestEnumerateEnsemble:

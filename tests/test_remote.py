@@ -84,6 +84,10 @@ def scripted_server(respond):
         thread.join(timeout=5.0)
 
 
+#: A row over ``Alphabet("a")``, as an entry of a ``/next_many`` reply.
+ROW_A = {"log_probs": {"a": math.log(0.5)}, "eos_log_prob": math.log(0.5)}
+
+
 class CountingModel(SequenceModel):
     def __init__(self, inner):
         self.inner = inner
@@ -140,7 +144,7 @@ class TestLoopback:
 
         def respond(method, path, payload):
             calls.append((method, path))
-            return 200, {"log_probs": {"a": math.log(0.5)}, "eos_log_prob": math.log(0.5)}
+            return 200, {"rows": [ROW_A]}
 
         with scripted_server(respond) as url:
             remote = RemoteModel(url, alphabet=Alphabet("a"))
@@ -154,10 +158,10 @@ class TestRowValidation:
 
     def test_small_defect_renormalized_and_recorded(self):
         def respond(method, path, payload):
-            return 200, {
+            return 200, {"rows": [{
                 "log_probs": {"a": math.log(0.5), "b": math.log(0.3)},
                 "eos_log_prob": math.log(0.205),
-            }
+            }]}
 
         with scripted_server(respond) as url:
             remote = RemoteModel(url, alphabet=self.alphabet())
@@ -170,22 +174,22 @@ class TestRowValidation:
 
     def test_large_defect_rejected(self):
         def respond(method, path, payload):
-            return 200, {
+            return 200, {"rows": [{
                 "log_probs": {"a": math.log(0.5), "b": math.log(0.3)},
                 "eos_log_prob": math.log(0.25),
-            }
+            }]}
 
         with scripted_server(respond) as url:
             remote = RemoteModel(url, alphabet=self.alphabet())
-            with pytest.raises(ExpertUnavailableError):
+            with pytest.raises(ExpertUnavailableError, match="defect exceeds"):
                 remote.log_next("")
 
     def test_defect_tolerance_is_configurable(self):
         def respond(method, path, payload):
-            return 200, {
+            return 200, {"rows": [{
                 "log_probs": {"a": math.log(0.5), "b": math.log(0.3)},
                 "eos_log_prob": math.log(0.25),
-            }
+            }]}
 
         with scripted_server(respond) as url:
             remote = RemoteModel(url, alphabet=self.alphabet(), defect_tol=0.1)
@@ -195,10 +199,10 @@ class TestRowValidation:
 
     def test_config_keys_reach_the_client(self):
         def respond(method, path, payload):
-            return 200, {
+            return 200, {"rows": [{
                 "log_probs": {"a": math.log(0.5), "b": math.log(0.3)},
                 "eos_log_prob": math.log(0.25),
-            }
+            }]}
 
         with scripted_server(respond) as url:
             spec = {"type": "remote", "url": url, "backoff": 0.001, "defect_tol": 0.1}
@@ -210,25 +214,25 @@ class TestRowValidation:
 
     def test_unknown_symbol_rejected(self):
         def respond(method, path, payload):
-            return 200, {"log_probs": {"z": -0.5}, "eos_log_prob": -1.0}
+            return 200, {"rows": [{"log_probs": {"z": -0.5}, "eos_log_prob": -1.0}]}
 
         with scripted_server(respond) as url:
             remote = RemoteModel(url, alphabet=self.alphabet())
-            with pytest.raises(ExpertUnavailableError):
+            with pytest.raises(ExpertUnavailableError, match="unknown symbol 'z'"):
                 remote.log_next("")
 
     def test_non_finite_values_rejected(self):
         def respond(method, path, payload):
-            return 200, {"log_probs": {"a": float("nan")}, "eos_log_prob": -1.0}
+            return 200, {"rows": [{"log_probs": {"a": float("nan")}, "eos_log_prob": -1.0}]}
 
         with scripted_server(respond) as url:
             remote = RemoteModel(url, alphabet=self.alphabet())
-            with pytest.raises(ExpertUnavailableError):
+            with pytest.raises(ExpertUnavailableError, match="non-finite"):
                 remote.log_next("")
 
     def test_missing_symbols_mean_zero_probability(self):
         def respond(method, path, payload):
-            return 200, {"log_probs": {"a": math.log(0.5)}, "eos_log_prob": math.log(0.5)}
+            return 200, {"rows": [ROW_A]}
 
         with scripted_server(respond) as url:
             remote = RemoteModel(url, alphabet=self.alphabet())
@@ -240,11 +244,11 @@ class TestRowValidation:
 
         def respond(method, path, payload):
             attempts.append(path)
-            return 200, {"not": "a row"}
+            return 200, {"rows": [{"not": "a row"}]}
 
         with scripted_server(respond) as url:
             remote = RemoteModel(url, alphabet=self.alphabet(), retries=3, backoff=0.001)
-            with pytest.raises(ExpertUnavailableError):
+            with pytest.raises(ExpertUnavailableError, match="malformed row reply for ''"):
                 remote.log_next("")
         assert len(attempts) == 1
 
@@ -258,7 +262,7 @@ class TestRetriesAndCaching:
             if state["failures"] > 0:
                 state["failures"] -= 1
                 return 500, {"error": "transient"}
-            return 200, {"log_probs": {"a": math.log(0.5)}, "eos_log_prob": math.log(0.5)}
+            return 200, {"rows": [ROW_A]}
 
         with scripted_server(respond) as url:
             remote = RemoteModel(url, alphabet=Alphabet("a"), retries=3, backoff=0.001)
@@ -379,7 +383,7 @@ class TestKeepAlive:
                 remote.log_next(context)
             assert time.perf_counter() - t0 < 1.0
 
-    def test_422_then_row_on_the_same_connection(self, connects):
+    def test_dead_context_then_row_on_the_same_connection(self, connects):
         local = TableModel(GEO_P1)
         with ModelServer(local) as server:
             remote = RemoteModel(server.url, retries=1)
@@ -448,11 +452,11 @@ class TestKeepAlive:
 
         def respond(method, path, payload):
             paths.append(path)
-            return 200, {"log_probs": {"a": math.log(0.5)}, "eos_log_prob": math.log(0.5)}
+            return 200, {"rows": [ROW_A]}
 
         with scripted_server(respond) as url:
             RemoteModel(url + "/experts/e0/", alphabet=Alphabet("a")).log_next("")
-        assert paths == ["/experts/e0/next"]
+        assert paths == ["/experts/e0/next_many"]
 
     def test_non_http_url_rejected(self):
         with pytest.raises(ValueError):
@@ -491,7 +495,7 @@ class TestRequestBodyBound:
             host, port = server.url.removeprefix("http://").split(":")
             conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
             try:
-                conn.putrequest("POST", "/next")
+                conn.putrequest("POST", "/next_many")
                 if length is not None:
                     conn.putheader("Content-Length", length)
                 conn.endheaders()
@@ -506,20 +510,20 @@ class TestRequestBodyBound:
             assert RemoteModel(server.url).log_next("")[0] == math.log(GEO_P1["a"])
 
     def test_body_at_the_bound_is_read(self):
-        payload = json.dumps({"context": ""}).encode("utf-8")
+        payload = json.dumps({"contexts": [""]}).encode("utf-8")
         payload += b" " * (MAX_BODY_BYTES - len(payload))
         local = TableModel(GEO_P1)
         with ModelServer(local) as server:
             host, port = server.url.removeprefix("http://").split(":")
             conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
             try:
-                conn.request("POST", "/next", body=payload)
+                conn.request("POST", "/next_many", body=payload)
                 resp = conn.getresponse()
                 reply = json.loads(resp.read().decode("utf-8"))
             finally:
                 conn.close()
         assert resp.status == 200
-        assert reply["log_probs"]
+        assert reply["rows"][0]["log_probs"]
 
 
 class TestClientReset:
@@ -529,7 +533,7 @@ class TestClientReset:
         with ModelServer(TableModel(GEO_P1)) as server:
             host, port = server.url.removeprefix("http://").split(":")
             conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
-            conn.request("POST", "/next", body=json.dumps({"context": ""}))
+            conn.request("POST", "/next_many", body=json.dumps({"contexts": [""]}))
             assert conn.getresponse().read()
             conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             conn.close()
@@ -567,6 +571,50 @@ def abc_ngram():
     return fit_ngram(["abcab", "bca", "cc"], order=2, smoothing=0.1, alphabet=Alphabet("abc"))
 
 
+class TestOneRowEndpoint:
+    """``/next_many`` is the protocol's only row request."""
+
+    def test_client_sends_only_alphabet_and_next_many(self):
+        local = TableModel(GEO_P1)
+        seen = set()
+
+        def entry(context):
+            try:
+                *values, eos = local.log_next(context).tolist()
+            except UndefinedConditionalError as exc:
+                return {"error": str(exc)}
+            log_probs = {s: v for s, v in zip(local.alphabet.symbols, values) if v > -math.inf}
+            return {"log_probs": log_probs, "eos_log_prob": eos}
+
+        def respond(method, path, payload):
+            seen.add((method, path))
+            if (method, path) == ("GET", "/alphabet"):
+                return 200, {"symbols": list(local.alphabet.symbols)}
+            if (method, path) == ("POST", "/next_many"):
+                return 200, {"rows": [entry(c) for c in payload["contexts"]]}
+            return 404, {"error": "unknown path"}
+
+        with scripted_server(respond) as url:
+            remote = RemoteModel(url)
+            assert remote.log_next("a").tobytes() == local.log_next("a").tobytes()
+            assert remote.log_next_many(["", "b"]).tobytes() == local.log_next_many(["", "b"]).tobytes()
+            assert check_remote(RemoteModel(url), ["", "a", "b"]) == {
+                x: string_log_prob(local, x) for x in ("", "a", "b")
+            }
+            assert string_log_prob(RemoteModel(url), "ab") == -math.inf
+            with pytest.raises(UndefinedConditionalError):
+                RemoteModel(url).log_next("ab")
+        assert seen == {("GET", "/alphabet"), ("POST", "/next_many")}
+
+    def test_server_answers_next_with_404_without_asking_the_model(self):
+        model = CountingModel(abc_ngram())
+        with ModelServer(model) as server:
+            status, reply = post(server.url, "/next", {"context": "a"})
+        assert status == 404
+        assert reply["error"]
+        assert model.calls == 0
+
+
 class TestClientErrors:
     """Malformed requests are typed, immediate errors: never retried."""
 
@@ -585,12 +633,12 @@ class TestClientErrors:
     @pytest.mark.parametrize(
         "path, body",
         [
-            ("/next", {"ctx": "a"}),
-            ("/next", {"context": 5}),
-            ("/next", ["a"]),
-            ("/next", b"not json"),
-            ("/next", b"\xff\xfe"),
-            ("/next", {"context": "abz"}),
+            ("/next_many", {"ctx": ["a"]}),
+            ("/next_many", {"context": "a"}),  # the body of the retired /next request
+            ("/next_many", ["a"]),
+            ("/next_many", b"not json"),
+            ("/next_many", b"\xff\xfe"),
+            ("/next_many", {"contexts": ["abz"]}),
             ("/next_many", {}),
             ("/next_many", {"contexts": "ab"}),
             ("/next_many", {"contexts": ["a", 5]}),
@@ -882,9 +930,6 @@ class TestOneRequestPerRound:
         assert got.nodes_visited == want.nodes_visited
 
 
-ROW_A = {"log_probs": {"a": math.log(0.5)}, "eos_log_prob": math.log(0.5)}
-
-
 @contextlib.contextmanager
 def raw_server(reply):
     """Answer each HTTP request with ``reply(n) -> (raw bytes, close)``, the
@@ -970,17 +1015,17 @@ class TestWire:
         ids=["1.0-to-close", "close-to-close", "close-with-length", "1.0-with-length"],
     )
     def test_closing_replies_read_whole_then_reconnected(self, connects, head):
-        body = json.dumps(ROW_A).encode("utf-8")
+        body = json.dumps({"rows": [ROW_A]}).encode("utf-8")
         reply = http_reply(head.format(n=len(body)), body)
         with raw_server(lambda n: (reply, True)) as (url, seen):
             remote = RemoteModel(url, alphabet=Alphabet("a"), retries=1)
             for context in ("", "a", "aa"):
                 assert np.array_equal(remote.log_next(context), [math.log(0.5)] * 2)
-        assert seen == [(1, "/next"), (2, "/next"), (3, "/next")]
+        assert seen == [(1, "/next_many"), (2, "/next_many"), (3, "/next_many")]
         assert len(connects) == 3
 
     def test_kept_alive_replies_share_a_connection(self, connects):
-        body = json.dumps(ROW_A).encode("utf-8")
+        body = json.dumps({"rows": [ROW_A]}).encode("utf-8")
         # An interim 100 reply comes first and is skipped.
         reply = http_reply("HTTP/1.1 100 Continue\n", b"") + http_reply(
             f"HTTP/1.1 200 OK\nContent-Length: {len(body)}\n", body
@@ -998,7 +1043,7 @@ class TestWire:
         # (here three, with a chunk extension and a trailer) and keep the
         # connection open.
         def respond(n):
-            body = json.dumps({"rows": [ROW_A, ROW_A]} if n == 0 else ROW_A).encode("utf-8")
+            body = json.dumps({"rows": [ROW_A, ROW_A] if n == 0 else [ROW_A]}).encode("utf-8")
             parts = (body[:5], body[5:9], body[9:])
             chunks = b"".join(b"%x;x=1\r\n%s\r\n" % (len(part), part) for part in parts)
             head = "HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n"
@@ -1011,7 +1056,7 @@ class TestWire:
             remote.close()  # so that the server's connection ends
         assert rows.tolist() == [[math.log(0.5)] * 2] * 2
         assert row.tolist() == [math.log(0.5)] * 2
-        assert seen == [(1, "/next_many"), (1, "/next")]
+        assert seen == [(1, "/next_many"), (1, "/next_many")]
         assert len(connects) == 1
 
     def test_no_content_reply_has_no_body(self):
@@ -1025,7 +1070,7 @@ class TestWire:
                 remote.log_next("")
             assert time.perf_counter() - t0 < 1.0
             remote.close()
-        assert seen == [(1, "/next"), (1, "/next")]
+        assert seen == [(1, "/next_many"), (1, "/next_many")]
 
     @pytest.mark.parametrize(
         "reply",
@@ -1039,9 +1084,15 @@ class TestWire:
             http_reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"8\r\n{}"),  # cut short
             http_reply("HTTP/1.1 200 OK\nX-Pad: " + "x" * 70_000 + "\n", b"{}"),  # over 64 KiB
             http_reply("HTTP/1.1 200 OK\n" + "X-Pad: x\n" * 101, b"{}"),  # too many headers
+            # The last value alone would frame a whole (misshapen) reply.
+            http_reply("HTTP/1.1 200 OK\nContent-Length: 5\nContent-Length: 2\n", b"{}"),
+            # 1 PiB announced, a few bytes sent: read as they arrive, a body cut short.
+            http_reply(f"HTTP/1.1 200 OK\nContent-Length: {2 ** 50}\n", b"{}"),
+            http_reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"%x\r\n{}" % 2 ** 50),
         ],
         ids=["status-protocol", "status-code", "truncated", "negative-length", "transfer-coding",
-             "chunk-size", "chunk-truncated", "long-header", "many-headers"],
+             "chunk-size", "chunk-truncated", "long-header", "many-headers", "conflicting-length",
+             "huge-length", "huge-chunk"],
     )
     def test_bad_framing_retried_then_unavailable(self, reply):
         with raw_server(lambda n: (reply, True)) as (url, seen):
@@ -1172,7 +1223,7 @@ def split_replies(data: bytes) -> list[tuple[int, dict, dict]]:
 
 
 def wire_row(model, context: str) -> dict:
-    """The ``/next`` reply for a row with no zero entry."""
+    """The ``/next_many`` reply entry for a row with no zero entry."""
     *values, eos = model.log_next(context).tolist()
     return {"log_probs": dict(zip(model.alphabet.symbols, values)), "eos_log_prob": eos}
 
@@ -1190,7 +1241,7 @@ class TestServerWire:
 
     def test_pipelined_requests_answered_in_order_on_one_connection(self):
         local = abc_ngram()
-        data = raw_post("/next", {"context": "ca"}) + raw_post(
+        data = raw_post("/next_many", {"contexts": ["ca"]}) + raw_post(
             "/next_many", {"contexts": ["", "b"]}, "Connection: close"
         )
         with ModelServer(local) as server:
@@ -1199,15 +1250,15 @@ class TestServerWire:
             (200, False),
             (200, True),
         ]
-        assert replies[0][2] == wire_row(local, "ca")
+        assert replies[0][2] == {"rows": [wire_row(local, "ca")]}
         assert replies[1][2] == {"rows": [wire_row(local, ""), wire_row(local, "b")]}
 
     @pytest.mark.parametrize(
         "request_bytes",
         [
-            b"POST /next\r\nContent-Length: 2\r\n\r\n{}",  # no version
-            b"POST /next SPDY/9\r\nContent-Length: 2\r\n\r\n{}",
-            b"POST /next HTTP/1.1\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",  # over 64 KiB
+            b"POST /next_many\r\nContent-Length: 2\r\n\r\n{}",  # no version
+            b"POST /next_many SPDY/9\r\nContent-Length: 2\r\n\r\n{}",
+            b"POST /next_many HTTP/1.1\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",  # over 64 KiB
             b"GET /alphabet HTTP/1.1\r\n" + b"X-Pad: x\r\n" * 101 + b"\r\n",  # too many headers
         ],
         ids=["request-line-parts", "request-line-version", "long-header", "many-headers"],
@@ -1216,7 +1267,7 @@ class TestServerWire:
         model = CountingModel(abc_ngram())
         with ModelServer(model) as server:
             # A valid request pipelined after the bad one is never answered.
-            data = request_bytes + raw_post("/next", {"context": "a"})
+            data = request_bytes + raw_post("/next_many", {"contexts": ["a"]})
             replies = split_replies(exchange(server.url, data))
         assert [(status, headers["connection"]) for status, headers, _ in replies] == [
             (400, "close")
@@ -1226,7 +1277,7 @@ class TestServerWire:
 
     def test_unknown_method_gets_501(self):
         with ModelServer(abc_ngram()) as server:
-            data = b"PUT /next HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+            data = b"PUT /next_many HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
             [(status, headers, reply)] = split_replies(exchange(server.url, data))
         assert (status, headers["connection"]) == (501, "close")
         assert "PUT" in reply["error"]
@@ -1238,14 +1289,35 @@ class TestServerWire:
     )
     def test_closing_request_gets_a_closing_reply(self, headers, version):
         local = abc_ngram()
-        data = raw_post("/next", {"context": "b"}, *headers, version=version)
+        data = raw_post("/next_many", {"contexts": ["b"]}, *headers, version=version)
         with ModelServer(local) as server:
             # exchange reads to the server's close, which must follow the reply.
             [(status, reply_headers, reply)] = split_replies(exchange(server.url, data))
         assert (status, reply_headers["connection"]) == (200, "close")
         assert reply_headers["content-type"] == "application/json"
         assert reply_headers["date"]
-        assert reply == wire_row(local, "b")
+        assert reply == {"rows": [wire_row(local, "b")]}
+
+    def test_conflicting_content_lengths_get_400_and_the_connection_closes(self):
+        model = CountingModel(abc_ngram())
+        body = json.dumps({"contexts": ["a"]}).encode("utf-8")
+        head = b"POST /next_many HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: %d\r\n\r\n"
+        with ModelServer(model) as server:
+            replies = split_replies(exchange(server.url, head % len(body) + body))
+        assert [(status, headers["connection"]) for status, headers, _ in replies] == [
+            (400, "close")
+        ]
+        assert "Content-Length" in replies[0][2]["error"]
+        assert model.calls == 0
+
+    def test_repeated_equal_content_lengths_are_accepted(self):
+        local = abc_ngram()
+        data = raw_post("/next_many", {"contexts": ["a"]}, "Connection: close",
+                        f"Content-Length: {len(json.dumps({'contexts': ['a']}))}")
+        with ModelServer(local) as server:
+            [(status, _, reply)] = split_replies(exchange(server.url, data))
+        assert status == 200
+        assert reply == {"rows": [wire_row(local, "a")]}
 
     def test_one_write_per_reply(self, monkeypatch):
         client = threading.get_ident()
