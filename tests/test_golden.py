@@ -7,7 +7,10 @@ checked, a tokenized expert with the oracle, and the minimum operator
 with epsilon-shift shaping (experts die on some prefixes), a table
 panel with 1 024 particles (a population large enough for the
 vectorised stream derivation) under ``smc``, ``sis`` and ``is``, and a
-table panel with an expert proposal under ``is``, ``sis`` and ``local``.
+table panel with an expert proposal under ``is``, ``sis`` and ``local``,
+and two tokenized experts with different decode tables over one byte
+alphabet (``ab`` is a token of one, ``ba`` of the other) under all four
+samplers and the oracle at the samplers' horizon.
 A change that alters any sampled string, weight, estimate or counter fails
 here.
 
@@ -49,7 +52,7 @@ def record_lines(name: str) -> list[str]:
 
 
 def test_every_config_has_golden_records():
-    assert CONFIGS == ["epsilon", "expert", "ngram", "table", "tokenized", "wide"]
+    assert CONFIGS == ["epsilon", "expert", "mismatch", "ngram", "table", "tokenized", "wide"]
     for name in CONFIGS:
         assert (GOLDEN / f"{name}.jsonl").is_file()
 

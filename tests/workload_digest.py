@@ -1,0 +1,105 @@
+"""Print a sha256 of each benchmark workload's records, to compare commits.
+
+    PYTHONPATH=src python tests/workload_digest.py
+
+For every workload in ``bench/workloads.py``, seeds 1-3, this runs the
+ops the benchmark's timed pass starts with (op seeds ``seed << 20`` plus
+0..5), as ``bench/worker.py`` runs them: the generated config with the
+sampler seed replaced by the op seed, over inputs written to a temporary
+directory. Each record is dumped as JSON without ``wall_time_s``, and one
+digest covers a workload's records in order. For ``remote-loopback`` it
+also prints ``RemoteModel.requests`` per op (HTTP requests sent, retries
+included). Two checkouts whose records agree byte for byte print the
+same lines. Nothing is written under ``bench/``.
+"""
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import ensmc
+from ensmc import runner
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SEEDS = (1, 2, 3)
+OPS = 6
+
+
+def load_workloads():
+    """``bench/workloads.py`` as a module, leaving no bytecode beside it."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def workload_records(workloads, name: str, seed: int, workdir: Path, panels: list):
+    """The records of one seed's ops, and the remote requests they sent."""
+    inputs = workloads.WORKLOADS[name](seed)
+    inputs.write(workdir)
+    config = inputs.config
+    server = None
+    if inputs.served_corpus is not None:
+        served = ensmc.fit_ngram(
+            inputs.served_corpus, order=inputs.served_order,
+            smoothing=inputs.served_smoothing, alphabet=ensmc.Alphabet(tuple(config["alphabet"])),
+        )
+        server = ensmc.ModelServer(served).start()
+        config = json.loads(json.dumps(config).replace(workloads.SERVER_URL, server.url))
+    records, requests = [], 0
+    try:
+        for op in range(OPS):
+            cfg = dict(config, sampler=dict(config["sampler"], seed=(seed << 20) + op))
+            panels.clear()
+            records += ensmc.run_experiment(ensmc.config_from_dict(cfg, workdir))
+            requests += sum(getattr(model, "requests", 0) for panel in panels for model in panel)
+    finally:
+        if server is not None:
+            server.stop()
+    return records, requests
+
+
+def main() -> int:
+    workloads = load_workloads()
+    panels: list = []
+    build_panel = runner.build_panel
+
+    def recording_build_panel(config):
+        panel, spec = build_panel(config)
+        panels.append(panel)
+        return panel, spec
+
+    runner.build_panel = recording_build_panel
+    try:
+        for name in workloads.WORKLOADS:
+            digest, requests, ops, count = hashlib.sha256(), 0, 0, 0
+            for seed in SEEDS:
+                with tempfile.TemporaryDirectory() as tmp:
+                    records, sent = workload_records(workloads, name, seed, Path(tmp), panels)
+                for rec in records:
+                    rec.pop("wall_time_s", None)
+                    digest.update(json.dumps(rec, allow_nan=False).encode() + b"\n")
+                requests += sent
+                ops += OPS
+                count += len(records)
+            line = f"{name:16} {count:3d} records  sha256 {digest.hexdigest()}"
+            if requests:
+                line += f"  requests/op {requests / ops:.2f}"
+            print(line)
+    finally:
+        runner.build_panel = build_panel
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
