@@ -147,6 +147,8 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path: str, byte_alphabet: Alphabet | None = None) -> "Tokenizer":
+        """Read a file written by :meth:`save`; a malformed file is a
+        ValueError that names it."""
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         if not lines:
@@ -154,9 +156,12 @@ class Tokenizer:
         head = lines[0].split("\t")
         if len(head) != 3 or head[0] != TOKENIZER_MAGIC:
             raise ValueError(f"{path}: not a tokenizer file")
-        if int(head[1]) != TOKENIZER_VERSION:
+        try:
+            version, count = int(head[1]), int(head[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad header: {exc}")
+        if version != TOKENIZER_VERSION:
             raise ValueError(f"{path}: unsupported version {head[1]}")
-        count = int(head[2])
         rows = [line for line in lines[1:] if line]
         if len(rows) != count:
             raise ValueError(f"{path}: expected {count} rows, found {len(rows)}")
@@ -169,11 +174,15 @@ class Tokenizer:
             tok = unescape_field(parts[0])
             tokens.append(tok)
             decode[tok] = unescape_field(parts[1])
-        return cls(Alphabet(tokens), decode, byte_alphabet=byte_alphabet)
+        try:
+            return cls(Alphabet(tokens), decode, byte_alphabet=byte_alphabet)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}")
 
 
 class _Frontier:
-    """Segmentation states for one byte prefix: (token context, tail, log weight).
+    """Segmentation states for one byte prefix: (token context, trie node
+    of the pending tail, log weight); a tail-less entry holds the root.
 
     ``prefix`` and ``stop`` hold the prefix's log prefix and
     complete-string masses once they have been summed (``None`` before).
@@ -181,7 +190,7 @@ class _Frontier:
 
     __slots__ = ("entries", "prefix", "stop")
 
-    def __init__(self, entries: tuple[tuple[str, str, float], ...]):
+    def __init__(self, entries: tuple[tuple[str, _TrieNode, float], ...]):
         self.entries = entries
         self.prefix: float | None = None
         self.stop: float | None = None
@@ -222,8 +231,9 @@ class TokenToByteModel(SequenceModel):
         # Guards the frontier cache and the bound: a frontier's pruned
         # terms count once, when that frontier is the one stored.
         self._lock = threading.Lock()
+        self._root = tokenizer.node_at("")
         self._frontiers: dict[str, _Frontier] = {
-            "": _Frontier(entries=(("", "", 0.0),))
+            "": _Frontier(entries=(("", self._root, 0.0),))
         }
         self._token_rows: dict[str, np.ndarray] = {}
 
@@ -263,28 +273,24 @@ class TokenToByteModel(SequenceModel):
 
     def _advance(self, frontier: _Frontier, byte: str) -> tuple[_Frontier, list[float]]:
         """The frontier one byte on, and the weights its pruning dropped."""
-        out: dict[str, tuple[str, float]] = {}
-        for context, tail, log_w in frontier.entries:
-            node = self.tokenizer.node_at(tail + byte)
+        out: dict[str, tuple[str, _TrieNode, float]] = {}
+        symbols = self.tokenizer.token_alphabet.symbols
+        for context, node, log_w in frontier.entries:
+            node = node.children.get(byte)
             if node is None:
                 continue
-            if len(node.exact) or len(node.strict):
-                row = None
+            if node.exact:
+                row = self._token_row(context)
                 for tok_idx in node.exact:
-                    if row is None:
-                        row = self._token_row(context)
                     lp = row[tok_idx]
-                    if lp == LOG_ZERO:
-                        continue
-                    key = context + self.tokenizer.token_alphabet.symbols[tok_idx]
-                    assert key not in out
-                    out[key] = ("", log_w + lp)
-                if len(node.strict):
-                    assert context not in out
-                    out[context] = (tail + byte, log_w)
-        entries = tuple(
-            (ctx, tail, w) for ctx, (tail, w) in sorted(out.items())
-        )
+                    if lp != LOG_ZERO:
+                        key = context + symbols[tok_idx]
+                        assert key not in out
+                        out[key] = (key, self._root, log_w + lp)
+            if len(node.strict):
+                assert context not in out
+                out[context] = (context, node, log_w)
+        entries = tuple(out[ctx] for ctx in sorted(out))
         dropped = []
         if self.log_floor is not None and entries:
             cut = max(w for _, _, w in entries) + self.log_floor
@@ -303,22 +309,21 @@ class TokenToByteModel(SequenceModel):
             return frontier.prefix, frontier.stop
         prefix_terms = []
         stop_terms = []
-        for context, tail, log_w in frontier.entries:
-            if tail == "":
+        eos_index = self.tokenizer.token_alphabet.eos_index
+        for context, node, log_w in frontier.entries:
+            row = self._token_row(context)
+            if node is self._root:
                 prefix_terms.append(log_w)
-                row = self._token_row(context)
-                eos = row[self.tokenizer.token_alphabet.eos_index]
+                eos = row[eos_index]
                 if eos != LOG_ZERO:
                     stop_terms.append(log_w + eos)
             else:
-                node = self.tokenizer.node_at(tail)
-                row = self._token_row(context)
-                compat = row[node.strict]
-                total = logsumexp(compat) if len(compat) else LOG_ZERO
+                # A pending entry's tail has tokens strictly below it.
+                total = logsumexp(row[node.strict])
                 if total != LOG_ZERO:
                     prefix_terms.append(log_w + total)
-        prefix = float(logsumexp(np.array(prefix_terms))) if prefix_terms else LOG_ZERO
-        stop = float(logsumexp(np.array(stop_terms))) if stop_terms else LOG_ZERO
+        prefix = logsumexp(prefix_terms)
+        stop = logsumexp(stop_terms)
         # ``stop`` first: a reader that sees ``prefix`` set finds both.
         frontier.stop = stop
         frontier.prefix = prefix
@@ -340,31 +345,38 @@ class TokenToByteModel(SequenceModel):
     # -- model interface ------------------------------------------------
 
     def log_next(self, context: str) -> np.ndarray:
-        base, stop = self._prefix_and_stop(context)
-        if base == LOG_ZERO:
-            raise UndefinedConditionalError(
-                f"byte context {context!r} has zero probability under the marginal"
-            )
-        row = np.empty(self.alphabet.size + 1)
-        for j, b in enumerate(self.alphabet.symbols):
-            child, _ = self._prefix_and_stop(context + b)
-            row[j] = child - base
-        row[self.alphabet.eos_index] = stop - base
-        return row
+        return self.log_next_many((context,))[0]
 
     def log_next_many(self, contexts) -> np.ndarray:
-        """The rows of ``contexts``. A token model that fetches rows
-        together (one that overrides ``log_next_many``, as a served model
-        does) is asked at most twice: for the token rows of the contexts'
-        frontiers, then for the new token contexts of their one-byte
-        extensions' frontiers. Any other one is asked row by row, as
-        :meth:`log_next` asks it, which computes each row once."""
+        """The rows of ``contexts``, in one ``(n, |Σ| + 1)`` array: each
+        row holds the prefix masses of the context's one-byte extensions
+        and its complete-string mass, and the contexts' prefix masses are
+        subtracted once. The first context with zero prefix mass raises.
+
+        A token model that fetches rows together (one that overrides
+        ``log_next_many``, as a served model does) is asked at most twice:
+        for the token rows of the contexts' frontiers, then for the new
+        token contexts of their one-byte extensions' frontiers. Any other
+        one is asked row by row, and each row once."""
+        symbols = self.alphabet.symbols
         if type(self.token_model).log_next_many is not SequenceModel.log_next_many:
             self._fetch_token_rows(self._frontier(x) for x in contexts)
-            self._fetch_token_rows(
-                self._frontier(x + b) for x in contexts for b in self.alphabet.symbols
-            )
-        return super().log_next_many(contexts)
+            self._fetch_token_rows(self._frontier(x + b) for x in contexts for b in symbols)
+        out = np.empty((len(contexts), len(symbols) + 1))
+        bases = np.empty((len(contexts), 1))
+        for i, x in enumerate(contexts):
+            base, stop = self._prefix_and_stop(x)
+            if base == LOG_ZERO:
+                raise UndefinedConditionalError(
+                    f"byte context {x!r} has zero probability under the marginal"
+                )
+            bases[i] = base
+            row = out[i]
+            for j, b in enumerate(symbols):
+                row[j] = self._prefix_and_stop(x + b)[0]
+            row[-1] = stop
+        out -= bases
+        return out
 
     def prefix_log_prob(self, x: str) -> float:
         """Log byte-prefix mass (direct frontier evaluation)."""

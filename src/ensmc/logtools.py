@@ -17,12 +17,16 @@ LOG_ZERO = float("-inf")
 def logsumexp(a) -> float:
     """Max-shifted ``log(sum(exp(a)))`` over all of ``a``, as a Python float.
 
-    The package calls it on 1-D vectors. An empty or all-zero-probability
-    input gives -inf.
+    ``a`` is a 1-D array or a list of floats. An empty or
+    all-zero-probability input gives -inf. One term ``t`` gives
+    ``float(t) + 0.0``: the general path's ``m + log(exp(m - m))`` is
+    exactly that for every finite ``t`` (``-0.0`` becomes ``0.0``), and
+    its early return of a non-finite max has the same bits.
     """
+    n = len(a)
+    if n <= 1:
+        return float(a[0]) + 0.0 if n else LOG_ZERO
     arr = np.asarray(a, dtype=float)
-    if not arr.size:
-        return LOG_ZERO
     # The ufunc reductions ``arr.max()`` and ``.sum()`` call, without
     # their Python wrappers.
     m = float(np.maximum.reduce(arr, axis=None))

@@ -83,11 +83,14 @@ class TableModel(SequenceModel):
         mass = self._prefix_mass.get(context, 0.0)
         if mass <= 0.0:
             raise UndefinedConditionalError(f"context {context!r} off the table support")
-        row = np.empty(self.alphabet.size + 1)
-        for i, s in enumerate(self.alphabet.symbols):
-            row[i] = self._prefix_mass.get(context + s, 0.0) / mass
-        row[self.alphabet.eos_index] = self.entries.get(context, 0.0) / mass
-        out = log_row(row)
+        prefix_mass = self._prefix_mass
+        probs = [prefix_mass.get(context + s, 0.0) / mass for s in self.alphabet.symbols]
+        probs.append(self.entries.get(context, 0.0) / mass)
+        if 0.0 in probs:
+            with np.errstate(divide="ignore"):
+                out = np.log(probs)
+        else:
+            out = np.log(probs)
         out.flags.writeable = False  # shared by every caller of this context
         self._row_memo[context] = out
         return out

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 
@@ -109,6 +110,36 @@ def _row_or_none(model, x):
         return None
 
 
+def per_context_row(model, x):
+    """A byte row computed alone, from the public prefix and string
+    masses: each extension's prefix mass minus the context's, one
+    Python float subtraction per entry."""
+    base = model.prefix_log_prob(x)
+    if base == LOG_ZERO:
+        raise UndefinedConditionalError(
+            f"byte context {x!r} has zero probability under the marginal"
+        )
+    row = np.empty(model.alphabet.size + 1)
+    for j, b in enumerate(model.alphabet.symbols):
+        row[j] = model.prefix_log_prob(x + b) - base
+    row[model.alphabet.eos_index] = model.string_log_prob(x) - base
+    return row
+
+
+class BatchingModel(SequenceModel):
+    """A token model that overrides ``log_next_many``, as a served one does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+
+    def log_next(self, context):
+        return self.inner.log_next(context)
+
+    def log_next_many(self, contexts):
+        return super().log_next_many(contexts)
+
+
 class TestByteMarginalProperties:
     @settings(max_examples=60, deadline=None)
     @given(_byte_marginal_cases())
@@ -127,6 +158,33 @@ class TestByteMarginalProperties:
                 assert got is None, x
             else:
                 assert got is not None and got.tobytes() == want.tobytes(), x
+
+    @settings(max_examples=60, deadline=None)
+    @given(_byte_marginal_cases(), st.data())
+    def test_batched_rows_equal_per_context_rows(self, case, data):
+        """``log_next_many`` over batches cut from the query order gives,
+        bit for bit, the rows a new model computes one context at a time;
+        a batch holding a dead context raises that reference's error for
+        its first one. Over a token model that batches, too."""
+        token_model, tokenizer, log_floor, queries, order = case
+        if data.draw(st.booleans()):
+            token_model = BatchingModel(token_model)
+        model = TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
+        for x in queries:
+            model.prefix_log_prob(x)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=4)))
+        for start, end in zip([0] + cuts, cuts + [len(order)]):
+            batch = order[start:end]
+            reference = TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
+            try:
+                want = [per_context_row(reference, x) for x in batch]
+            except UndefinedConditionalError as exc:
+                with pytest.raises(UndefinedConditionalError, match=re.escape(str(exc))):
+                    model.log_next_many(batch)
+                continue
+            got = model.log_next_many(batch)
+            assert got.shape == (len(batch), tokenizer.byte_alphabet.size + 1)
+            assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
 
     @settings(max_examples=60, deadline=None)
     @given(_byte_marginal_cases())
@@ -257,6 +315,25 @@ class TestTokenizer:
         short.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError):
             Tokenizer.load(short)
+
+    @pytest.mark.parametrize("case", [
+        "non-integer version", "non-integer count", "duplicate token", "empty decoding",
+    ])
+    def test_load_names_the_file_of_a_malformed_input(self, case, tmp_path):
+        head, rows = "ensmc-tokenizer\t{}\t{}", ["A\ta", "B\tb", "C\tab"]
+        version, count = "1", "3"
+        if case == "non-integer version":
+            version = "one"
+        elif case == "non-integer count":
+            count = "3.0"
+        elif case == "duplicate token":
+            rows[2] = "A\tab"
+        else:
+            rows[1] = "B\t"
+        path = tmp_path / "tampered.tsv"
+        path.write_text("\n".join([head.format(version, count)] + rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            Tokenizer.load(path)
 
 
 class TestByteMarginal:

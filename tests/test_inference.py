@@ -475,6 +475,7 @@ class TestOneRowStore:
         gc.collect()
         tracemalloc.start()
         try:
+            before = tracemalloc.take_snapshot()
             start = tracemalloc.get_traced_memory()[0]
             smc(spec, panel, config, shaping=shaping, proposal=proposal)
             gc.collect()
@@ -482,9 +483,15 @@ class TestOneRowStore:
             local_sample(spec, panel, 256, 5, seed=3, shaping=shaping)
             gc.collect()
             after_local = tracemalloc.get_traced_memory()[0] - start - after_smc
+            sites = []
+            if not (after_smc < 16_384 and after_local < 16_384):
+                # Where the retained heap was allocated, for the failure message.
+                own = tracemalloc.Filter(False, tracemalloc.__file__)
+                grown = tracemalloc.take_snapshot().filter_traces([own])
+                sites = [str(stat) for stat in grown.compare_to(before, "lineno")[:10]]
         finally:
             tracemalloc.stop()
-        assert after_smc < 16_384 and after_local < 16_384, (after_smc, after_local)
+        assert after_smc < 16_384 and after_local < 16_384, (after_smc, after_local, sites)
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from ensmc.logtools import (
     LOG_ZERO,
     log_normalize,
     log_row,
+    logsumexp,
     weighted_logsumexp_columns,
 )
 
@@ -54,6 +56,26 @@ class TestLogNormalize:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             log_normalize(np.array([LOG_ZERO, LOG_ZERO]))
+
+
+class TestOneTermLogSumExp:
+    """One term takes a short path. Its bits must be the general path's,
+    which a second, zero-probability term forces."""
+
+    @pytest.mark.parametrize("t", [
+        0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -5e-324,
+        2.2250738585072014e-308, -1e-310, 1e308, -1e308, 1.7976931348623157e308, -0.5, 3.25,
+    ])
+    def test_bits_equal_the_general_path(self, t):
+        want = struct.pack("<d", logsumexp([t, LOG_ZERO]))
+        for one in ([t], [np.float64(t)], np.array([t])):
+            got = logsumexp(one)
+            assert type(got) is float
+            assert struct.pack("<d", got) == want, (t, one)
+
+    def test_empty_is_log_zero(self):
+        assert logsumexp([]) == LOG_ZERO
+        assert logsumexp(np.array([])) == LOG_ZERO
 
 
 def random_columns(rng, k, n):

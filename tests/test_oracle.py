@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -20,8 +20,11 @@ from ensmc import (
     ExpertPanel,
     OracleShaping,
     PFSAModel,
+    PrefixPotentialShaping,
     SamplerConfig,
     TableModel,
+    Tokenizer,
+    as_byte_model,
     dump_table,
     enumerate_ensemble,
     fit_ngram,
@@ -32,6 +35,7 @@ from ensmc import (
     total_variation,
 )
 from ensmc.ensemble import is_consensus
+from ensmc.lmcore import validate_log_row
 from ensmc.logtools import logsumexp
 from ensmc.oracle import alpha_divergence, kl_divergence
 
@@ -264,6 +268,80 @@ class TestSamplersAgainstTheOracle:
             return
         estimate = sis(spec, panel, config, shaping=OracleShaping(table))
         assert abs(math.expm1(estimate.log_z_hat - table.log_z)) <= 1e-12
+
+
+@st.composite
+def _mismatched_cases(draw):
+    """Two tokenized experts over the bytes ``ab`` with different
+    vocabularies: each decode table has the one-byte tokens ``A`` and
+    ``B`` plus one or two tokens of 2-3 bytes, and the two tables' sets
+    of decodings differ. Each token model is a random table over token
+    strings of up to 3 tokens or an add-0.5 bigram fit on a random token
+    corpus. One of the six named operators, weights, a horizon of 1-4
+    and a sampler seed; with the oracle table at that horizon, or None
+    when the target has no support there."""
+    byte_alphabet = Alphabet("ab")
+    experts, vocabularies = [], []
+    for _ in range(2):
+        outs = ["a", "b"] + draw(st.lists(st.text("ab", min_size=2, max_size=3),
+                                          min_size=1, max_size=2, unique=True))
+        vocabularies.append(frozenset(outs))
+        tokens = Alphabet("ABCD"[: len(outs)])
+        tokenizer = Tokenizer(tokens, dict(zip(tokens.symbols, outs)), byte_alphabet)
+        strings = draw(st.lists(st.text(tokens.symbols, max_size=3), min_size=1, max_size=8,
+                                unique=True))
+        if draw(st.booleans()):
+            masses = draw(st.lists(st.floats(0.05, 1.0), min_size=len(strings),
+                                   max_size=len(strings)))
+            total = math.fsum(masses)
+            token_model = TableModel({y: m / total for y, m in zip(strings, masses)}, tokens)
+        else:
+            token_model = fit_ngram(strings, order=2, smoothing=0.5, alphabet=tokens)
+        experts.append(as_byte_model(token_model, tokenizer))
+    assume(vocabularies[0] != vocabularies[1])
+    name = draw(st.sampled_from(["minimum", "maximum", "product", "sum", "harmonic", "quadratic"]))
+    weights = draw(st.lists(st.sampled_from([0.2, 1.0]), min_size=2, max_size=2))
+    spec, panel = EnsembleSpec.from_name(name, weights), ExpertPanel(experts)
+    max_len = draw(st.integers(1, 4))
+    try:
+        table = enumerate_ensemble(spec, panel, max_len)
+    except EnumerationBudgetError:  # no supported string within the horizon
+        table = None
+    config = SamplerConfig(particles=16, max_len=max_len, seed=draw(st.integers(0, 2**16)),
+                           debug_check_weights=True)
+    return spec, panel, config, table
+
+
+class TestMismatchedVocabularies:
+    """The paper's headline case: experts whose tokenizers differ, ensembled
+    in their shared byte space. Deterministic properties only; the 3-SE
+    check of the estimates is not made here."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mismatched_cases())
+    def test_every_byte_row_is_normalized(self, case):
+        _, panel, config, _ = case
+        contexts = ["".join(t) for n in range(config.max_len + 1)
+                    for t in itertools.product("ab", repeat=n)]
+        for model in panel:
+            live = [x for x in contexts if model.prefix_log_prob(x) != LOG_ZERO]
+            for row in model.log_next_many(live):
+                validate_log_row(row, model.alphabet)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mismatched_cases())
+    def test_sis_targets_are_the_oracle_values(self, case):
+        """``sis`` passes its weight check, and each completed particle's
+        target is the enumerated value."""
+        spec, panel, config, table = case
+        if table is None:
+            return
+        shaping = PrefixPotentialShaping(spec, panel)
+        estimate = sis(spec, panel, config, shaping=shaping)
+        for x, done in zip(estimate.xs, estimate.completed.tolist()):
+            if done:
+                got, want = shaping.log_target(x), table.log_value(x)
+                assert got == want or abs(got - want) <= 1e-12, x
 
 
 class TestEnumerateEnsemble:

@@ -59,6 +59,35 @@ class TestTableModel:
             check_model(model, ["", "a", "b", "aa", "ab", "ba", "bb"])
 
 
+def per_symbol_table_row(entries, alphabet, context):
+    """A table row as one entry per symbol: suffix sums accumulated in
+    table order, each ratio stored in an array, then one safe log."""
+    mass: dict[str, float] = {}
+    for x, p in entries.items():
+        if p > 0.0:
+            for t in range(len(x) + 1):
+                mass[x[:t]] = mass.get(x[:t], 0.0) + p
+    row = np.empty(alphabet.size + 1)
+    for i, s in enumerate(alphabet.symbols):
+        row[i] = mass.get(context + s, 0.0) / mass[context]
+    row[alphabet.eos_index] = entries.get(context, 0.0) / mass[context]
+    with np.errstate(divide="ignore"):
+        return np.log(row)
+
+
+class TestTableRowsBitForBit:
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text("abc", max_size=4), st.floats(1e-3, 1.0),
+                           min_size=1, max_size=12))
+    def test_rows_equal_the_per_symbol_rows(self, masses):
+        total = sum(masses.values())
+        entries = {x: m / total for x, m in masses.items()}
+        model = TableModel(entries, alphabet=Alphabet("abc"))
+        for context in {x[:t] for x in entries for t in range(len(x) + 1)}:
+            want = per_symbol_table_row(model.entries, model.alphabet, context)
+            assert model.log_next(context).tobytes() == want.tobytes(), context
+
+
 def reference_fit_ngram(corpus, order, smoothing, alphabet):
     """The per-symbol counter ``fit_ngram`` must match: one dict entry per
     context key in first-seen order, one increment per event."""
