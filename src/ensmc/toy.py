@@ -86,6 +86,7 @@ class TableModel(SequenceModel):
         prefix_mass = self._prefix_mass
         probs = [prefix_mass.get(context + s, 0.0) / mass for s in self.alphabet.symbols]
         probs.append(self.entries.get(context, 0.0) / mass)
+        # Entering errstate costs about as much as the log of a short row.
         if 0.0 in probs:
             with np.errstate(divide="ignore"):
                 out = np.log(probs)

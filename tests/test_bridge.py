@@ -316,22 +316,15 @@ class TestTokenizer:
         with pytest.raises(ValueError):
             Tokenizer.load(short)
 
-    @pytest.mark.parametrize("case", [
-        "non-integer version", "non-integer count", "duplicate token", "empty decoding",
-    ])
-    def test_load_names_the_file_of_a_malformed_input(self, case, tmp_path):
-        head, rows = "ensmc-tokenizer\t{}\t{}", ["A\ta", "B\tb", "C\tab"]
-        version, count = "1", "3"
-        if case == "non-integer version":
-            version = "one"
-        elif case == "non-integer count":
-            count = "3.0"
-        elif case == "duplicate token":
-            rows[2] = "A\tab"
-        else:
-            rows[1] = "B\t"
+    @pytest.mark.parametrize("text", [
+        "ensmc-tokenizer\tone\t3\nA\ta\nB\tb\nC\tab\n",
+        "ensmc-tokenizer\t1\t3.0\nA\ta\nB\tb\nC\tab\n",
+        "ensmc-tokenizer\t1\t3\nA\ta\nB\tb\nA\tab\n",
+        "ensmc-tokenizer\t1\t3\nA\ta\nB\t\nC\tab\n",
+    ], ids=["non-integer version", "non-integer count", "duplicate token", "empty decoding"])
+    def test_load_names_the_file_of_a_malformed_input(self, text, tmp_path):
         path = tmp_path / "tampered.tsv"
-        path.write_text("\n".join([head.format(version, count)] + rows) + "\n")
+        path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             Tokenizer.load(path)
 
