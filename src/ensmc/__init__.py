@@ -52,7 +52,7 @@ from .oracle import (
     minimize_divergence_simplex,
     total_variation,
 )
-from .remote import ModelServer, RemoteModel, check_remote
+from .remote import ModelServer, RemoteModel
 from .toy import NGramModel, PFSAModel, TableModel, fit_ngram
 
 __version__ = "0.1.0"
@@ -85,7 +85,6 @@ __all__ = [
     "as_byte_model",
     "build_expert",
     "check_model",
-    "check_remote",
     "config_from_dict",
     "dump_table",
     "empirical_distribution",

@@ -202,10 +202,10 @@ class TokenToByteModel(SequenceModel):
     Frontiers are cached per byte context and extended incrementally, so
     sampling walks and prefix queries reuse earlier work; each frontier
     keeps its prefix and complete-string masses once summed, and
-    token-model rows are memoized (read-only) per token context.
-    :meth:`log_next_many` asks a token model that batches (a served one)
-    for the rows a batch of byte contexts needs in at most two
-    ``log_next_many`` calls. With
+    token-model rows are kept (read-only) per token context, so the token
+    model is asked for each row once. :meth:`log_next_many` asks a token
+    model that batches (a served one) for the rows a batch of byte
+    contexts needs in at most two ``log_next_many`` calls. With
     ``log_floor`` set, frontier entries whose weight falls below
     ``log_floor`` plus the frontier's best weight are dropped;
     ``log_dropped_bound`` then tracks a running upper bound (log domain)
@@ -331,16 +331,17 @@ class TokenToByteModel(SequenceModel):
 
     def _fetch_token_rows(self, frontiers) -> None:
         """Ask the token model, in one ``log_next_many`` call, for the rows
-        that the entries of ``frontiers`` still need. :meth:`_token_row`
-        then reads them, and the token model answers those reads from the
-        rows this call fetched."""
+        that the entries of ``frontiers`` still need, and keep them
+        (read-only) in the token-row store that :meth:`_token_row` reads."""
         rows = self._token_rows
-        missing = {
+        missing = sorted({
             context for f in frontiers if f.prefix is None
             for context, _, _ in f.entries if context not in rows
-        }
+        })
         if missing:
-            self.token_model.log_next_many(sorted(missing))
+            fetched = self.token_model.log_next_many(missing)
+            fetched.flags.writeable = False
+            rows.update(zip(missing, fetched))
 
     # -- model interface ------------------------------------------------
 

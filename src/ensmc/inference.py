@@ -164,8 +164,8 @@ class SamplerConfig:
             reject("seed", "a non-negative integer")
         if self.shaping not in ("prefix", "epsilon-shift"):
             reject("shaping", "'prefix' or 'epsilon-shift'")
-        if self.shaping == "epsilon-shift" and not self.epsilon > 0.0:
-            reject("epsilon", "> 0")
+        if self.shaping == "epsilon-shift" and not 0.0 < self.epsilon < math.inf:
+            reject("epsilon", "finite and > 0")
         if self.proposal != "optimal":
             kind, _, idx = self.proposal.partition(":")
             if kind != "expert" or not idx.isdigit():
@@ -205,8 +205,8 @@ class PrefixPotentialShaping:
     """
 
     def __init__(self, spec: EnsembleSpec, panel: ExpertPanel, epsilon: float | None = None):
-        if epsilon is not None and not epsilon > 0.0:
-            raise ValueError("epsilon must be > 0")
+        if epsilon is not None and not 0.0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
         self.spec = spec
         self.panel = panel
         self.alphabet = panel.alphabet

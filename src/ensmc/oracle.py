@@ -265,6 +265,8 @@ def load_table(path) -> ExactTable:
         alphabet = Alphabet(unescape_field(header["alphabet"]))
         max_len = int(header["max_len"])
         log_residual = float(header["log_residual_bound"])
+        if not log_residual < math.inf:  # NaN or +inf
+            raise ValueError
         n = int(header["entries"])
     except (IndexError, KeyError, ValueError):
         raise ValueError(f"{path}: not a {TABLE_MAGIC} v{TABLE_VERSION} file")
@@ -277,7 +279,10 @@ def load_table(path) -> ExactTable:
             field, lv = line.split("\t")
             string = unescape_field(field)
             alphabet.check_string(string)
-            pairs.append((string, float(lv)))
+            lv = float(lv)
+            if not lv < math.inf:  # NaN or +inf
+                raise ValueError(f"log value must be finite or -inf, got {lv}")
+            pairs.append((string, lv))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: bad table row {line!r}: {exc}")
     pairs.sort(key=lambda kv: kv[0])

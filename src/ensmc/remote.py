@@ -12,8 +12,8 @@ Protocol (all bodies JSON, UTF-8):
   are natural-log probabilities. A context with zero probability under
   the server's model gets ``{"error": "<message>"}`` in place of its row;
   the client raises UndefinedConditionalError for the first such context,
-  without retrying, after caching the rows of the others. This is the
-  only row request: ``log_next`` asks for one context with it.
+  without retrying. This is the only row request: ``log_next`` asks for
+  one context with it.
 * A body that is not JSON, ``contexts`` that are not a list of strings,
   and a context with a symbol outside the alphabet get HTTP 400 with
   ``{"error": ...}``. The client checks its contexts against its alphabet
@@ -57,15 +57,17 @@ that, ExpertUnavailableError. Other 4xx replies raise it at once. Returned
 rows are checked for normalization: a linear-domain sum off by more than
 the standard row tolerance but within ``defect_tol`` (default 1e-2) of 1
 is renormalized and the defect recorded on ``RemoteModel.defects``; a
-larger defect raises ExpertUnavailableError immediately. Rows are cached
-per context, so retries and re-queries cannot change an answer already
-used. Retry and backoff apply per request, and the row checks to each
-row of a reply. ``RemoteModel.requests`` counts the requests sent,
-retries included.
+larger defect raises ExpertUnavailableError immediately. Retry and
+backoff apply per request, and the row checks to each row of a reply.
+``RemoteModel.requests`` counts the requests sent, retries included.
 
-The samplers ask each expert for all of a round's new rows at once
-(``log_next_many``), so a run makes one ``/next_many`` request per round
-per remote expert.
+The client keeps no rows: every call is a request, and the rows it
+returns are new and belong to the caller. The consumers keep the rows
+they read (the samplers' prefix nodes, the bridge's token rows, the
+oracle's level arrays), so a run asks for each row once and an answer
+it has used cannot change. The samplers ask each expert for all of a
+round's new rows at once (``log_next_many``), so a run makes one
+``/next_many`` request per round per remote expert.
 """
 from __future__ import annotations
 
@@ -86,7 +88,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import ExpertUnavailableError, UndefinedConditionalError
-from .lmcore import ROW_TOL, Alphabet, SequenceModel, string_log_prob
+from .lmcore import ROW_TOL, Alphabet, SequenceModel
 from .logtools import LOG_ZERO, logsumexp
 
 DEFAULT_DEFECT_TOL = 1e-2
@@ -280,7 +282,6 @@ class RemoteModel(SequenceModel):
         #: HTTP requests sent, retries included.
         self.requests = 0
         self._requests_lock = threading.Lock()
-        self._cache: dict[str, np.ndarray] = {}
         # One kept-alive connection per calling thread (keyed by thread id),
         # since concurrent read-only use must stay safe. They are closed
         # with the model, or by ``close``.
@@ -385,43 +386,30 @@ class RemoteModel(SequenceModel):
     # -- model interface ------------------------------------------------
 
     def log_next(self, context: str) -> np.ndarray:
-        if context not in self._cache:
-            self._fetch([context])
-        return self._cache[context]
+        return self.log_next_many([context])[0]
 
     def log_next_many(self, contexts) -> np.ndarray:
-        """The rows of ``contexts``; the uncached ones come from one
-        ``/next_many`` request (more only if the body would exceed
-        ``MAX_BODY_BYTES``)."""
-        self._fetch(contexts)
-        rows = np.array([self._cache[c] for c in contexts])
-        return rows.reshape(len(contexts), self.alphabet.size + 1)
-
-    def _fetch(self, contexts) -> None:
-        """Cache the uncached ``contexts``' rows; a context the server
-        rejects raises UndefinedConditionalError once the others' are cached."""
-        missing = [c for c in dict.fromkeys(contexts) if c not in self._cache]
-        for context in missing:
-            self.alphabet.check_string(context)
-        for batch, body in self._batches(missing):
+        """The rows of ``contexts`` from one ``/next_many`` request (more
+        only if the body would exceed ``MAX_BODY_BYTES``), as a new
+        ``(n, |Σ|+1)`` array that belongs to the caller. A context the
+        server rejects raises UndefinedConditionalError, without retrying."""
+        contexts = list(contexts)
+        self.alphabet.check_string("".join(contexts))
+        entries: list = []
+        for batch, body in self._batches(contexts):
             reply = self._request("POST", "/next_many", body)
-            entries = reply.get("rows") if isinstance(reply, dict) else None
-            if not isinstance(entries, list) or len(entries) != len(batch):
+            rows = reply.get("rows") if isinstance(reply, dict) else None
+            if not isinstance(rows, list) or len(rows) != len(batch):
                 raise ExpertUnavailableError(
                     f"malformed /next_many reply for {len(batch)} contexts"
                 )
-            errors = {
-                context: entry["error"]
-                for context, entry in zip(batch, entries)
-                if isinstance(entry, dict) and "error" in entry
-            }
-            if errors:  # the batch's contexts are distinct
-                entries = [e for c, e in zip(batch, entries) if c not in errors]
-                batch = [c for c in batch if c not in errors]
-            self._cache.update(zip(batch, self._parse_rows(batch, entries)))
-            if errors:
-                context, error = next(iter(errors.items()))
-                raise UndefinedConditionalError(f"server rejected context {context!r}: {error}")
+            for context, entry in zip(batch, rows):
+                if isinstance(entry, dict) and "error" in entry:
+                    raise UndefinedConditionalError(
+                        f"server rejected context {context!r}: {entry['error']}"
+                    )
+            entries += rows
+        return self._parse_rows(contexts, entries)
 
     @staticmethod
     def _batches(contexts: list[str]):
@@ -447,7 +435,7 @@ class RemoteModel(SequenceModel):
         yield batch, _json_body({"contexts": batch})
 
     def _parse_rows(self, contexts: list[str], entries: list) -> np.ndarray:
-        """The rows of reply ``entries``, one per context, as one read-only
+        """The rows of reply ``entries``, one per context, as one new
         ``(n, |Σ|+1)`` array.
 
         Every entry's shape, symbols and value types are checked first;
@@ -494,7 +482,6 @@ class RemoteModel(SequenceModel):
         for i, total in enumerate(sums.tolist()):
             if not abs(total - 1.0) <= limit:
                 rows[i] = self._checked_row(contexts[i], rows[i])
-        rows.flags.writeable = False  # rows are shared by every caller of their context
         return rows
 
     def _checked_row(self, context: str, row: np.ndarray) -> np.ndarray:
@@ -715,7 +702,3 @@ class ModelServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-
-def check_remote(model: RemoteModel, strings: list[str]) -> dict[str, float]:
-    """Score a few strings through the wire (connectivity smoke check)."""
-    return {x: string_log_prob(model, x) for x in strings}

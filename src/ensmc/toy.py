@@ -54,7 +54,7 @@ class TableModel(SequenceModel):
         if not entries:
             raise ValueError("table must have at least one entry")
         total = math.fsum(entries.values())
-        if abs(total - 1.0) > TABLE_TOL:
+        if not abs(total - 1.0) <= TABLE_TOL:  # NaN fails too
             raise ValueError(f"table probabilities sum to {total!r}, not 1 within {TABLE_TOL}")
         for x, p in entries.items():
             if p < 0.0:
@@ -302,7 +302,7 @@ class PFSAModel(SequenceModel):
                 if nxt not in states:
                     raise ValueError(f"arc target {nxt!r} is not a state")
             total = stop + math.fsum(p for _, p in arcs.values())
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                 raise ValueError(f"state {state!r} mass sums to {total!r}, not 1")
         if start not in states:
             raise ValueError(f"start state {start!r} unknown")

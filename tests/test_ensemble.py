@@ -261,6 +261,8 @@ class TestEpsilonShift:
     def test_rejects_nonpositive_eps(self, geo_panel, geo_spec):
         with pytest.raises(ValueError):
             PrefixPotentialShaping(geo_spec, geo_panel, epsilon=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            PrefixPotentialShaping(geo_spec, geo_panel, epsilon=float("inf"))
 
 
 class TestPotentials:

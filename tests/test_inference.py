@@ -110,6 +110,8 @@ class TestSamplerConfig:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             SamplerConfig(shaping="epsilon-shift", epsilon=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            SamplerConfig(shaping="epsilon-shift", epsilon=math.inf)
 
     def test_rejects_malformed_proposal(self):
         with pytest.raises(ValueError):

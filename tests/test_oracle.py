@@ -507,6 +507,18 @@ class TestTableSerialization:
         with pytest.raises(ValueError):
             load_table(path)
 
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_load_rejects_a_residual_bound_that_is_nan_or_inf(self, geo_panel, geo_spec,
+                                                              tmp_path, bound):
+        path = tmp_path / "table.tsv"
+        dump_table(enumerate_ensemble(geo_spec, geo_panel, max_len=3), path)
+        saved = path.read_text().splitlines()
+        assert saved[5].startswith("log_residual_bound\t")
+        saved[5] = f"log_residual_bound\t{bound}"
+        path.write_text("\n".join(saved) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a ")):
+            load_table(path)
+
     def test_load_rejects_tampered_rows(self, geo_panel, geo_spec, tmp_path):
         path = tmp_path / "table.tsv"
         dump_table(enumerate_ensemble(geo_spec, geo_panel, max_len=3), path)
@@ -518,6 +530,8 @@ class TestTableSerialization:
             "a",  # too few fields
             "a\t-1.0\t-1.0",  # too many fields
             "z\t-1.0",  # symbol outside the header's alphabet
+            "a\tnan",  # not a number
+            "a\tinf",  # +inf is no log value
         ]:
             path.write_text("\n".join([*saved[:8], line, *saved[9:]]) + "\n")
             with pytest.raises(ValueError, match=re.escape(f"{path}: line 9: ")):

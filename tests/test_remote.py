@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import http.client
 import itertools
@@ -31,7 +32,7 @@ from ensmc import (
     TableModel,
     Tokenizer,
     UndefinedConditionalError,
-    check_remote,
+    check_model,
     enumerate_ensemble,
     fit_ngram,
     string_log_prob,
@@ -99,6 +100,24 @@ class CountingModel(SequenceModel):
         return self.inner.log_next(context)
 
 
+class DriftingModel(SequenceModel):
+    """``inner`` with rows that change on every request for a context: the
+    first, third, ... get ``inner``'s row and the second, fourth, ... the
+    uniform row. A consumer that asked again for a row it had used would
+    see another answer. ``asked`` counts the requests for each context."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+        self.asked = collections.Counter()
+
+    def log_next(self, context):
+        self.asked[context] += 1
+        if self.asked[context] % 2:
+            return self.inner.log_next(context)
+        return np.full(self.alphabet.size + 1, -math.log(self.alphabet.size + 1))
+
+
 class TestLoopback:
     def test_rows_match_served_model_exactly(self):
         local = TableModel(GEO_P1)
@@ -113,9 +132,8 @@ class TestLoopback:
         local = TableModel(GEO_P1)
         with ModelServer(local) as server:
             remote = RemoteModel(server.url)
-            scores = check_remote(remote, ["", "a", "b"])
-            for x, lp in scores.items():
-                assert lp == string_log_prob(local, x)
+            for x in ("", "a", "b"):
+                assert string_log_prob(remote, x) == string_log_prob(local, x)
 
     def test_dead_context_maps_to_undefined_conditional(self):
         with ModelServer(TableModel(GEO_P1)) as server:
@@ -305,17 +323,19 @@ class TestRetriesAndCaching:
                 remote.log_next("")
         assert len(attempts) == 1
 
-    def test_rows_cached_per_context(self):
+    def test_each_call_is_one_request_with_the_served_bits(self):
         counted = CountingModel(TableModel(GEO_P1))
+        contexts = ["", "", "a", ""]
         with ModelServer(counted) as server:
             remote = RemoteModel(server.url)
-            remote.log_next("")
-            remote.log_next("")
-            remote.log_next("a")
-            row = remote.log_next("")
-        assert counted.calls == 2
-        with pytest.raises(ValueError):  # the cached row is shared: read-only
-            row[0] = 0.0
+            sent = remote.requests
+            rows = [remote.log_next(context) for context in contexts]
+            assert remote.requests == sent + 4  # the client keeps no rows
+        assert counted.calls == 4
+        for row, context in zip(rows, contexts):
+            assert row.tobytes() == counted.inner.log_next(context).tobytes()
+        rows[0][0] = 0.0  # each call's row is new and belongs to the caller
+        assert rows[1].tobytes() == counted.inner.log_next("").tobytes()
 
     def test_rejects_nonpositive_retries(self):
         # Bad settings are rejected when the model is built, not at the
@@ -598,9 +618,9 @@ class TestOneRowEndpoint:
             remote = RemoteModel(url)
             assert remote.log_next("a").tobytes() == local.log_next("a").tobytes()
             assert remote.log_next_many(["", "b"]).tobytes() == local.log_next_many(["", "b"]).tobytes()
-            assert check_remote(RemoteModel(url), ["", "a", "b"]) == {
-                x: string_log_prob(local, x) for x in ("", "a", "b")
-            }
+            remote = RemoteModel(url)
+            for x in ("", "a", "b"):
+                assert string_log_prob(remote, x) == string_log_prob(local, x)
             assert string_log_prob(RemoteModel(url), "ab") == -math.inf
             with pytest.raises(UndefinedConditionalError):
                 RemoteModel(url).log_next("ab")
@@ -674,17 +694,16 @@ class TestNextMany:
             assert remote.requests == 1
             assert rows.shape == (5, 4)
             for row, context in zip(rows, contexts):
-                assert np.array_equal(row, local.log_next(context))
-            # Cached rows are not asked for again, as with log_next.
+                assert row.tobytes() == local.log_next(context).tobytes()
+            # Rows already fetched are asked for again: one more request.
             again = remote.log_next_many(["cab", "c"])
             assert remote.requests == 2
-            assert remote.log_next("c") is remote.log_next("c")
-            assert remote.requests == 2
-            assert np.array_equal(again[0], rows[2])
+            assert again[0].tobytes() == rows[2].tobytes()
+            assert again[1].tobytes() == local.log_next("c").tobytes()
             assert remote.log_next_many([]).shape == (0, 4)
             assert remote.requests == 2
 
-    def test_mixed_batch_raises_for_the_dead_context_and_caches_the_rest(self):
+    def test_mixed_batch_raises_for_the_dead_context_without_a_retry(self):
         served = CountingModel(TableModel(GEO_P1))
         with ModelServer(served) as server:
             remote = RemoteModel(server.url, retries=3, backoff=1.0)
@@ -694,9 +713,6 @@ class TestNextMany:
                 remote.log_next_many(["", "ab", "a"])
             assert time.perf_counter() - t0 < 0.5
             assert remote.requests == sent + 1  # no retry
-            for context in ("", "a"):
-                assert np.array_equal(remote.log_next(context), served.inner.log_next(context))
-            assert remote.requests == sent + 1  # both rows came from the cache
         assert served.calls == 3
 
     def test_batches_bounded_by_the_body_limit(self, monkeypatch):
@@ -797,9 +813,10 @@ class TestOneRequestPerRound:
         (tmp_path / "bytes.txt").write_text("\n".join(self.BYTE_CORPUS) + "\n")
         Tokenizer(Alphabet("ABCD"), self.TOKENS).save(tmp_path / "tok.tsv")
 
-    def config(self, expert, method, proposal, tokenized=False, oracle_len=None):
+    def config(self, expert, methods, proposal, tokenized=False, oracle_len=None, **sampler):
         """Expert 0 is ``expert``, or, with ``tokenized``, the byte view of
-        ``expert`` as a token model; expert 1 is a local n-gram."""
+        ``expert`` as a token model; expert 1 is a local n-gram. ``sampler``
+        holds further sampler keys."""
         if tokenized:
             expert = {"type": "tokenized", "tokenizer": "tok.tsv", "model": expert}
             alphabet, local = "ab", "bytes.txt"
@@ -812,8 +829,9 @@ class TestOneRequestPerRound:
                 {"type": "ngram", "corpus": local, "order": 2, "smoothing": 0.5},
             ],
             "operator": "product",
-            "sampler": {"particles": 12, "max_len": 20, "seed": 5, "proposal": proposal},
-            "methods": [method],
+            "sampler": {"particles": 12, "max_len": 20, "seed": 5, "proposal": proposal,
+                        **sampler},
+            "methods": methods,
             "repeats": 2,
         }
         if oracle_len is not None:
@@ -830,11 +848,13 @@ class TestOneRequestPerRound:
         return ({"type": "ngram", "corpus": "served.txt", "order": 2, "smoothing": 0.5},
                 Alphabet("abc"))
 
-    def served_run(self, tmp_path, monkeypatch, tokenized, counted_name, **config):
-        """Records of the in-process run and of the run with expert 0 (its
-        token model, with ``tokenized``) served, and for each call of
-        ``runner.<counted_name>`` in the served run, the requests it sent
-        and what it returned."""
+    def served_run(self, tmp_path, monkeypatch, tokenized, counted_name, drift=False, **config):
+        """Check that the in-process run and the run with expert 0 (its
+        token model, with ``tokenized``) served give the same records.
+        Return, for each call of ``runner.<counted_name>`` in the served
+        run, the requests it sent and what it returned; the model the
+        server served (a ``DriftingModel``, with ``drift``); and the served
+        run's panel."""
         self.write_inputs(tmp_path)
         inner, alphabet = self.servable(tokenized)
         want = runner.run_experiment(
@@ -860,6 +880,8 @@ class TestOneRequestPerRound:
         monkeypatch.setattr(runner, "build_panel", kept)
         monkeypatch.setattr(runner, counted_name, counted)
         served = build_expert(inner, alphabet, tmp_path)
+        if drift:
+            served = DriftingModel(served)
         with ModelServer(served) as server:
             remote = {"type": "remote", "url": server.url}
             config = self.config(remote, tokenized=tokenized, **config)
@@ -868,7 +890,7 @@ class TestOneRequestPerRound:
             for record in records:
                 del record["wall_time_s"]
         assert json.dumps(got) == json.dumps(want)
-        return calls
+        return calls, served, panels[-1][0]
 
     @pytest.mark.parametrize("method, proposal", [
         *(pytest.param(m, "optimal", id=m) for m in ("smc", "sis", "is", "local")),
@@ -877,8 +899,8 @@ class TestOneRequestPerRound:
     ])
     def test_requests_per_run_at_most_rounds(self, tmp_path, monkeypatch, method, proposal):
         name = {"is": "importance_sample", "local": "local_sample"}.get(method, method)
-        runs = self.served_run(tmp_path, monkeypatch, False, name,
-                               method=method, proposal=proposal)
+        runs, _, _ = self.served_run(tmp_path, monkeypatch, False, name,
+                                     methods=[method], proposal=proposal)
         assert len(runs) == 2
         # The first run starts from an empty cache; the second shares its shaping.
         assert runs[0][0] > 0
@@ -890,8 +912,8 @@ class TestOneRequestPerRound:
         """Behind the byte bridge, a round's token rows come in two requests:
         the frontiers' rows, then those of their one-byte extensions."""
         name = {"is": "importance_sample", "local": "local_sample"}.get(method, method)
-        runs = self.served_run(tmp_path, monkeypatch, True, name,
-                               method=method, proposal="optimal")
+        runs, _, _ = self.served_run(tmp_path, monkeypatch, True, name,
+                                     methods=[method], proposal="optimal")
         assert len(runs) == 2
         assert runs[0][0] > 0
         for requests, estimate in runs:
@@ -902,8 +924,8 @@ class TestOneRequestPerRound:
         """The oracle sends one request per level to a served expert, two to
         a served token model, and its table equals the in-process one."""
         max_len = 6 if tokenized else 4
-        calls = self.served_run(tmp_path, monkeypatch, tokenized, "enumerate_ensemble",
-                                method="smc", proposal="optimal", oracle_len=max_len)
+        calls, _, _ = self.served_run(tmp_path, monkeypatch, tokenized, "enumerate_ensemble",
+                                      methods=["smc"], proposal="optimal", oracle_len=max_len)
         assert len(calls) == 1
         assert calls[0][0] > 0
         assert calls[0][0] <= (2 if tokenized else 1) * (max_len + 1)
@@ -911,14 +933,14 @@ class TestOneRequestPerRound:
         # On its own, with nothing cached: the table of the in-process panel.
         inner, alphabet = self.servable(tokenized)
         config = config_from_dict(
-            self.config(inner, "smc", "optimal", tokenized=tokenized), tmp_path
+            self.config(inner, ["smc"], "optimal", tokenized=tokenized), tmp_path
         )
         panel, spec = runner.build_panel(config)
         want = enumerate_ensemble(spec, panel, max_len)
         with ModelServer(build_expert(inner, alphabet, tmp_path)) as server:
             remote = {"type": "remote", "url": server.url}
             config = config_from_dict(
-                self.config(remote, "smc", "optimal", tokenized=tokenized), tmp_path
+                self.config(remote, ["smc"], "optimal", tokenized=tokenized), tmp_path
             )
             panel, spec = runner.build_panel(config)
             got = enumerate_ensemble(spec, panel, max_len)
@@ -928,6 +950,28 @@ class TestOneRequestPerRound:
         assert got.log_values.tobytes() == want.log_values.tobytes()
         assert got.log_residual_bound == want.log_residual_bound
         assert got.nodes_visited == want.nodes_visited
+
+    @pytest.mark.parametrize("tokenized", [False, True], ids=["served", "token"])
+    def test_consumers_keep_the_rows_they_read(self, tmp_path, monkeypatch, tokenized):
+        """The served rows change on every request for a context, and every
+        method still gives the in-process records: the prefix nodes and the
+        bridge's token-row store keep the rows they read, so one experiment
+        asks the server for each context once. Behind the bridge that
+        includes the oracle, which reads the same token rows; over a plain
+        served expert the oracle has its own level arrays, so it is left out.
+        """
+        oracle = {"oracle_len": 6} if tokenized else {}
+        _, served, panel = self.served_run(
+            tmp_path, monkeypatch, tokenized, "smc", drift=True,
+            methods=["smc", "sis", "is", "local"], proposal="optimal",
+            debug_check_weights=True, **oracle,
+        )
+        assert served.asked and max(served.asked.values()) == 1
+        if tokenized:
+            # Every byte row the bridge builds over the drifting server is
+            # normalized, and still no token context is asked twice.
+            check_model(panel[0], contexts_up_to(4))
+            assert max(served.asked.values()) == 1
 
 
 @contextlib.contextmanager

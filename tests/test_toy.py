@@ -32,6 +32,8 @@ class TestTableModel:
     def test_rejects_defective_mass(self):
         with pytest.raises(ValueError):
             TableModel({"a": 0.5, "b": 0.5 - 1e-9})
+        with pytest.raises(ValueError, match="sum to nan"):
+            TableModel({"a": float("nan"), "b": 0.5})
 
     def test_rejects_negative_probability(self):
         with pytest.raises(ValueError):
@@ -303,6 +305,13 @@ class TestPFSAModel:
                 start="s",
                 transitions={"s": {"a": ("s", 0.5)}},
                 stops={"s": 0.4},
+            )
+        with pytest.raises(ValueError, match="sums to nan"):
+            PFSAModel(
+                Alphabet("a"),
+                start="s",
+                transitions={"s": {"a": ("s", float("nan"))}},
+                stops={"s": 0.5},
             )
 
     def test_rejects_unreachable_state(self):

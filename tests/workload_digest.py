@@ -9,8 +9,9 @@ sampler seed replaced by the op seed, over inputs written to a temporary
 directory. Each record is dumped as JSON without ``wall_time_s``, and one
 digest covers a workload's records in order. For ``remote-loopback`` it
 also prints ``RemoteModel.requests`` per op (HTTP requests sent, retries
-included). Two checkouts whose records agree byte for byte print the
-same lines. Nothing is written under ``bench/``.
+included) and the rows served per op (the served model's ``log_next``
+calls, counted on the server side). Two checkouts whose records agree
+byte for byte print the same lines. Nothing is written under ``bench/``.
 """
 from __future__ import annotations
 
@@ -43,17 +44,31 @@ def load_workloads():
     return module
 
 
+class CountingModel(ensmc.SequenceModel):
+    """A served model that counts the rows it serves."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+        self.rows = 0
+
+    def log_next(self, context):
+        self.rows += 1
+        return self.inner.log_next(context)
+
+
 def workload_records(workloads, name: str, seed: int, workdir: Path, panels: list):
-    """The records of one seed's ops, and the remote requests they sent."""
+    """The records of one seed's ops, the remote requests they sent and the
+    rows the server served."""
     inputs = workloads.WORKLOADS[name](seed)
     inputs.write(workdir)
     config = inputs.config
-    server = None
+    server = served = None
     if inputs.served_corpus is not None:
-        served = ensmc.fit_ngram(
+        served = CountingModel(ensmc.fit_ngram(
             inputs.served_corpus, order=inputs.served_order,
             smoothing=inputs.served_smoothing, alphabet=ensmc.Alphabet(tuple(config["alphabet"])),
-        )
+        ))
         server = ensmc.ModelServer(served).start()
         config = json.loads(json.dumps(config).replace(workloads.SERVER_URL, server.url))
     records, requests = [], 0
@@ -66,7 +81,7 @@ def workload_records(workloads, name: str, seed: int, workdir: Path, panels: lis
     finally:
         if server is not None:
             server.stop()
-    return records, requests
+    return records, requests, served.rows if served is not None else 0
 
 
 def main() -> int:
@@ -82,19 +97,22 @@ def main() -> int:
     runner.build_panel = recording_build_panel
     try:
         for name in workloads.WORKLOADS:
-            digest, requests, ops, count = hashlib.sha256(), 0, 0, 0
+            digest, requests, rows, ops, count = hashlib.sha256(), 0, 0, 0, 0
             for seed in SEEDS:
                 with tempfile.TemporaryDirectory() as tmp:
-                    records, sent = workload_records(workloads, name, seed, Path(tmp), panels)
+                    records, sent, served = workload_records(
+                        workloads, name, seed, Path(tmp), panels
+                    )
                 for rec in records:
                     rec.pop("wall_time_s", None)
                     digest.update(json.dumps(rec, allow_nan=False).encode() + b"\n")
                 requests += sent
+                rows += served
                 ops += OPS
                 count += len(records)
             line = f"{name:16} {count:3d} records  sha256 {digest.hexdigest()}"
             if requests:
-                line += f"  requests/op {requests / ops:.2f}"
+                line += f"  requests/op {requests / ops:.2f}  rows/op {rows / ops:.2f}"
             print(line)
     finally:
         runner.build_panel = build_panel
