@@ -4,13 +4,15 @@ against exact enumeration.
 
 The top-level names are the ones the README documents, the benchmark,
 the acceptance and golden-record tests use, and the CLI entry point;
-everything else is imported from its defining submodule.
+everything else is imported from its defining submodule. The names in
+``_LAZY`` import theirs on first use (PEP 562): a run that serves no
+model, tokenizes nothing and parses no command line never loads them.
 """
 
-from .cli import main
+from importlib import import_module
+
 from .config import build_expert, config_from_dict, load_config
 from .runner import read_records, run_experiment
-from .bridge import Tokenizer, as_byte_model
 from .ensemble import EnsembleSpec, ExpertPanel, is_consensus
 from .errors import (
     DeadPrefixError,
@@ -52,7 +54,6 @@ from .oracle import (
     minimize_divergence_simplex,
     total_variation,
 )
-from .remote import ModelServer, RemoteModel
 from .toy import NGramModel, PFSAModel, TableModel, fit_ngram
 
 __version__ = "0.1.0"
@@ -109,3 +110,14 @@ __all__ = [
     "string_log_prob",
     "total_variation",
 ]
+
+#: Top-level names whose submodule is imported when the name is first read.
+_LAZY = {"main": "cli", "Tokenizer": "bridge", "as_byte_model": "bridge",
+         "ModelServer": "remote", "RemoteModel": "remote"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value

@@ -110,34 +110,6 @@ class Tokenizer:
                 return None
         return node
 
-    def decode_sequence(self, tokens: str) -> str:
-        self.token_alphabet.check_string(tokens)
-        return "".join(self.decode[t] for t in tokens)
-
-    def encode_greedy(self, text: str) -> str:
-        """Longest-match tokenization (ties broken by token-alphabet order).
-
-        Raises ValueError when no token matches at some position; note a
-        greedy encoding is just one tokenization among those the
-        marginal sums over.
-        """
-        by_len = sorted(
-            self.token_alphabet.symbols,
-            key=lambda t: (-len(self.decode[t]), self.token_alphabet.index[t]),
-        )
-        out = []
-        i = 0
-        while i < len(text):
-            for tok in by_len:
-                piece = self.decode[tok]
-                if text.startswith(piece, i):
-                    out.append(tok)
-                    i += len(piece)
-                    break
-            else:
-                raise ValueError(f"no token matches {text[i:]!r} at position {i}")
-        return "".join(out)
-
     def save(self, path: str) -> None:
         lines = [f"{TOKENIZER_MAGIC}\t{TOKENIZER_VERSION}\t{self.token_alphabet.size}"]
         for tok in self.token_alphabet.symbols:

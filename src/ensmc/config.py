@@ -45,12 +45,10 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
-from .bridge import Tokenizer, as_byte_model
 from .ensemble import EnsembleSpec, ExpertPanel
 from .inference import SamplerConfig
 from .lmcore import Alphabet, SequenceModel
 from .oracle import DEFAULT_NODE_CAP
-from .remote import DEFAULT_DEFECT_TOL, RemoteModel
 from .toy import NGramModel, PFSAModel, TableModel, fit_ngram, load_corpus
 
 KNOWN_METHODS = ("smc", "sis", "is", "local")
@@ -236,11 +234,13 @@ def _read_expert(spec: dict, has_alphabet: bool) -> Callable[..., SequenceModel]
         read.done()
 
         def build(alphabet, base_dir):
+            from .bridge import Tokenizer, as_byte_model
             tokenizer = Tokenizer.load(base_dir / path)
             inner = build_inner(tokenizer.token_alphabet, base_dir)
             return as_byte_model(inner, tokenizer, log_floor=log_floor)
         return build
     if kind == "remote":
+        from .remote import DEFAULT_DEFECT_TOL, RemoteModel
         url = read("url", "string")
         timeout = read("timeout", "number", 5.0)
         retries = read("retries", "integer", 3)

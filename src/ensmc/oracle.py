@@ -16,12 +16,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensemble import EnsembleSpec, ExpertPanel, is_consensus
+from .ensemble import EnsembleSpec, ExpertPanel, _normalize_weights, is_consensus
 from .errors import EnumerationBudgetError
 from .lmcore import Alphabet
 from .logtools import LOG_ZERO, logsumexp
 from .textio import escape_field, unescape_field
-from .toy import TableModel
 
 TABLE_MAGIC = "ensmc-table"
 TABLE_VERSION = 1
@@ -93,10 +92,6 @@ class ExactTable:
         if not mask.any():
             return 0.0
         return math.exp(float(logsumexp(self.log_values[mask])) - self.log_z)
-
-    def to_model(self) -> TableModel:
-        """The normalized distribution as an explicit-table sequence model."""
-        return TableModel(self.probs(), alphabet=self.alphabet)
 
 
 def _operator_label(spec: EnsembleSpec) -> str:
@@ -252,7 +247,8 @@ def load_table(path) -> ExactTable:
     """Read a file written by :func:`dump_table`; the normalizer is recomputed.
 
     A malformed file is a ValueError that names it (and the line, for a
-    body row)."""
+    body row, for weights no ``EnsembleSpec`` accepts and for a negative
+    ``max_len``)."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     try:
@@ -270,6 +266,17 @@ def load_table(path) -> ExactTable:
         n = int(header["entries"])
     except (IndexError, KeyError, ValueError):
         raise ValueError(f"{path}: not a {TABLE_MAGIC} v{TABLE_VERSION} file")
+
+    def bad_header(key, why):
+        lineno = 2 + list(header).index(key)
+        return ValueError(f"{path}: line {lineno}: bad header {lines[lineno - 1]!r}: {why}")
+
+    try:
+        _normalize_weights(weights)
+    except ValueError as exc:
+        raise bad_header("weights", exc)
+    if max_len < 0:
+        raise bad_header("max_len", "must be >= 0")
     body = lines[7 : 7 + n]
     if len(body) != n:
         raise ValueError(f"{path}: truncated table")

@@ -257,27 +257,6 @@ class TestTokenizer:
         tok = Tokenizer(Alphabet("AB"), {"A": "ba", "B": "c"})
         assert tok.byte_alphabet.symbols == ("a", "b", "c")
 
-    def test_decode_sequence(self, bridge_fixture):
-        _, tokenizer = bridge_fixture
-        assert tokenizer.decode_sequence("ACB") == "aabb"
-        with pytest.raises(ValueError):
-            tokenizer.decode_sequence("AX")
-
-    def test_greedy_encode_prefers_longest(self, bridge_fixture):
-        _, tokenizer = bridge_fixture
-        assert tokenizer.encode_greedy("ab") == "C"
-        assert tokenizer.encode_greedy("aab") == "AC"
-        assert tokenizer.encode_greedy("ba") == "BA"
-
-    def test_greedy_encode_breaks_ties_by_token_order(self):
-        tok = Tokenizer(Alphabet("XY"), {"X": "a", "Y": "a"})
-        assert tok.encode_greedy("aa") == "XX"
-
-    def test_greedy_encode_rejects_unreachable_text(self, bridge_fixture):
-        _, tokenizer = bridge_fixture
-        with pytest.raises(ValueError):
-            tokenizer.encode_greedy("ac")
-
     def test_save_load_round_trip(self, bridge_fixture, tmp_path):
         _, tokenizer = bridge_fixture
         path = tmp_path / "tok.tsv"

@@ -403,14 +403,6 @@ class TestEnumerateEnsemble:
         with pytest.raises(EnumerationBudgetError):
             table.log_prefix_target("aaa")
 
-    def test_to_model_round_trip(self, geo_panel, geo_spec):
-        table = enumerate_ensemble(geo_spec, geo_panel, max_len=3)
-        model = table.to_model()
-        for x, lv in zip(table.strings, table.log_values):
-            assert_allclose(
-                string_log_prob(model, x), lv - table.log_z, rtol=1e-12
-            )
-
     def test_expected_accuracy(self, geo_panel, geo_spec):
         table = enumerate_ensemble(geo_spec, geo_panel, max_len=3)
         acc = table.expected_accuracy(lambda x: x == "a")
@@ -517,6 +509,25 @@ class TestTableSerialization:
         saved[5] = f"log_residual_bound\t{bound}"
         path.write_text("\n".join(saved) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a ")):
+            load_table(path)
+
+    @pytest.mark.parametrize("line, lineno", [
+        ("weights\tnan\t-1.0", 3),
+        ("weights\tinf\t0.5", 3),
+        ("weights\t-0.5\t1.5", 3),
+        ("weights\t0.0\t0.0", 3),
+        ("max_len\t-3", 5),
+    ])
+    def test_load_rejects_weights_or_max_len_no_ensemble_accepts(self, geo_panel, geo_spec,
+                                                                  tmp_path, line, lineno):
+        path = tmp_path / "table.tsv"
+        dump_table(enumerate_ensemble(geo_spec, geo_panel, max_len=3), path)
+        saved = path.read_text().splitlines()
+        key = line.split("\t")[0]
+        assert saved[lineno - 1].startswith(key + "\t")
+        saved[lineno - 1] = line
+        path.write_text("\n".join(saved) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: bad header {line!r}")):
             load_table(path)
 
     def test_load_rejects_tampered_rows(self, geo_panel, geo_spec, tmp_path):

@@ -271,7 +271,7 @@ class TestRowValidation:
         assert len(attempts) == 1
 
 
-class TestRetriesAndCaching:
+class TestRetries:
     def test_transient_failures_retried(self):
         state = {"failures": 2, "attempts": 0}
 
@@ -1385,10 +1385,41 @@ class TestServerWire:
         assert all(w.startswith(b"HTTP/1.1 ") and w.endswith((b"}", b"]")) for w in writes)
 
 
-def test_import_leaves_http_server_unloaded():
-    """``import ensmc`` does not pay for ``http.server`` (nor ``html`` and
-    ``mimetypes``, which it imports)."""
-    code = "import sys, ensmc; assert 'http.server' not in sys.modules"
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this ``ensmc``."""
     src = str(Path(ensmc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+def test_import_leaves_http_server_unloaded():
+    """``import ensmc`` does not pay for ``http.server`` (nor ``html`` and
+    ``mimetypes``, which it imports)."""
+    run_fresh("import sys, ensmc; assert 'http.server' not in sys.modules")
+
+
+def test_import_loads_the_remote_stack_bridge_and_cli_on_first_use():
+    """``import ensmc`` leaves the HTTP client and server, the byte bridge
+    and the command line unloaded; their top-level names load them when
+    first read, and every other name of ``__all__`` still resolves."""
+    run_fresh("""if True:
+        import sys, ensmc
+        unused = ("http.client", "email", "ssl", "socketserver", "argparse",
+                  "ensmc.remote", "ensmc.bridge", "ensmc.cli")
+        loaded = [name for name in unused if name in sys.modules]
+        assert not loaded, loaded
+        assert ensmc.RemoteModel.__module__ == "ensmc.remote"
+        assert "RemoteModel" in vars(ensmc)  # kept: the next read is plain
+        from ensmc import ModelServer
+        assert ModelServer.__module__ == "ensmc.remote"
+        assert ensmc.main.__module__ == "ensmc.cli"
+        assert ensmc.Tokenizer.__module__ == "ensmc.bridge"
+        for name in ensmc.__all__:
+            getattr(ensmc, name)
+        try:
+            ensmc.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("an unknown name resolved")
+    """)
