@@ -59,7 +59,8 @@ class Tokenizer:
     ``token_alphabet``) to a non-empty string over ``byte_alphabet``.
     Distinct tokens may share a decoding; the marginal handles the
     ambiguity. When ``byte_alphabet`` is omitted it is derived as the
-    sorted set of characters appearing in the decodings.
+    sorted set of characters appearing in the decodings. ``root`` is the
+    root of the trie of decodings.
     """
 
     def __init__(
@@ -80,7 +81,7 @@ class Tokenizer:
         self.token_alphabet = token_alphabet
         self.byte_alphabet = byte_alphabet
         self.decode = dict(decode)
-        self._root = self._build_trie()
+        self.root = self._build_trie()
 
     def _build_trie(self) -> _TrieNode:
         root = _TrieNode()
@@ -102,14 +103,6 @@ class Tokenizer:
         annotate(root)
         return root
 
-    def node_at(self, tail: str) -> _TrieNode | None:
-        node = self._root
-        for ch in tail:
-            node = node.children.get(ch)
-            if node is None:
-                return None
-        return node
-
     def save(self, path: str) -> None:
         lines = [f"{TOKENIZER_MAGIC}\t{TOKENIZER_VERSION}\t{self.token_alphabet.size}"]
         for tok in self.token_alphabet.symbols:
@@ -118,7 +111,7 @@ class Tokenizer:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
-    def load(cls, path: str, byte_alphabet: Alphabet | None = None) -> "Tokenizer":
+    def load(cls, path: str) -> "Tokenizer":
         """Read a file written by :meth:`save`; a malformed file is a
         ValueError that names it."""
         with open(path, encoding="utf-8") as fh:
@@ -147,7 +140,7 @@ class Tokenizer:
             tokens.append(tok)
             decode[tok] = unescape_field(parts[1])
         try:
-            return cls(Alphabet(tokens), decode, byte_alphabet=byte_alphabet)
+            return cls(Alphabet(tokens), decode)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}")
 
@@ -193,7 +186,7 @@ class TokenToByteModel(SequenceModel):
     ):
         if token_model.alphabet != tokenizer.token_alphabet:
             raise ValueError("token model and tokenizer disagree on the token alphabet")
-        if log_floor is not None and log_floor >= 0.0:
+        if log_floor is not None and not log_floor < 0.0:
             raise ValueError("log_floor must be negative (a log-domain ratio)")
         self.token_model = token_model
         self.tokenizer = tokenizer
@@ -203,7 +196,7 @@ class TokenToByteModel(SequenceModel):
         # Guards the frontier cache and the bound: a frontier's pruned
         # terms count once, when that frontier is the one stored.
         self._lock = threading.Lock()
-        self._root = tokenizer.node_at("")
+        self._root = tokenizer.root
         self._frontiers: dict[str, _Frontier] = {
             "": _Frontier(entries=(("", self._root, 0.0),))
         }

@@ -14,8 +14,9 @@ round, particle index)`` and resampling by ``(1, round)``; ``is``/``local``
 draw i.i.d., particle ``m`` from stream ``(2, m)`` — so runs are
 reproducible bit-for-bit, adding particles does not perturb existing
 streams, and an unfired resampling pass leaves the draws untouched. The
-streams are numpy's ``default_rng(SeedSequence(seed, spawn_key=key))``;
-:mod:`ensmc.streams` computes the particle streams.
+streams are numpy's ``default_rng(SeedSequence(seed, spawn_key=key))``.
+The ``_STREAM_*`` tags below name them; :mod:`ensmc.streams` derives
+the particle streams and hands out each round's doubles.
 
 Population: all four samplers run one round loop over the particles held
 as arrays (the prefix strings, weights, proposal log probabilities and
@@ -60,11 +61,6 @@ from .logtools import LOG_ZERO, log_normalize, logsumexp
 _STREAM_PARTICLE = 0
 _STREAM_RESAMPLE = 1
 _STREAM_IID = 2
-#: At most about this many particle streams are derived in one block of
-#: rounds: the vectorised derivation costs nearly the same up to a few
-#: hundred streams, and a block's rounds may go unused once every
-#: particle has finished.
-_BLOCK_STREAMS = 256
 
 
 @dataclass
@@ -570,37 +566,6 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
     return _finalize(xs, log_w, completed, log_proposal, diag, debug_target)
 
 
-def _particle_doubles(seed: int, particles: int, horizon: int):
-    """``doubles(round, live)`` for ``sis``/``smc``: the first double of
-    stream ``(seed, 0, round, m)`` for each live particle ``m``.
-
-    Streams are derived a block of rounds at a time, for every particle:
-    at round ``r`` a block covers ``r`` rounds (so blocks double), at most
-    ``_BLOCK_STREAMS // particles`` and none past ``horizon``, the number
-    of rounds a run can take (``max_len + 1``). A block of
-    one round or of fewer than ``streams.VECTOR_MIN_STREAMS`` streams is
-    not made; that round derives the live particles' streams alone. Each
-    round's row is handed out once, and a block is freed with its last
-    row. Rounds must be asked for in order, from 0.
-    """
-    base = streams.pool(seed, _STREAM_PARTICLE)
-    every = np.arange(particles)
-    rows: dict[int, np.ndarray] = {}
-
-    def doubles(round_no: int, live: np.ndarray) -> np.ndarray:
-        row = rows.pop(round_no, None)
-        if row is None:
-            size = min(round_no, _BLOCK_STREAMS // particles, horizon - round_no)
-            if size <= 1 or size * particles < streams.VECTOR_MIN_STREAMS:
-                return streams.uniforms(base.extend(round_no), live)
-            block = streams.block_uniforms(base, np.arange(round_no, round_no + size), every)
-            rows.update(zip(range(round_no + 1, round_no + size), block[1:]))
-            row = block[0]
-        return row[live]
-
-    return doubles
-
-
 def _shaped(spec, panel, config: SamplerConfig, shaping, proposal, resample_threshold: float):
     """``sis``/``smc``: round ``r`` draws the first double of stream
     ``(seed, 0, r, m)`` for particle ``m``."""
@@ -610,7 +575,9 @@ def _shaped(spec, panel, config: SamplerConfig, shaping, proposal, resample_thre
         proposal = make_proposal(config, shaping)
     return _sequential(
         panel.alphabet, config.particles, config.max_len,
-        _particle_doubles(config.seed, config.particles, config.max_len + 1),
+        streams.particle_doubles(
+            streams.pool(config.seed, _STREAM_PARTICLE), config.particles, config.max_len + 1
+        ),
         proposal.log_row, shaping, resample_threshold, config.seed,
         shaping.log_target if config.debug_check_weights else None, shaping.prefetch,
     )
@@ -653,11 +620,9 @@ def _iid(alphabet, log_row, particles: int, max_len: int, seed: int, prefetch=No
         raise ValueError("particles must be a positive integer")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    iid_streams = streams.pool(seed, _STREAM_IID)
-    particle_streams = [streams.Stream(iid_streams.extend(m).words) for m in range(particles)]
     return _sequential(
         alphabet, particles, max_len,
-        lambda _, live: np.array([particle_streams[i].random() for i in live.tolist()]), log_row,
+        streams.iid_doubles(streams.pool(seed, _STREAM_IID), particles), log_row,
         prefetch=prefetch,
     )
 

@@ -527,7 +527,7 @@ def _request_contexts(alphabet: Alphabet, body: bytes) -> list[str]:
 class _Handler(socketserver.StreamRequestHandler):
     """One client connection: read a request with ``_read_head``, answer it
     in one write, and repeat until the client or a reply closes the
-    connection, or it sits idle for the server's ``idle_timeout``."""
+    connection, or it sits idle for ``IDLE_TIMEOUT_S``."""
 
     # A reply is one write, but one longer than a TCP segment ends in a short
     # segment, which Nagle's algorithm would hold back until the client's
@@ -535,7 +535,7 @@ class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def setup(self):
-        self.timeout = self.server.idle_timeout
+        self.timeout = IDLE_TIMEOUT_S
         super().setup()
 
     def handle(self):
@@ -616,15 +616,14 @@ class _Server(socketserver.ThreadingTCPServer):
     Each kept-alive connection has a daemon handler thread, which
     ``server_close`` neither waits for nor stops. Without this, a client
     holding a connection would go on getting rows from a stopped server
-    for up to ``idle_timeout``.
+    for up to ``IDLE_TIMEOUT_S``.
     """
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address, model: SequenceModel, idle_timeout: float):
+    def __init__(self, address, model: SequenceModel):
         self.model = model
-        self.idle_timeout = idle_timeout
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         super().__init__(address, _Handler)
@@ -680,7 +679,7 @@ class ModelServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "ModelServer":
-        self._httpd = _Server((self._host, self._port), self.model, IDLE_TIMEOUT_S)
+        self._httpd = _Server((self._host, self._port), self.model)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
         )

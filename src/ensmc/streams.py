@@ -12,12 +12,12 @@ and outputs XSL-RR bits. This module does the same arithmetic itself:
   more key words, so a prefix shared by many streams is hashed once.
 * :func:`uniforms` is the first double of the streams ``key + (m,)`` for
   many ``m`` at once, numpy-vectorised over ``m`` for large batches.
-* :func:`block_uniforms` is the first double of the streams ``key + (r,
-  m)`` as a ``(rounds, particles)`` array: a block of sampler rounds in
-  one vectorised call. Both vectorised paths run one kernel, which mixes
-  each key word at its own shape before broadcasting.
 * :class:`Stream` is a stream's successive doubles, PCG64 stepped in
   Python ints, for callers that draw many doubles from one stream.
+* :func:`particle_doubles` and :func:`iid_doubles` hand the samplers
+  their doubles round by round. The first derives a block of rounds in
+  one vectorised call when that pays; the vectorised kernel mixes each
+  key word at its own shape before broadcasting.
 
 The results are the same bits as numpy's (pinned by
 ``tests/test_streams.py``), so the seed policy is unchanged.
@@ -51,6 +51,11 @@ _TO_DOUBLE = 1.0 / 9007199254740992.0
 #: 1 024 streams), while Python ints cost 8-12 us a stream; the two meet
 #: between 14 and 24 streams.
 VECTOR_MIN_STREAMS = 20
+#: At most about this many particle streams are derived in one block of
+#: rounds: the vectorised derivation costs nearly the same up to a few
+#: hundred streams, and a block's rounds may go unused once every
+#: particle has finished.
+BLOCK_STREAMS = 256
 
 
 def _words(value) -> list[int]:
@@ -297,19 +302,40 @@ def uniforms(base: Pool, ms: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_uniforms(base: Pool, rounds: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """First doubles of the streams ``base.extend(r, m)``: a ``(len(rounds),
-    len(ms))`` array, row ``i`` for round ``rounds[i]``.
+def particle_doubles(base: Pool, particles: int, horizon: int):
+    """``doubles(round, live)``: the first double of stream ``base.extend(round,
+    m)`` for each live particle ``m``.
 
-    Vectorised over both when the block holds :data:`VECTOR_MIN_STREAMS`
-    or more streams and every ``r`` and ``m`` is below 2**32; otherwise
-    one :func:`uniforms` call per round, exact for any non-negative key.
+    Streams are derived a block of rounds at a time, for every particle:
+    at round ``r`` a block covers ``r`` rounds (so blocks double), at most
+    ``BLOCK_STREAMS // particles`` and none past ``horizon``, the number
+    of rounds a run can take. A block of one round, of fewer than
+    :data:`VECTOR_MIN_STREAMS` streams or reaching round 2**32 is not
+    made; that round derives the live particles' streams alone. Each
+    round's row is handed out once, and a block is freed with its last
+    row. Rounds must be asked for in order.
     """
-    rounds = np.asarray(rounds)
-    ms = np.asarray(ms)
-    if len(rounds) * len(ms) >= VECTOR_MIN_STREAMS and _one_word(rounds) and _one_word(ms):
-        return _first_doubles(base, rounds.astype(np.uint32)[:, None], ms.astype(np.uint32))
-    out = np.empty((len(rounds), len(ms)))
-    for i, r in enumerate(rounds.tolist()):
-        out[i] = uniforms(base.extend(r), ms)
-    return out
+    every = np.arange(particles, dtype=_U32)
+    rows: dict[int, np.ndarray] = {}
+
+    def doubles(round_no: int, live: np.ndarray) -> np.ndarray:
+        row = rows.pop(round_no, None)
+        if row is None:
+            size = min(round_no, BLOCK_STREAMS // particles, horizon - round_no)
+            end = round_no + size
+            if size <= 1 or size * particles < VECTOR_MIN_STREAMS or end > 1 << 32:
+                return uniforms(base.extend(round_no), live)
+            block = _first_doubles(base, np.arange(round_no, end, dtype=_U32)[:, None], every)
+            rows.update(zip(range(round_no + 1, end), block[1:]))
+            row = block[0]
+        return row[live]
+
+    return doubles
+
+
+def iid_doubles(base: Pool, particles: int):
+    """``doubles(round, live)``: each live particle ``m``'s next double of
+    stream ``base.extend(m)``, the ones ``sample_with_log_prob`` would
+    draw from that stream's generator."""
+    particle_streams = [Stream(base.extend(m).words) for m in range(particles)]
+    return lambda _, live: np.array([particle_streams[i].random() for i in live.tolist()])

@@ -129,7 +129,7 @@ class NGramModel(SequenceModel):
         for i, (ctx, vec) in enumerate(counts.items()):
             alphabet.check_string(ctx)
             vec = np.asarray(vec, dtype=float)
-            if vec.shape != (width,) or (vec < 0).any():
+            if vec.shape != (width,) or not (np.isfinite(vec) & (vec >= 0)).all():
                 raise ValueError(f"bad count vector for context {ctx!r}")
             self._key_row[ctx] = i
             self._counts[i] = vec

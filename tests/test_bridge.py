@@ -300,7 +300,10 @@ class TestTokenizer:
         "ensmc-tokenizer\t1\t3.0\nA\ta\nB\tb\nC\tab\n",
         "ensmc-tokenizer\t1\t3\nA\ta\nB\tb\nA\tab\n",
         "ensmc-tokenizer\t1\t3\nA\ta\nB\t\nC\tab\n",
-    ], ids=["non-integer version", "non-integer count", "duplicate token", "empty decoding"])
+        "",
+        "ensmc-tokenizer\t1\t3\nA\ta\nB\tb\tb\nC\tab\n",
+    ], ids=["non-integer version", "non-integer count", "duplicate token", "empty decoding",
+            "empty file", "three-field row"])
     def test_load_names_the_file_of_a_malformed_input(self, text, tmp_path):
         path = tmp_path / "tampered.tsv"
         path.write_text(text)
@@ -426,8 +429,9 @@ class TestByteMarginal:
 class TestFloorPruning:
     def test_floor_must_be_negative(self, bridge_fixture):
         token_model, tokenizer = bridge_fixture
-        with pytest.raises(ValueError):
-            TokenToByteModel(token_model, tokenizer, log_floor=0.0)
+        for log_floor in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="log_floor must be negative"):
+                TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
 
     def test_dropped_mass_is_reported_and_bounds_error(self, bridge_fixture):
         token_model, tokenizer = bridge_fixture

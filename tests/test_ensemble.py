@@ -61,6 +61,12 @@ class TestSpecConstruction:
         with pytest.raises(ValueError):
             EnsembleSpec.from_name("median", 2)
 
+    def test_bad_kind_or_tau_rejected(self):
+        with pytest.raises(ValueError, match="minimum operator takes no tau"):
+            EnsembleSpec("minimum", (1.0,), tau=2.0)
+        with pytest.raises(ValueError, match="unknown operator kind 'median'"):
+            EnsembleSpec("median", (1.0,))
+
     def test_consensus_classification(self):
         assert is_consensus(EnsembleSpec.minimum(2))
         assert is_consensus(EnsembleSpec.geometric(2))

@@ -12,7 +12,9 @@ and two tokenized experts with different decode tables over one byte
 alphabet (``ab`` is a token of one, ``ba`` of the other) under all four
 samplers and the oracle at the samplers' horizon.
 A change that alters any sampled string, weight, estimate or counter fails
-here.
+here. ``workloads.txt`` pins the lines of ``tests/workload_digest.py``:
+each benchmark workload's record digest, and the requests and served
+rows per op of the served one.
 
 The bytes do not depend on the BLAS build: every operator reduces each
 column in a fixed order, with no BLAS call. Where numpy uses OpenBLAS on
@@ -23,7 +25,8 @@ After a deliberate change to what runs compute, regenerate with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-It rewrites only the files whose bytes changed and prints their names.
+It rewrites only the files whose bytes changed (``workloads.txt``
+included) and prints their names.
 """
 import json
 import os
@@ -37,6 +40,7 @@ import pytest
 
 import ensmc
 from ensmc import load_config, run_experiment
+from workload_digest import digest_lines
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -71,6 +75,11 @@ def _openblas_on_x86_64() -> bool:
     return platform.machine() == "x86_64" and "openblas" in blas.get("name", "").lower()
 
 
+def test_workload_digests_unchanged():
+    want = (GOLDEN / "workloads.txt").read_text(encoding="utf-8").splitlines()
+    assert digest_lines() == want
+
+
 @pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs numpy on OpenBLAS, x86_64")
 def test_records_byte_identical_under_other_blas_kernels():
     """The golden bytes hold whichever kernel OpenBLAS dispatches; the
@@ -88,9 +97,11 @@ def test_records_byte_identical_under_other_blas_kernels():
 
 
 if __name__ == "__main__":
-    for name in CONFIGS:
-        path = GOLDEN / f"{name}.jsonl"
-        text = "".join(line + "\n" for line in record_lines(name))
+    outputs = [(f"{name}.jsonl", record_lines(name)) for name in CONFIGS]
+    outputs.append(("workloads.txt", digest_lines()))
+    for filename, lines in outputs:
+        path = GOLDEN / filename
+        text = "".join(line + "\n" for line in lines)
         if not path.is_file() or path.read_text(encoding="utf-8") != text:
             path.write_text(text, encoding="utf-8")
             print(f"rewrote {path.name}")

@@ -169,6 +169,12 @@ class TestLoopback:
             remote.log_next("")
         assert ("GET", "/alphabet") not in calls
 
+    @pytest.mark.parametrize("reply", [{"symbols": "a"}, {}, b'["a"]'])
+    def test_malformed_alphabet_reply_rejected(self, reply):
+        with scripted_server(lambda method, path, payload: (200, reply)) as url:
+            with pytest.raises(ExpertUnavailableError, match="malformed /alphabet reply"):
+                RemoteModel(url)
+
 
 class TestRowValidation:
     def alphabet(self):
@@ -240,13 +246,21 @@ class TestRowValidation:
                 remote.log_next("")
 
     def test_non_finite_values_rejected(self):
-        def respond(method, path, payload):
-            return 200, {"rows": [{"log_probs": {"a": float("nan")}, "eos_log_prob": -1.0}]}
+        for value, match in [
+            (float("nan"), "non-finite"),
+            ("-0.5", "non-numeric log probability '-0.5' for ''"),
+        ]:
+            attempts = []
 
-        with scripted_server(respond) as url:
-            remote = RemoteModel(url, alphabet=self.alphabet())
-            with pytest.raises(ExpertUnavailableError, match="non-finite"):
-                remote.log_next("")
+            def respond(method, path, payload):
+                attempts.append(path)
+                return 200, {"rows": [{"log_probs": {"a": value}, "eos_log_prob": -1.0}]}
+
+            with scripted_server(respond) as url:
+                remote = RemoteModel(url, alphabet=self.alphabet(), retries=3, backoff=0.001)
+                with pytest.raises(ExpertUnavailableError, match=match):
+                    remote.log_next("")
+            assert len(attempts) == 1
 
     def test_missing_symbols_mean_zero_probability(self):
         def respond(method, path, payload):
@@ -296,6 +310,20 @@ class TestRetries:
             remote = RemoteModel(url, alphabet=Alphabet("a"), retries=2, backoff=0.001)
             with pytest.raises(ExpertUnavailableError):
                 remote.log_next("")
+
+    def test_failing_served_model_gets_500_retried_then_unavailable(self):
+        class FailingModel(CountingModel):
+            def log_next(self, context):
+                super().log_next(context)
+                raise RuntimeError("model crashed")
+
+        failing = FailingModel(TableModel(GEO_P1))
+        with ModelServer(failing) as server:
+            remote = RemoteModel(server.url, retries=2, backoff=0.001)
+            with pytest.raises(ExpertUnavailableError, match="after 2 attempts: HTTP 500"):
+                remote.log_next("")
+            assert remote.requests == 3  # the alphabet, then two tries
+        assert failing.calls == 2
 
     def test_unparseable_body_retried(self):
         attempts = []

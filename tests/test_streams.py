@@ -3,7 +3,8 @@
 Reference: ``np.random.default_rng(np.random.SeedSequence(seed,
 spawn_key=key))``, the generator the seed policy names. Keys cover seed
 0, one-, two-, three- and five-word seeds, every stream tag, ``m = 0``
-and ``m >= 2**32``, and blocks of rounds from round 0 and across 2**32.
+and ``m >= 2**32``, rounds beyond 2**32, and the blocks of rounds the
+samplers derive.
 """
 import os
 import subprocess
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import ensmc
 from ensmc import streams
-from ensmc.inference import _STREAM_IID, _STREAM_PARTICLE, _STREAM_RESAMPLE, _particle_doubles
+from ensmc.inference import _STREAM_IID, _STREAM_PARTICLE, _STREAM_RESAMPLE
 
 SEEDS = [0, 1, 20240611, 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**64 + 7, 2**128 + 5]
 TAGS = (_STREAM_PARTICLE, _STREAM_RESAMPLE, _STREAM_IID)
@@ -50,24 +51,28 @@ def test_bulk_and_scalar_uniforms_match_numpy(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_block_uniforms_match_numpy(seed):
-    """A block's ``(rounds, particles)`` array holds stream ``(seed, 0, r,
-    m)``'s first double at row ``r``, column ``m``: vectorised from round
-    0, and exact per round for a block reaching round 2**32 + 1 and for
-    a block below :data:`~ensmc.streams.VECTOR_MIN_STREAMS` streams."""
-    base = streams.pool(seed, _STREAM_PARTICLE)
-    for rounds, ms in [
-        (np.arange(5), np.arange(9)),
-        (np.arange(2**32 - 1, 2**32 + 2), np.array([0, 5, 2**32 - 1, 2**32, 7, 1, 2, 3])),
-        (np.arange(3, 5), np.arange(4)),
-    ]:
-        want = np.array([
-            [reference(seed, _STREAM_PARTICLE, r, m).random() for m in ms.tolist()]
-            for r in rounds.tolist()
-        ])
-        got = streams.block_uniforms(base, rounds, ms)
-        assert got.shape == (len(rounds), len(ms))
-        assert got.tobytes() == want.tobytes()
+def test_particle_doubles_blocks_match_numpy(seed, monkeypatch):
+    """Every round hands particle ``m`` stream ``(seed, 0, r, m)``'s first
+    double. With 9 particles and 16 rounds, rounds 3, 6 and 12 start
+    vectorised blocks of 3, 6 and 4 rounds; rounds 0-2 are too small for
+    one. Rounds up to 2**32 + 1 are exact: no block would reach round
+    2**32, so each such round derives its streams alone."""
+    blocks = []
+    first_doubles = streams._first_doubles
+
+    def recording(base, *key):
+        out = first_doubles(base, *key)
+        blocks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(streams, "_first_doubles", recording)
+    live = np.arange(9)
+    for rounds, horizon in [(range(16), 16), (range(2**32 - 2, 2**32 + 2), 2**32 + 5)]:
+        doubles = streams.particle_doubles(streams.pool(seed, _STREAM_PARTICLE), 9, horizon)
+        for r in rounds:
+            want = np.array([reference(seed, _STREAM_PARTICLE, r, m).random() for m in range(9)])
+            assert doubles(r, live).tobytes() == want.tobytes()
+    assert blocks == [(3, 9), (6, 9), (4, 9)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,8 +85,8 @@ def test_block_uniforms_match_numpy(seed):
 def test_particle_doubles_are_each_rounds_streams(particles, max_len, seed, pick):
     """Whatever blocks ``sis``/``smc`` derive, each round hands every live
     particle ``m`` the first double of stream ``(seed, 0, round, m)``."""
-    doubles = _particle_doubles(seed, particles, max_len)
     base = streams.pool(seed, _STREAM_PARTICLE)
+    doubles = streams.particle_doubles(base, particles, max_len)
     gen = np.random.default_rng(pick)
     for round_no in range(max_len):
         live = np.flatnonzero(gen.random(particles) < gen.random())

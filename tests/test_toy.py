@@ -256,6 +256,9 @@ class TestNGramModel:
         for smoothing in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 NGramModel(Alphabet("ab"), order=2, smoothing=smoothing, counts={})
+        for count in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="bad count vector for context ''"):
+                NGramModel(Alphabet("ab"), order=2, smoothing=0.1, counts={"": [count, 1, 1]})
 
 
 class TestSharedRowsAreReadOnly:
@@ -313,6 +316,16 @@ class TestPFSAModel:
                 transitions={"s": {"a": ("s", float("nan"))}},
                 stops={"s": 0.5},
             )
+
+    @pytest.mark.parametrize("start, transitions, stops, match", [
+        ("s", {"s": {"a": ("s", 1.5)}}, {"s": -0.5}, "negative probability at state 's'"),
+        ("s", {"s": {"b": ("s", 0.5)}}, {"s": 0.5}, "arc symbol 'b' not in alphabet"),
+        ("s", {"s": {"a": ("u", 0.5)}}, {"s": 0.5}, "arc target 'u' is not a state"),
+        ("u", {"s": {"a": ("s", 0.5)}}, {"s": 0.5}, "start state 'u' unknown"),
+    ], ids=["negative probability", "foreign symbol", "unknown target", "unknown start"])
+    def test_rejects_malformed_automaton(self, start, transitions, stops, match):
+        with pytest.raises(ValueError, match=match):
+            PFSAModel(Alphabet("a"), start=start, transitions=transitions, stops=stops)
 
     def test_rejects_unreachable_state(self):
         with pytest.raises(ValueError):

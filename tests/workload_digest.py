@@ -1,4 +1,4 @@
-"""Print a sha256 of each benchmark workload's records, to compare commits.
+"""A sha256 of each benchmark workload's records, to compare commits.
 
     PYTHONPATH=src python tests/workload_digest.py
 
@@ -7,11 +7,13 @@ ops the benchmark's timed pass starts with (op seeds ``seed << 20`` plus
 0..5), as ``bench/worker.py`` runs them: the generated config with the
 sampler seed replaced by the op seed, over inputs written to a temporary
 directory. Each record is dumped as JSON without ``wall_time_s``, and one
-digest covers a workload's records in order. For ``remote-loopback`` it
-also prints ``RemoteModel.requests`` per op (HTTP requests sent, retries
-included) and the rows served per op (the served model's ``log_next``
-calls, counted on the server side). Two checkouts whose records agree
-byte for byte print the same lines. Nothing is written under ``bench/``.
+digest covers a workload's records in order. For ``remote-loopback`` the
+line also gives ``RemoteModel.requests`` per op (HTTP requests sent,
+retries included) and the rows served per op (the served model's
+``log_next`` calls, counted on the server side). Two checkouts whose
+records agree byte for byte print the same lines. :func:`digest_lines`
+returns them; ``tests/golden/workloads.txt`` pins them, checked by
+``tests/test_golden.py``. Nothing is written under ``bench/``.
 """
 from __future__ import annotations
 
@@ -84,8 +86,11 @@ def workload_records(workloads, name: str, seed: int, workdir: Path, panels: lis
     return records, requests, served.rows if served is not None else 0
 
 
-def main() -> int:
+def digest_lines() -> list[str]:
+    """One line per workload: its record count and digest, and for a
+    served workload the requests and served rows per op."""
     workloads = load_workloads()
+    lines = []
     panels: list = []
     build_panel = runner.build_panel
 
@@ -113,11 +118,11 @@ def main() -> int:
             line = f"{name:16} {count:3d} records  sha256 {digest.hexdigest()}"
             if requests:
                 line += f"  requests/op {requests / ops:.2f}  rows/op {rows / ops:.2f}"
-            print(line)
+            lines.append(line)
     finally:
         runner.build_panel = build_panel
-    return 0
+    return lines
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    print("\n".join(digest_lines()))
