@@ -85,11 +85,11 @@ _REQUIRED = object()
 
 
 class _Fields:
-    """One JSON object of a config. ``read(key, kind, default)`` returns
-    the key's value checked against ``_KINDS[kind]`` (None: checked by
-    the caller), or ``default`` when the key is absent, or null with a
-    None default; without a default the key is required. ``done()``
-    rejects every key not read.
+    """One JSON object of a config or of a run record. ``read(key, kind,
+    default)`` returns the key's value checked against ``_KINDS[kind]``
+    (None: checked by the caller), or ``default`` when the key is absent,
+    or null with a None default; without a default the key is required.
+    ``done()`` rejects every key not read.
     """
 
     def __init__(self, obj, what: str):

@@ -329,18 +329,15 @@ class OracleShaping:
         return self.table.log_value(x)
 
     def log_row(self, x: str) -> np.ndarray:
-        base = self.table.log_prefix_target(x)
+        table = self.table
+        base = table.log_prefix_target(x)
         if base == LOG_ZERO:
             raise DeadPrefixError(f"prefix {x!r} has zero target mass")
-        alphabet = self.table.alphabet
-        row = np.empty(alphabet.size + 1)
-        for j, sym in enumerate(alphabet.symbols):
-            if len(x) < self.table.max_len:
-                row[j] = self.table.log_prefix_target(x + sym)
-            else:
-                row[j] = LOG_ZERO
-        row[alphabet.eos_index] = self.table.log_value(x)
-        return row - base
+        within = len(x) < table.max_len
+        return np.array(
+            [table.log_prefix_target(x + s) if within else LOG_ZERO for s in self.alphabet.symbols]
+            + [table.log_value(x)]
+        ) - base
 
 
 # -- proposals ----------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A "predicate" is any ``str -> bool`` callable; expected accuracy is the
 probability mass a distribution puts on strings satisfying it.
-Distributions are plain ``{string: probability}`` dicts (normalized), a
-particle :class:`~ensmc.inference.Estimate`, or an enumerated
-:class:`~ensmc.oracle.ExactTable`.
+Distributions are plain ``{string: probability}`` dicts (normalized) or a
+particle :class:`~ensmc.inference.Estimate`; an enumerated table has its
+own ``probs()`` and ``expected_accuracy``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ Predicate = Callable[[str], bool]
 
 
 def as_distribution(obj) -> dict[str, float]:
-    """Coerce a dict, Estimate, or ExactTable to a normalized dict."""
+    """Coerce a dict or an Estimate to a normalized dict."""
     if isinstance(obj, dict):
         total = float(sum(obj.values()))
         if not total > 0.0:
@@ -30,8 +30,6 @@ def as_distribution(obj) -> dict[str, float]:
         return {x: p / total for x, p in obj.items() if p > 0.0}
     if isinstance(obj, Estimate):
         return obj.distribution()
-    if isinstance(obj, ExactTable):
-        return obj.probs()
     raise TypeError(f"cannot interpret {type(obj).__name__} as a distribution")
 
 

@@ -2,7 +2,7 @@
 
 Everything here is brute force on purpose: exhaustive level-order
 enumeration of the ensemble target over all strings up to a length
-horizon, exact accuracy and divergence evaluation on the resulting
+horizon, exact accuracy and distance evaluation on the resulting
 table, and a derivative-free direct search for divergence minimization
 over the simplex. These routines are the ground truth the samplers are
 tested against, so they share no code path with the samplers beyond the
@@ -11,6 +11,7 @@ operator definition itself.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,9 +44,9 @@ SIMPLEX_MAX_SWEEPS = 200_000
 class ExactTable:
     """Exhaustive unnormalized target over strings up to ``max_len``.
 
-    ``strings`` is sorted; ``log_values`` aligns with it;
-    ``log_residual_bound`` upper-bounds the log mass of strings longer
-    than the horizon (``-inf`` when the support is proven complete).
+    ``strings`` is sorted and unique: a prefix's extensions are one run of
+    it. ``log_values`` aligns with it; ``log_residual_bound`` upper-bounds
+    the log mass beyond the horizon (``-inf`` if proven complete).
     """
 
     alphabet: Alphabet
@@ -62,23 +63,25 @@ class ExactTable:
     def is_complete(self) -> bool:
         return self.log_residual_bound == LOG_ZERO
 
-    def log_value(self, x: str) -> float:
-        """Unnormalized log target of a complete string within the horizon."""
+    def _span(self, x: str) -> tuple[int, int]:
+        """The index range ``[lo, hi)`` of the strings extending ``x``."""
         if len(x) > self.max_len:
             raise EnumerationBudgetError(f"{x!r} is beyond the horizon {self.max_len}")
-        try:
-            return float(self.log_values[self.strings.index(x)])
-        except ValueError:
-            return LOG_ZERO
+        strings = self.strings
+        lo = hi = bisect_left(strings, x)
+        while hi < len(strings) and strings[hi].startswith(x):
+            hi += 1
+        return lo, hi
+
+    def log_value(self, x: str) -> float:
+        """Unnormalized log target of a complete string within the horizon."""
+        lo, hi = self._span(x)
+        return float(self.log_values[lo]) if lo < hi and self.strings[lo] == x else LOG_ZERO
 
     def log_prefix_target(self, x: str) -> float:
         """Log of the summed target mass over supported strings extending ``x``."""
-        if len(x) > self.max_len:
-            raise EnumerationBudgetError(f"{x!r} is beyond the horizon {self.max_len}")
-        mask = np.array([s.startswith(x) for s in self.strings])
-        if not mask.any():
-            return LOG_ZERO
-        return float(logsumexp(self.log_values[mask]))
+        lo, hi = self._span(x)
+        return logsumexp(self.log_values[lo:hi])
 
     def probs(self) -> dict[str, float]:
         """The normalized distribution as a ``{string: probability}`` dict."""
@@ -248,7 +251,7 @@ def load_table(path) -> ExactTable:
 
     A malformed file is a ValueError that names it (and the line, for a
     body row, for weights no ``EnsembleSpec`` accepts and for a negative
-    ``max_len``)."""
+    ``max_len``). Rows must be strictly increasing, none past ``max_len``."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     try:
@@ -286,13 +289,14 @@ def load_table(path) -> ExactTable:
             field, lv = line.split("\t")
             string = unescape_field(field)
             alphabet.check_string(string)
+            if len(string) > max_len or pairs and not pairs[-1][0] < string:
+                raise ValueError(f"rows must be strictly increasing, none over {max_len} symbols")
             lv = float(lv)
             if not lv < math.inf:  # NaN or +inf
                 raise ValueError(f"log value must be finite or -inf, got {lv}")
             pairs.append((string, lv))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: bad table row {line!r}: {exc}")
-    pairs.sort(key=lambda kv: kv[0])
     strings = tuple(s for s, _ in pairs)
     log_values = np.array([lv for _, lv in pairs])
     return ExactTable(
@@ -308,20 +312,7 @@ def load_table(path) -> ExactTable:
     )
 
 
-# -- exact divergences --------------------------------------------------
-
-
-def _check_common_support(q: dict, p: dict) -> tuple[list, list]:
-    """The values of ``q`` and ``p`` over their common support, aligned."""
-    if set(q) != set(p):
-        raise ValueError("distributions must be given on a common support")
-    keys = sorted(q)
-    return [q[x] for x in keys], [p[x] for x in keys]
-
-
-def kl_divergence(q: dict[str, float], p: dict[str, float]) -> float:
-    """KL(q || p) over an explicit common support; 0 log 0 = 0."""
-    return _alpha_divergence_arrays(*_check_common_support(q, p), 1.0)
+# -- distances, and divergence minimization over the simplex -----------
 
 
 def total_variation(q: dict[str, float], p: dict[str, float]) -> float:
@@ -341,22 +332,15 @@ def _power_term(q: float, p: float, alpha: float) -> float:
     return math.exp(alpha * math.log(q) + (1.0 - alpha) * math.log(p))
 
 
-def alpha_divergence(q: dict[str, float], p: dict[str, float], alpha: float) -> float:
-    """The alpha-divergence D_alpha(q || p) on a common support.
-
-    D_alpha = (1 - sum_x q^alpha p^(1-alpha)) / (alpha (1 - alpha)); the
-    removable singularities alpha = 1 and alpha = 0 are the KL limits
-    KL(q||p) and KL(p||q) respectively.
-    """
-    return _alpha_divergence_arrays(*_check_common_support(q, p), alpha)
-
-
-# -- divergence minimization over the simplex ---------------------------
-
-
 def _alpha_divergence_arrays(
     q: Sequence[float], p: Sequence[float], alpha: float
 ) -> float:
+    """The alpha-divergence D_alpha(q || p) of two aligned distributions.
+
+    D_alpha = (1 - sum_x q^alpha p^(1-alpha)) / (alpha (1 - alpha)); the
+    removable singularities alpha = 1 and alpha = 0 are the KL limits
+    KL(q||p) and KL(p||q) respectively, with 0 log 0 = 0.
+    """
     if alpha == 1.0 or alpha == 0.0:
         a, b = (q, p) if alpha == 1.0 else (p, q)
         total = 0.0

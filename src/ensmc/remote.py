@@ -268,6 +268,8 @@ class RemoteModel(SequenceModel):
             raise ValueError(f"remote expert URL must be http or https: {base_url!r}")
         if not (self.base_url.isascii() and self.base_url.isprintable()) or " " in self.base_url:
             raise ValueError(f"remote expert URL must be printable ASCII: {base_url!r}")
+        if "?" in self.base_url or "#" in self.base_url:
+            raise ValueError(f"remote expert URL must have no query or fragment: {base_url!r}")
         self._connection_class = (
             http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
         )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, build_panel, build_predicate
+from .config import ExperimentConfig, _Fields, build_panel, build_predicate
 from .errors import DeadPrefixError, DegenerateRunError
 from .inference import (
     importance_sample,
@@ -148,8 +148,20 @@ def write_records(records: list[dict], out) -> None:
 
 
 def read_records(path) -> list[dict]:
+    """Read a JSON Lines file of records, skipping blank lines; the keys
+    ``summarize_records`` reads are checked as config keys are."""
+    records = []
     with open(Path(path), encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                read = _Fields(json.loads(line), f"{path}: line {lineno}: record")
+                read("method", "string")
+                read("log_z_hat", "number", None)
+                read("log_z", "number", None)
+                read("accuracy", "number", 0.0)
+                read("truncated", "integer", 0)
+                records.append(read.obj)
+    return records
 
 
 def summarize_records(records: list[dict]) -> dict:

@@ -35,11 +35,11 @@ TABLE_TOL = 1e-12
 def load_corpus(path) -> list[str]:
     """Read a corpus file: one training string per line, newline stripped.
 
-    Blank lines denote the empty string. No other interpretation is
-    applied to the content.
+    Only a line feed ends a line (CR LF reads as one), so a form feed or
+    NEL stays inside its string. Blank lines denote the empty string.
     """
     with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        return [line.removesuffix("\n") for line in fh]
 
 
 class TableModel(SequenceModel):
@@ -197,6 +197,7 @@ class NGramModel(SequenceModel):
         except ValueError as exc:
             raise ValueError(f"{path}: bad header: {exc}")
         counts: dict[str, np.ndarray] = {}
+        seen = set()
         body = lines[5 : 5 + n_rows]
         if len(body) != n_rows:
             raise ValueError(f"{path}: truncated count table")
@@ -211,7 +212,10 @@ class NGramModel(SequenceModel):
                 count = int(c)
             except (KeyError, ValueError):
                 raise ValueError(f"{path}: line {lineno}: bad count row {line!r}")
-            counts.setdefault(ctx, np.zeros(alphabet.size + 1))[event] += count
+            if (ctx, event) in seen:
+                raise ValueError(f"{path}: line {lineno}: repeated (context, event) row {line!r}")
+            seen.add((ctx, event))
+            counts.setdefault(ctx, np.zeros(alphabet.size + 1))[event] = count
         try:
             return cls(alphabet, order, smoothing, counts)
         except ValueError as exc:

@@ -36,10 +36,6 @@ class TestAsDistribution:
         with pytest.raises(ValueError):
             as_distribution({"a": 0.0})
 
-    def test_table_coerced(self, geo_panel, geo_spec):
-        table = enumerate_ensemble(geo_spec, geo_panel, max_len=3)
-        assert as_distribution(table) == table.probs()
-
     def test_estimate_coerced(self, geo_panel, geo_spec):
         out = smc(geo_spec, geo_panel, SamplerConfig(particles=16, seed=0))
         dist = as_distribution(out)

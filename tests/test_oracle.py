@@ -37,7 +37,7 @@ from ensmc import (
 from ensmc.ensemble import is_consensus
 from ensmc.lmcore import validate_log_row
 from ensmc.logtools import logsumexp
-from ensmc.oracle import alpha_divergence, kl_divergence
+from ensmc.oracle import _alpha_divergence_arrays as divergence
 
 
 def brute_force_table(spec, panel, max_len):
@@ -409,6 +409,52 @@ class TestEnumerateEnsemble:
         assert_allclose(acc, GEO_PROBS["a"], rtol=1e-12)
 
 
+@st.composite
+def _tables(draw):
+    """A table of 1-3 random table experts over 1-3 symbols at a horizon of
+    0-4, under an operator that leaves some strings of the horizon absent."""
+    symbols = draw(st.sampled_from(["a", "ab", "ba", "abc", "cab"]))
+    alphabet = Alphabet(symbols)
+    experts = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.dictionaries(st.text(alphabet=symbols, max_size=4), st.floats(0.05, 1.0),
+                                       min_size=1, max_size=8))
+        total = math.fsum(support.values())
+        experts.append(TableModel({x: p / total for x, p in support.items()}, alphabet=alphabet))
+    kind = draw(st.sampled_from(["geometric", "minimum", "maximum"]))
+    spec = EnsembleSpec(kind, [1.0] * len(experts))
+    try:
+        return enumerate_ensemble(spec, ExpertPanel(experts), draw(st.integers(0, 4)))
+    except EnumerationBudgetError:  # no supported string within the horizon
+        assume(False)
+
+
+class TestTableLookups:
+    @settings(max_examples=200, deadline=None)
+    @given(_tables())
+    def test_lookups_have_the_bits_of_a_scan(self, table):
+        """``log_value`` and ``log_prefix_target`` read a range of the sorted
+        strings; for every string within the horizon they give the bits of
+        the scans written out here, and past it both refuse."""
+        def bits(value):
+            return np.float64(value).tobytes()
+
+        symbols = table.alphabet.symbols
+        for length in range(table.max_len + 2):
+            for tup in itertools.product(symbols, repeat=length):
+                x = "".join(tup)
+                if length > table.max_len:
+                    for read in (table.log_value, table.log_prefix_target):
+                        with pytest.raises(EnumerationBudgetError, match="beyond the horizon"):
+                            read(x)
+                    continue
+                found = [lv for s, lv in zip(table.strings, table.log_values) if s == x]
+                assert bits(table.log_value(x)) == bits(found[0] if found else LOG_ZERO)
+                mask = np.array([s.startswith(x) for s in table.strings])
+                want = logsumexp(table.log_values[mask]) if mask.any() else LOG_ZERO
+                assert bits(table.log_prefix_target(x)) == bits(want)
+
+
 class TestResidualBound:
     def pfsa_panel(self):
         # One looping automaton: p(a^n) = 0.5^(n+1); tail mass is exact.
@@ -547,6 +593,17 @@ class TestTableSerialization:
             path.write_text("\n".join([*saved[:8], line, *saved[9:]]) + "\n")
             with pytest.raises(ValueError, match=re.escape(f"{path}: line 9: ")):
                 load_table(path)
+        # Rows dump_table never writes: a repeated or out-of-order string
+        # (rows "", "a", "b" on lines 8-10), or one beyond max_len 3.
+        for lineno, line in [(9, "\t-1.0"), (10, "a\t-1.0"), (10, "\t-1.0"), (9, "aaaa\t-1.0")]:
+            lines = list(saved)
+            lines[lineno - 1] = line
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {lineno}: bad table row {line!r}: rows must be strictly increasing, "
+                "none over 3 symbols"
+            )):
+                load_table(path)
 
 
 class TestOneExpertTable:
@@ -579,11 +636,14 @@ class TestOneExpertTable:
 
 
 class TestDivergences:
+    """The alpha-divergence objective of ``minimize_divergence_simplex``,
+    on aligned lists."""
+
     def test_kl_hand_value(self):
-        q = {"a": 0.5, "b": 0.5}
-        p = {"a": 0.25, "b": 0.75}
+        q = [0.5, 0.5]
+        p = [0.25, 0.75]
         want = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        assert_allclose(kl_divergence(q, p), want, rtol=1e-12)
+        assert_allclose(divergence(q, p, 1.0), want, rtol=1e-12)
 
     def test_tvd_hand_value(self):
         q = {"a": 0.5, "b": 0.5}
@@ -591,27 +651,25 @@ class TestDivergences:
         assert_allclose(total_variation(q, p), 0.25, rtol=1e-15)
 
     def test_alpha_limits_are_kl(self):
-        q = {"a": 0.4, "b": 0.6}
-        p = {"a": 0.7, "b": 0.3}
-        assert_allclose(alpha_divergence(q, p, 1.0), kl_divergence(q, p), rtol=1e-12)
-        assert_allclose(alpha_divergence(q, p, 0.0), kl_divergence(p, q), rtol=1e-12)
+        q = [0.4, 0.6]
+        p = [0.7, 0.3]
+        kl_qp = 0.4 * math.log(0.4 / 0.7) + 0.6 * math.log(0.6 / 0.3)
+        kl_pq = 0.7 * math.log(0.7 / 0.4) + 0.3 * math.log(0.3 / 0.6)
+        assert_allclose(divergence(q, p, 1.0), kl_qp, rtol=1e-12)
+        assert_allclose(divergence(q, p, 0.0), kl_pq, rtol=1e-12)
 
     def test_alpha_continuity_near_limits(self):
-        q = {"a": 0.4, "b": 0.6}
-        p = {"a": 0.7, "b": 0.3}
-        assert_allclose(
-            alpha_divergence(q, p, 1e-7), alpha_divergence(q, p, 0.0), atol=1e-6
-        )
+        q = [0.4, 0.6]
+        p = [0.7, 0.3]
+        assert_allclose(divergence(q, p, 1e-7), divergence(q, p, 0.0), atol=1e-6)
 
     def test_nonnegative_and_zero_at_equality(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
-            v = rng.dirichlet(np.ones(4))
-            q = {s: float(p) for s, p in zip("abcd", v)}
-            assert alpha_divergence(q, q, 0.5) == pytest.approx(0.0, abs=1e-12)
-            w = rng.dirichlet(np.ones(4))
-            p = {s: float(x) for s, x in zip("abcd", w)}
-            assert alpha_divergence(q, p, 0.5) >= -1e-12
+            q = rng.dirichlet(np.ones(4)).tolist()
+            assert divergence(q, q, 0.5) == pytest.approx(0.0, abs=1e-12)
+            p = rng.dirichlet(np.ones(4)).tolist()
+            assert divergence(q, p, 0.5) >= -1e-12
 
 
 class TestDivergenceMinimizer:

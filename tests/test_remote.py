@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import socket
 import struct
 import subprocess
@@ -507,8 +508,17 @@ class TestKeepAlive:
         assert paths == ["/experts/e0/next_many"]
 
     def test_non_http_url_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be http or https"):
             RemoteModel("ftp://127.0.0.1:1", alphabet=Alphabet("a"))
+        # A query or fragment would be dropped from every request path.
+        for url in [
+            "http://127.0.0.1:9/api?k=v#f",
+            "http://127.0.0.1:9/api?k=v",
+            "http://127.0.0.1:9/api#f",
+            "http://127.0.0.1:9?",
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"no query or fragment: {url!r}")):
+                RemoteModel(url, alphabet=Alphabet("a"))
 
     def test_stop_returns_promptly_with_an_idle_client_connection(self):
         server = ModelServer(TableModel(GEO_P1)).start()

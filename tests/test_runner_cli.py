@@ -580,6 +580,17 @@ class TestCli:
         assert main(["sample", str(bad)]) == 2
         assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
         capsys.readouterr()
+        records = tmp_path / "records.jsonl"
+        for line, why in [
+            ('{"method":"smc","log_z_hat":"x"}', "record 'log_z_hat' must be a number, got 'x'"),
+            ("[1,2]", "record must be a JSON object, got [1, 2]"),
+            ('{"method":"smc","truncated":"3"}', "record 'truncated' must be an integer, got '3'"),
+            ('{"method":3}', "record 'method' must be a string, got 3"),
+            ('{"method":"smc","accuracy":null}', "record 'accuracy' must be a number, got None"),
+        ]:
+            records.write_text('{"method":"oracle","log_z":null}\n\n' + line + "\n")
+            assert main(["report", str(records)]) == 2
+            assert f"{records}: line 3: {why}" in capsys.readouterr().err
 
     def test_degenerate_sample_runs_exit_2(self, tmp_path, capsys):
         raw = {

@@ -27,6 +27,20 @@ class TestLoadCorpus:
         p.write_text("ab\n\nb\n")
         assert load_corpus(p) == ["ab", "", "b"]
 
+    def test_only_newline_ends_a_line(self, tmp_path):
+        """Form feed, NEL, the separators and the Unicode line breaks stay
+        inside their strings; CR LF ends a line as LF does."""
+        p = tmp_path / "c.txt"
+        p.write_text("a\x0cb\nab\n", encoding="utf-8")
+        assert load_corpus(p) == ["a\x0cb", "ab"]
+        text = "".join(f"a{ch}b\n" for ch in "\v\x1c\x1d\x1e\x85\u2028\u2029")
+        p.write_text(text, encoding="utf-8")
+        assert load_corpus(p) == text.split("\n")[:-1]
+        p.write_bytes(b"ab\r\n\r\nb")
+        assert load_corpus(p) == ["ab", "", "b"]
+        p.write_text("")
+        assert load_corpus(p) == []
+
 
 class TestTableModel:
     def test_rejects_defective_mass(self):
@@ -249,6 +263,14 @@ class TestNGramModel:
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 NGramModel.load(path)
+        # save writes each (context, event) pair once; a repeat would add
+        # into one count (two "\ta\t1" rows: p(a | "") = 2/3).
+        lines = [*saved[:4], "counts\t4", saved[5], *saved[5:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 7: repeated (context, event) row {saved[5]!r}"
+        )):
+            NGramModel.load(path)
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ValueError):
