@@ -36,7 +36,7 @@ import numpy as np
 from .errors import UndefinedConditionalError
 from .lmcore import Alphabet, SequenceModel
 from .logtools import LOG_ZERO, logsumexp
-from .textio import escape_field, unescape_field
+from .textio import counted_rows, escape_field, unescape_field
 
 TOKENIZER_MAGIC = "ensmc-tokenizer"
 TOKENIZER_VERSION = 1
@@ -127,15 +127,12 @@ class Tokenizer:
             raise ValueError(f"{path}: bad header: {exc}")
         if version != TOKENIZER_VERSION:
             raise ValueError(f"{path}: unsupported version {head[1]}")
-        rows = [line for line in lines[1:] if line]
-        if len(rows) != count:
-            raise ValueError(f"{path}: expected {count} rows, found {len(rows)}")
         tokens = []
         decode = {}
-        for line in rows:
+        for lineno, line in counted_rows(lines, 1, count, path):
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ValueError(f"{path}: malformed row {line!r}")
+                raise ValueError(f"{path}: line {lineno}: malformed row {line!r}")
             tok = unescape_field(parts[0])
             tokens.append(tok)
             decode[tok] = unescape_field(parts[1])

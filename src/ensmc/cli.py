@@ -24,12 +24,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import load_config
+from .config import build_panel, load_config
 from .errors import EnsmcError
 from .metrics import compare_to_oracle, intersection_report
 from .oracle import dump_table, enumerate_ensemble
 from .runner import read_records, run_experiment, summarize_records
-from .config import build_panel, build_predicate
 from .inference import smc
 
 
@@ -70,14 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sample(args) -> int:
     config = load_config(args.config)
-    if args.methods:
-        config = replace(config, methods=tuple(args.methods))
-    sampler = config.sampler
-    if args.seed is not None:
-        sampler = replace(sampler, seed=args.seed)
-    if args.particles is not None:
-        sampler = replace(sampler, particles=args.particles)
-    config = replace(config, sampler=sampler)
+    given = {"seed": args.seed, "particles": args.particles}
+    sampler = replace(config.sampler, **{k: v for k, v in given.items() if v is not None})
+    config = replace(config, methods=tuple(args.methods or config.methods), sampler=sampler)
     records = run_experiment(config, out=args.out)
     if args.out is None:
         for rec in records:
@@ -132,12 +126,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_intersect(args) -> int:
     config = load_config(args.config)
-    predicate = build_predicate(config.predicate)
-    if predicate is None:
+    if config.predicate is None:
         raise EnsmcError("intersect needs a 'predicate' in the config")
-    panel, _ = build_panel(config)
+    panel, spec = build_panel(config)
     report = intersection_report(
-        panel, predicate, weights=config.weights, top=args.top, **config.oracle_limits()
+        panel, config.predicate, weights=spec.weights, top=args.top, **config.oracle_limits()
     )
     print(json.dumps(report, allow_nan=False))
     return 0

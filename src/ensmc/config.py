@@ -26,14 +26,15 @@ Shape (all keys except ``experts`` optional)::
       "repeats": 1
     }
 
-Relative paths are resolved against the config file's directory. Every
-JSON object is read through ``_Fields``, which names each key once, with
-its JSON kind: a value of the wrong kind (a string or bool where a
+Relative paths are resolved against the config file's directory, which
+must hold strict JSON (no ``NaN`` or ``Infinity``). ``config_from_dict``
+reads every JSON object through ``_Fields``, which names each key once,
+with its JSON kind: a value of the wrong kind (a string or bool where a
 number belongs) or a key nothing reads is a ValueError naming the key,
-raised before any expert's files are read or connections opened.
-``sampler`` values are checked by ``SamplerConfig`` itself. ``weights``
-defaults to uniform. ``alphabet`` may be omitted when every expert
-determines its own (tables, files). The ``regex`` predicate uses
+raised at load; ``build_panel`` alone reads expert files or opens
+connections. ``sampler`` values are checked by ``SamplerConfig`` itself.
+``weights`` defaults to uniform. ``alphabet`` may be omitted when every
+expert determines its own (tables, files). The ``regex`` predicate uses
 full-string matching.
 """
 from __future__ import annotations
@@ -72,6 +73,7 @@ _KINDS = {
     "string": lambda v: isinstance(v, str),
     "list": lambda v: isinstance(v, list),
     "object": lambda v: isinstance(v, dict),
+    "name or object": lambda v: isinstance(v, (str, dict)),
     "list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
     "list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "object of numbers": lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
@@ -116,13 +118,15 @@ class _Fields:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experts: tuple[dict, ...]
-    operator: dict | str = "product"
-    weights: tuple[float, ...] | None = None
-    alphabet: str | None = None
+    """A checked config. ``experts`` holds one builder per expert, a
+    function of ``(alphabet, base_dir)``; only ``build_panel`` calls them."""
+
+    spec: EnsembleSpec
+    experts: tuple[Callable[..., SequenceModel], ...]
+    alphabet: Alphabet | None = None
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     oracle: dict | None = None
-    predicate: dict | None = None
+    predicate: Callable[[str], bool] | None = None
     methods: tuple[str, ...] = ("smc",)
     repeats: int = 1
     base_dir: Path = field(default_factory=Path.cwd)
@@ -140,16 +144,29 @@ class ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = strict_json(fh.read(), path)
     return config_from_dict(raw, base_dir=path.parent)
 
 
 def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
+    """Check every key of a config, experts' and predicate's included; build nothing."""
     read = _Fields(raw, "config")
     experts = read("experts", "list", ())
     if not experts:
         raise ValueError("config needs at least one expert")
     weights = read("weights", "list of numbers", None)
+    op = read("operator", "name or object", "product")
+    read_op = _Fields({"kind": op} if isinstance(op, str) else op, "operator")
+    kind = read_op("kind", "string")
+    read_op.what = f"{kind} operator"
+    tau = read_op("tau", "number", None) if kind.lower() == "power" else None
+    read_op.done()
+    spec = EnsembleSpec.from_name(kind, len(experts) if weights is None else weights, tau=tau)
+    if spec.k != len(experts):
+        raise ValueError(f"config 'weights' has {spec.k} entries for {len(experts)} experts")
+    symbols = read("alphabet", "string", None)
+    alphabet = Alphabet(tuple(symbols)) if symbols else None
+    builders = tuple(_read_expert(e, alphabet is not None) for e in experts)
     methods = read("methods", "list of strings", ("smc",))
     for m in methods:
         if m not in KNOWN_METHODS:
@@ -170,20 +187,19 @@ def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
         **{f.name: read_sampler(f.name, None, f.default) for f in fields(SamplerConfig)}
     )
     read_sampler.done()
-    config = ExperimentConfig(
-        experts=tuple(experts),
-        operator=read("operator", None, "product"),
-        weights=None if weights is None else tuple(weights),
-        alphabet=read("alphabet", "string", None),
-        sampler=sampler,
-        oracle=oracle,
-        predicate=read("predicate", "object", None),
-        methods=tuple(methods),
-        repeats=repeats,
-        base_dir=Path(base_dir),
-    )
+    predicate = build_predicate(read("predicate", "object", None))
     read.done()
-    return config
+    return ExperimentConfig(
+        spec=spec, experts=builders, alphabet=alphabet, sampler=sampler, oracle=oracle,
+        predicate=predicate, methods=tuple(methods), repeats=repeats, base_dir=Path(base_dir),
+    )
+
+
+def strict_json(text: str, where) -> object:
+    """``json.loads``, but ``NaN`` and ``Infinity`` are a ValueError naming ``where``."""
+    def refuse(constant):
+        raise ValueError(f"{where}: {constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def build_expert(spec: dict, alphabet: Alphabet | None, base_dir: str | Path) -> SequenceModel:
@@ -255,29 +271,14 @@ def _read_expert(spec: dict, has_alphabet: bool) -> Callable[..., SequenceModel]
 
 
 def build_panel(config: ExperimentConfig) -> tuple[ExpertPanel, EnsembleSpec]:
-    """Instantiate the ensemble operator, then the experts, from a config."""
-    weights = config.weights if config.weights is not None else len(config.experts)
-    op = config.operator
-    if isinstance(op, str):
-        spec = EnsembleSpec.from_name(op, weights=weights)
-    elif isinstance(op, dict):
-        read = _Fields(op, "operator")
-        kind = read("kind", "string")
-        read.what = f"{kind} operator"
-        tau = read("tau", "number", None) if kind.lower() == "power" else None
-        read.done()
-        spec = EnsembleSpec.from_name(kind, weights, tau=tau)
-    else:
-        raise ValueError(f"operator must be a name or an object, got {op!r}")
-    if spec.k != len(config.experts):
-        raise ValueError(f"{len(config.experts)} experts but {spec.k} weights")
-    alphabet = Alphabet(tuple(config.alphabet)) if config.alphabet else None
-    builders = [_read_expert(e, alphabet is not None) for e in config.experts]
-    models = [build(alphabet, config.base_dir) for build in builders]
-    return ExpertPanel(models), spec
+    """Build the config's experts: the one step that reads their files or
+    opens their connections."""
+    models = [build(config.alphabet, config.base_dir) for build in config.experts]
+    return ExpertPanel(models), config.spec
 
 
 def build_predicate(spec: dict | None) -> Callable[[str], bool] | None:
+    """Check a predicate object's keys and return the predicate."""
     if spec is None:
         return None
     read = _Fields(spec, "predicate")

@@ -21,7 +21,7 @@ from .ensemble import EnsembleSpec, ExpertPanel, _normalize_weights, is_consensu
 from .errors import EnumerationBudgetError
 from .lmcore import Alphabet
 from .logtools import LOG_ZERO, logsumexp
-from .textio import escape_field, unescape_field
+from .textio import counted_rows, escape_field, unescape_field
 
 TABLE_MAGIC = "ensmc-table"
 TABLE_VERSION = 1
@@ -280,11 +280,8 @@ def load_table(path) -> ExactTable:
         raise bad_header("weights", exc)
     if max_len < 0:
         raise bad_header("max_len", "must be >= 0")
-    body = lines[7 : 7 + n]
-    if len(body) != n:
-        raise ValueError(f"{path}: truncated table")
     pairs = []
-    for lineno, line in enumerate(body, start=8):
+    for lineno, line in counted_rows(lines, 7, n, path):
         try:
             field, lv = line.split("\t")
             string = unescape_field(field)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, _Fields, build_panel, build_predicate
+from .config import ExperimentConfig, _Fields, build_panel, strict_json
 from .errors import DeadPrefixError, DegenerateRunError
 from .inference import (
     importance_sample,
@@ -55,7 +55,6 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
     appended after the sampler records. ``out`` may be a path or a
     writable text file; records are written as JSON Lines.
     """
-    predicate = build_predicate(config.predicate)
     panel, spec = build_panel(config)
     # One shaping per experiment: its prefix nodes are shared by all runs.
     shaping = make_shaping(spec, panel, config.sampler)
@@ -86,9 +85,9 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
                     record["draws"] = [dict(zip(keys, draw)) for draw in zip(*columns)]
                     if record["truncated"] == len(draws):
                         record["error"] = "every draw truncated"
-                    elif predicate is not None:
+                    elif config.predicate is not None:
                         record["accuracy"] = expected_accuracy(
-                            empirical_distribution(draws), predicate
+                            empirical_distribution(draws), config.predicate
                         )
                 else:
                     if method == "is":
@@ -106,8 +105,8 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
                         record["ess_trace"] = [float(e) for e in est.diagnostics.ess_trace]
                         record["resample_rounds"] = list(est.diagnostics.resample_rounds)
                     record["truncated"] = est.diagnostics.truncated
-                    if predicate is not None and "error" not in record:
-                        record["accuracy"] = expected_accuracy(est, predicate)
+                    if config.predicate is not None and "error" not in record:
+                        record["accuracy"] = expected_accuracy(est, config.predicate)
             except (DegenerateRunError, DeadPrefixError) as exc:
                 record["error"] = f"degenerate run: {exc}"
             record["wall_time_s"] = time.perf_counter() - t0
@@ -128,8 +127,8 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
                 else _finite_or_none(np.exp(table.log_residual_bound))
             ),
         }
-        if predicate is not None and table.log_z != LOG_ZERO:
-            record["accuracy"] = table.expected_accuracy(predicate)
+        if config.predicate is not None and table.log_z != LOG_ZERO:
+            record["accuracy"] = table.expected_accuracy(config.predicate)
         record["wall_time_s"] = time.perf_counter() - t0
         records.append(record)
     if out is not None:
@@ -149,12 +148,14 @@ def write_records(records: list[dict], out) -> None:
 
 def read_records(path) -> list[dict]:
     """Read a JSON Lines file of records, skipping blank lines; the keys
-    ``summarize_records`` reads are checked as config keys are."""
+    ``summarize_records`` reads are checked as config keys are, and each
+    line must be strict JSON."""
     records = []
     with open(Path(path), encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                read = _Fields(json.loads(line), f"{path}: line {lineno}: record")
+                where = f"{path}: line {lineno}"
+                read = _Fields(strict_json(line, where), f"{where}: record")
                 read("method", "string")
                 read("log_z_hat", "number", None)
                 read("log_z", "number", None)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import UndefinedConditionalError
 from .lmcore import EOS_KEY, Alphabet, SequenceModel
 from .logtools import LOG_ZERO, log_row
-from .textio import escape_field, unescape_field
+from .textio import counted_rows, escape_field, unescape_field
 
 NGRAM_MAGIC = "ensmc-ngram"
 NGRAM_VERSION = 1
@@ -198,10 +198,7 @@ class NGramModel(SequenceModel):
             raise ValueError(f"{path}: bad header: {exc}")
         counts: dict[str, np.ndarray] = {}
         seen = set()
-        body = lines[5 : 5 + n_rows]
-        if len(body) != n_rows:
-            raise ValueError(f"{path}: truncated count table")
-        for lineno, line in enumerate(body, start=6):
+        for lineno, line in counted_rows(lines, 5, n_rows, path):
             try:
                 ctx_f, sym_f, c = line.split("\t")
                 ctx = unescape_field(ctx_f)

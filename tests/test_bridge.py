@@ -302,8 +302,9 @@ class TestTokenizer:
         "ensmc-tokenizer\t1\t3\nA\ta\nB\t\nC\tab\n",
         "",
         "ensmc-tokenizer\t1\t3\nA\ta\nB\tb\tb\nC\tab\n",
+        "ensmc-tokenizer\t1\t3\nA\ta\n\nB\tb\nC\tab\n",
     ], ids=["non-integer version", "non-integer count", "duplicate token", "empty decoding",
-            "empty file", "three-field row"])
+            "empty file", "three-field row", "blank row"])
     def test_load_names_the_file_of_a_malformed_input(self, text, tmp_path):
         path = tmp_path / "tampered.tsv"
         path.write_text(text)

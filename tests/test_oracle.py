@@ -604,6 +604,14 @@ class TestTableSerialization:
                 "none over 3 symbols"
             )):
                 load_table(path)
+        # No row past the counted entries: one dump_table never writes ("bb"
+        # would sort last), or a blank one.
+        for extra in ["bb\t-1.0", ""]:
+            path.write_text("\n".join([*saved, extra]) + "\n")
+            with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 11: row past the 3 counted {extra!r}"
+            )):
+                load_table(path)
 
 
 class TestOneExpertTable:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,30 @@ class TestConfigLoading:
         captured = capsys.readouterr()
         assert repr(key) in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command", ["enumerate", "check", "sample", "intersect"])
+    @pytest.mark.parametrize("overrides, named", [
+        ({"predicate": {"kind": "bogus", "x": 1}}, "'bogus'"),
+        ({"predicate": {"kind": "in_set", "strings": ["a"], "strngs": []}}, "'strngs'"),
+        ({"predicate": {"kind": "regex", "pattern": "("}}, "'pattern'"),
+        ({"operator": {"kind": "median"}}, "'median'"),
+        ({"weights": [0.2, 0.3, 0.5]}, "'weights'"),
+    ], ids=["predicate-kind", "predicate-key", "bad-regex", "operator", "weights-count"])
+    def test_every_command_checks_the_whole_config_at_load(
+        self, tmp_path, capsys, monkeypatch, command, overrides, named
+    ):
+        """A bad predicate, operator or weights count is a ValueError from
+        ``config_from_dict`` naming the key or value, so every command
+        exits 2 on it before any expert is built."""
+        monkeypatch.setattr(RemoteModel, "__init__", lambda *a, **k: pytest.fail("expert built"))
+        raw = {**BASE_CONFIG, **beside_table(REMOTE), **overrides}
+        with pytest.raises(ValueError, match=re.escape(named)):
+            config_from_dict(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+
     def test_oracle_limits_default_to_horizon_and_node_cap(self):
         bare = {k: v for k, v in BASE_CONFIG.items() if k != "oracle"}
         assert config_from_dict(bare).oracle_limits() == {
@@ -233,7 +258,7 @@ class TestBuilders:
 
     def test_power_operator_without_tau_is_a_config_error(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="tau"):
-            build_panel(config_from_dict({**BASE_CONFIG, "operator": {"kind": "power"}}))
+            config_from_dict({**BASE_CONFIG, "operator": {"kind": "power"}})
         path = write_config(tmp_path, {"operator": {"kind": "power"}})
         assert main(["sample", str(path)]) == 2
         assert "power operator needs tau" in capsys.readouterr().err
@@ -262,12 +287,12 @@ class TestBuilders:
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError):
-            build_panel(config_from_dict({**BASE_CONFIG, "operator": {"kind": "median"}}))
+            config_from_dict({**BASE_CONFIG, "operator": {"kind": "median"}})
         with pytest.raises(ValueError):
-            build_panel(config_from_dict({**BASE_CONFIG, "operator": 7}))
+            config_from_dict({**BASE_CONFIG, "operator": 7})
         for kind in (None, 7, ["power"]):
             with pytest.raises(ValueError):
-                build_panel(config_from_dict({**BASE_CONFIG, "operator": {"kind": kind}}))
+                config_from_dict({**BASE_CONFIG, "operator": {"kind": kind}})
 
     def test_weights_rescaled(self):
         raw = {**BASE_CONFIG, "weights": [2.0, 6.0]}
@@ -277,7 +302,7 @@ class TestBuilders:
     def test_weight_count_mismatch_rejected(self):
         raw = {**BASE_CONFIG, "weights": [0.2, 0.3, 0.5]}
         with pytest.raises(ValueError):
-            build_panel(config_from_dict(raw))
+            config_from_dict(raw)
 
     def test_build_expert_table(self):
         model = build_expert({"type": "table", "entries": GEO_P1}, None, ".")
@@ -330,10 +355,11 @@ class TestBuilders:
             assert model.alphabet.symbols == ("a", "b")
 
     def test_unknown_expert_type_rejected(self):
-        with pytest.raises(ValueError):
-            build_expert({"type": "markov"}, None, ".")
-        with pytest.raises(ValueError):
-            build_expert({"entries": {}}, None, ".")
+        for expert in ({"type": "markov"}, {"entries": {}}):
+            with pytest.raises(ValueError):
+                build_expert(expert, None, ".")
+            with pytest.raises(ValueError):
+                config_from_dict({**BASE_CONFIG, "experts": [expert]})
 
     def test_build_predicate(self):
         in_set = build_predicate({"kind": "in_set", "strings": ["ab", "ba"]})
@@ -587,10 +613,15 @@ class TestCli:
             ('{"method":"smc","truncated":"3"}', "record 'truncated' must be an integer, got '3'"),
             ('{"method":3}', "record 'method' must be a string, got 3"),
             ('{"method":"smc","accuracy":null}', "record 'accuracy' must be a number, got None"),
+            ('{"method":"smc","log_z_hat":NaN}', "NaN is not JSON"),
         ]:
             records.write_text('{"method":"oracle","log_z":null}\n\n' + line + "\n")
             assert main(["report", str(records)]) == 2
             assert f"{records}: line 3: {why}" in capsys.readouterr().err
+        # A config must be strict JSON too.
+        bad.write_text(json.dumps(BASE_CONFIG).replace('"max_len": 3', '"max_len": Infinity'))
+        assert main(["sample", str(bad)]) == 2
+        assert f"{bad}: Infinity is not JSON" in capsys.readouterr().err
 
     def test_degenerate_sample_runs_exit_2(self, tmp_path, capsys):
         raw = {

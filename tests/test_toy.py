@@ -271,6 +271,12 @@ class TestNGramModel:
             f"{path}: line 7: repeated (context, event) row {saved[5]!r}"
         )):
             NGramModel.load(path)
+        # No row past the counted ones.
+        path.write_text("\n".join([*saved, "b\ta\t1"]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 9: row past the 3 counted 'b\\ta\\t1'"
+        )):
+            NGramModel.load(path)
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ValueError):
