@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (EnsmcError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (EnsmcError, ValueError, OSError, KeyError) as exc:
         print(f"ensmc {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -196,10 +196,14 @@ def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
 
 
 def strict_json(text: str, where) -> object:
-    """``json.loads``, but ``NaN`` and ``Infinity`` are a ValueError naming ``where``."""
+    """``json.loads``, but a syntax error, ``NaN`` or ``Infinity`` is a
+    ValueError naming ``where``."""
     def refuse(constant):
         raise ValueError(f"{where}: {constant} is not JSON")
-    return json.loads(text, parse_constant=refuse)
+    try:
+        return json.loads(text, parse_constant=refuse)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def build_expert(spec: dict, alphabet: Alphabet | None, base_dir: str | Path) -> SequenceModel:

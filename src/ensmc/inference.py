@@ -343,13 +343,24 @@ class OracleShaping:
 # -- proposals ----------------------------------------------------------
 
 
+def _optimal_row(x: str, shaping_row: np.ndarray) -> np.ndarray:
+    """The locally optimal proposal's row at ``x``: the shaping row read
+    at ``x``, normalized to sum 1."""
+    try:
+        return log_normalize(shaping_row)
+    except ValueError:
+        raise DeadPrefixError(f"every continuation of {x!r} has zero potential")
+
+
 class OptimalProposal(SequenceModel):
     """The locally optimal proposal: the shaping row normalized to sum 1.
 
     Each row is normalized from the shaping when it is read and kept
     nowhere (the prefix node is the one store), so one instance can be
-    shared across runs. As a sequence model (``log_next`` is ``log_row``)
-    it is the i.i.d. proposal of :func:`importance_sample`.
+    shared across runs. ``sis``/``smc`` over the proposal's own shaping
+    normalize the shaping row they read for the weights instead of
+    reading it again here. As a sequence model (``log_next`` is
+    ``log_row``) it is the i.i.d. proposal of :func:`importance_sample`.
     """
 
     def __init__(self, shaping):
@@ -360,10 +371,7 @@ class OptimalProposal(SequenceModel):
         return self.log_row(context)
 
     def log_row(self, x: str) -> np.ndarray:
-        try:
-            return log_normalize(self.shaping.log_row(x))
-        except ValueError:
-            raise DeadPrefixError(f"every continuation of {x!r} has zero potential")
+        return _optimal_row(x, self.shaping.log_row(x))
 
 
 class ExpertProposal(SequenceModel):
@@ -475,7 +483,9 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
     """The round loop of every sampler: each round, ``doubles(round, live)``
     gives every live particle a uniform, ``prefetch`` (if given) gets the
     round's distinct prefixes before any row is read, and the particles on
-    each distinct prefix draw from ``proposal_row`` at once. With a
+    each distinct prefix draw from ``proposal_row`` at once; with
+    ``proposal_row`` None they draw from the optimal proposal, the shaping
+    row normalized, so each prefix's shaping row is read once. With a
     ``shaping``, weights take its per-step ratios and an ESS below
     ``resample_threshold * particles`` resamples. Without one the draws
     are i.i.d., weights stay 0 unless truncated, and a dead prefix raises
@@ -505,7 +515,7 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
         for x, ids in groups.items():
             try:
                 shaping_row = shaping.log_row(x) if shaping is not None else None
-                row = proposal_row(x)
+                row = proposal_row(x) if proposal_row is not None else _optimal_row(x, shaping_row)
             except DeadPrefixError as exc:
                 dead[ids[0]] = exc
                 log_w[ids] = LOG_ZERO
@@ -570,12 +580,13 @@ def _shaped(spec, panel, config: SamplerConfig, shaping, proposal, resample_thre
         shaping = make_shaping(spec, panel, config)
     if proposal is None:
         proposal = make_proposal(config, shaping)
+    own_optimal = isinstance(proposal, OptimalProposal) and proposal.shaping is shaping
     return _sequential(
         panel.alphabet, config.particles, config.max_len,
         streams.particle_doubles(
             streams.pool(config.seed, _STREAM_PARTICLE), config.particles, config.max_len + 1
         ),
-        proposal.log_row, shaping, resample_threshold, config.seed,
+        None if own_optimal else proposal.log_row, shaping, resample_threshold, config.seed,
         shaping.log_target if config.debug_check_weights else None, shaping.prefetch,
     )
 

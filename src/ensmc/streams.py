@@ -15,9 +15,11 @@ and outputs XSL-RR bits. This module does the same arithmetic itself:
 * :class:`Stream` is a stream's successive doubles, PCG64 stepped in
   Python ints, for callers that draw many doubles from one stream.
 * :func:`particle_doubles` and :func:`iid_doubles` hand the samplers
-  their doubles round by round. The first derives a block of rounds in
-  one vectorised call when that pays; the vectorised kernel mixes each
-  key word at its own shape before broadcasting.
+  their doubles round by round. The first derives every particle's
+  streams for a block of rounds in one vectorised call, from the first
+  round on, when that pays (a small population's whole run is one
+  block); the vectorised kernel stacks the four pool words on one axis
+  and mixes each key word at its own shape before broadcasting.
 
 The results are the same bits as numpy's (pinned by
 ``tests/test_streams.py``), so the seed policy is unchanged.
@@ -46,16 +48,18 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _TO_DOUBLE = 1.0 / 9007199254740992.0
 
 #: Batches of at least this many streams take the vectorised path. Its
-#: cost is nearly flat up to a few hundred streams (0.13-0.23 ms on a
-#: 2-core Xeon host whose speed varied between runs, 0.16-0.27 ms at
-#: 1 024 streams), while Python ints cost 8-12 us a stream; the two meet
-#: between 14 and 24 streams.
+#: cost is nearly flat up to a few hundred streams (medians of 0.12 ms at
+#: 24 streams and 0.14 ms at 512, 0.17 ms at 1 024, on a 2-core Xeon host
+#: whose speed varies between runs), while Python ints cost 7-12 us a
+#: stream; the two meet near 16 streams, and 20 leaves a margin.
 VECTOR_MIN_STREAMS = 20
 #: At most about this many particle streams are derived in one block of
-#: rounds: the vectorised derivation costs nearly the same up to a few
-#: hundred streams, and a block's rounds may go unused once every
-#: particle has finished.
-BLOCK_STREAMS = 256
+#: rounds. A block of 512 costs about what 19 streams cost in Python ints
+#: (see above), and 512 is the smallest power of two that covers a whole
+#: run in one block at 8 particles and 41 rounds, 12 and 31, and 32 and
+#: 12. The rounds a block holds past the run's end cost little, and the
+#: block (8 bytes a stream) is freed with the run.
+BLOCK_STREAMS = 512
 
 
 def _words(value) -> list[int]:
@@ -175,51 +179,57 @@ def pool(seed: int, *key: int) -> Pool:
 
 _U32 = np.uint32
 _U64 = np.uint64
+_EXPAND_WORDS = np.array(_EXPAND_CONSTS, dtype=_U32)
 
 
 def _first_doubles(base: Pool, *key: np.ndarray) -> np.ndarray:
     """First doubles of the streams ``base.extend(*words)`` for the key
     words broadcast from ``key``, uint32 arrays (so each below 2**32).
 
-    The steps of the scalar path on uint32 and (hi, lo) uint64 arrays.
-    Each key word is mixed at its own shape (a round word once per round,
-    a particle word once per particle) before the pool words broadcast
-    to the output's shape. The uint64 steps run in place, and each pool
-    word and seed-word half is dropped once combined, so the heap peaks
-    at about 11 times the output's bytes.
+    The steps of the scalar path on uint32 and (hi, lo) uint64 arrays,
+    with the four pool words (and the four seed words) stacked on a
+    leading axis, so each step is one array operation whatever the
+    output's size: at a few hundred streams the count of operations,
+    not their width, sets the cost. Each key word is mixed at its own
+    shape (a round word once per round, a particle word once per
+    particle) before the pool words broadcast to the output's shape.
+    The uint64 steps run in place on views of the stacked seed words,
+    so the heap peaks at about 10 times the output's bytes.
     """
-    # _absorb, one key word at a time; ``h`` does not depend on the data.
-    words = list(np.array(base.words, dtype=_U32)[:, None])
+    lead = (_POOL_SIZE,) + (1,) * max(w.ndim for w in key)
+    words = np.array(base.words, dtype=_U32).reshape(lead)
     h = base.hash_const
     for w in key:
-        for i, x in enumerate(words):
-            v = w ^ _U32(h)
-            h = (h * _MULT_A) & _MASK32
-            v *= _U32(h)
-            v ^= v >> _U32(_XSHIFT)
-            v *= _U32(_MIX_MULT_R)
-            r = x * _U32(_MIX_MULT_L) - v
-            r ^= r >> _U32(_XSHIFT)
-            words[i] = r
-
-    def half(i: int) -> np.ndarray:
-        v = words[i & 3] ^ _U32(_EXPAND_CONSTS[i])
-        v *= _U32(_EXPAND_CONSTS[i + 1])
+        # _absorb: pool word i mixes ``w`` with the hash multiplier before
+        # and after its own update; the multipliers do not depend on the data.
+        hs = [h]
+        for _ in range(_POOL_SIZE):
+            hs.append(h := (h * _MULT_A) & _MASK32)
+        v = w ^ np.array(hs[:-1], dtype=_U32).reshape(lead)
+        v *= np.array(hs[1:], dtype=_U32).reshape(lead)
         v ^= v >> _U32(_XSHIFT)
-        return v.astype(_U64)
+        v *= _U32(_MIX_MULT_R)
+        words = words * _U32(_MIX_MULT_L) - v
+        words ^= words >> _U32(_XSHIFT)
+    del v
 
-    # _seed_words: seed word j joins halves 2j and 2j + 1, which read pool
-    # words 2j & 3 and (2j + 1) & 3; seed words 0 and 1 are the last
-    # readers of pool words 0, 1 and 2, 3.
-    seed = [None] * _POOL_SIZE
-    for j in (2, 0, 3, 1):
-        seed[j] = half(2 * j)
-        high = half(2 * j + 1)
-        high <<= _U64(32)
-        seed[j] |= high
-        del high
-        if j < 2:
-            words[2 * j] = words[2 * j + 1] = None
+    def halves(part: int) -> np.ndarray:
+        """_seed_words' halves ``2j + part`` for the four seed words ``j``:
+        half ``i`` hashes pool word ``i & 3``."""
+        i = np.arange(part, 2 * _POOL_SIZE, 2)
+        v = words[i & 3]  # a copy
+        v ^= _EXPAND_WORDS[i].reshape(lead)
+        v *= _EXPAND_WORDS[i + 1].reshape(lead)
+        v ^= v >> _U32(_XSHIFT)
+        return v
+
+    low, high = halves(0), halves(1)
+    del words
+    seed = low.astype(_U64)
+    del low
+    for j in range(_POOL_SIZE):  # one seed word at a time: a smaller peak
+        seed[j] |= high[j].astype(_U64) << _U64(32)
+    del high
     # _pcg_state: inc = initseq << 1 | 1, state = (inc + initstate) * mult + inc
     hi, lo, inc_hi, inc_lo = seed
     inc_hi <<= _U64(1)
@@ -307,28 +317,27 @@ def particle_doubles(base: Pool, particles: int, horizon: int):
     m)`` for each live particle ``m``.
 
     Streams are derived a block of rounds at a time, for every particle:
-    at round ``r`` a block covers ``r`` rounds (so blocks double), at most
-    ``BLOCK_STREAMS // particles`` and none past ``horizon``, the number
-    of rounds a run can take. A block of one round, of fewer than
+    the first round that needs streams starts a block of
+    ``BLOCK_STREAMS // particles`` rounds, none past ``horizon`` (the
+    number of rounds a run can take), and the next block starts where
+    the held one ends. A block of one round, of fewer than
     :data:`VECTOR_MIN_STREAMS` streams or reaching round 2**32 is not
-    made; that round derives the live particles' streams alone. Each
-    round's row is handed out once, and a block is freed with its last
-    row. Rounds must be asked for in order.
+    made; that round derives the live particles' streams alone. Rounds
+    must be asked for in order.
     """
     every = np.arange(particles, dtype=_U32)
-    rows: dict[int, np.ndarray] = {}
+    start = end = 0
+    block = None
 
     def doubles(round_no: int, live: np.ndarray) -> np.ndarray:
-        row = rows.pop(round_no, None)
-        if row is None:
-            size = min(round_no, BLOCK_STREAMS // particles, horizon - round_no)
-            end = round_no + size
-            if size <= 1 or size * particles < VECTOR_MIN_STREAMS or end > 1 << 32:
+        nonlocal start, end, block
+        if not start <= round_no < end:
+            size = min(BLOCK_STREAMS // particles, horizon - round_no)
+            if size <= 1 or size * particles < VECTOR_MIN_STREAMS or round_no + size > 1 << 32:
                 return uniforms(base.extend(round_no), live)
-            block = _first_doubles(base, np.arange(round_no, end, dtype=_U32)[:, None], every)
-            rows.update(zip(range(round_no + 1, end), block[1:]))
-            row = block[0]
-        return row[live]
+            start, end = round_no, round_no + size
+            block = _first_doubles(base, np.arange(start, end, dtype=_U32)[:, None], every)
+        return block[round_no - start][live]
 
     return doubles
 

@@ -27,6 +27,8 @@ from .textio import counted_rows, escape_field, unescape_field
 
 NGRAM_MAGIC = "ensmc-ngram"
 NGRAM_VERSION = 1
+#: The header keys :meth:`NGramModel.save` writes on lines 2-5, in order.
+_HEADER_KEYS = ("order", "smoothing", "alphabet", "counts")
 
 #: Normalization tolerance for explicit string tables.
 TABLE_TOL = 1e-12
@@ -185,12 +187,13 @@ class NGramModel(SequenceModel):
             magic, version = lines[0].split("\t")
             if magic != NGRAM_MAGIC or int(version) != NGRAM_VERSION:
                 raise ValueError
-            _, order = lines[1].split("\t")
-            _, smoothing = lines[2].split("\t")
-            _, alpha = lines[3].split("\t")
-            _, n_rows = lines[4].split("\t")
+            header = [line.split("\t") for line in lines[1:5]]
+            order, smoothing, alpha, n_rows = (value for _, value in header)
         except (IndexError, ValueError):
             raise ValueError(f"{path}: not a {NGRAM_MAGIC} v{NGRAM_VERSION} file")
+        for lineno, ((key, _), want) in enumerate(zip(header, _HEADER_KEYS), start=2):
+            if key != want:
+                raise ValueError(f"{path}: line {lineno}: header key {key!r}, expected {want!r}")
         try:
             alphabet = Alphabet(unescape_field(alpha))
             order, smoothing, n_rows = int(order), float(smoothing), int(n_rows)

@@ -249,6 +249,32 @@ class TestPrefixNodeCache:
             assert len(model.contexts) <= len(visited)
             assert len(set(model.contexts)) == len(model.contexts)
 
+    @pytest.mark.parametrize("method", ["sis", "smc", "sis expert:0", "is"])
+    def test_shaping_row_read_once_per_group(self, method):
+        """Each round reads the shaping row of each of its distinct
+        prefixes once, in group order: the optimal proposal of ``sis``/
+        ``smc`` normalizes the row read for the weights, ``expert:0``
+        reads its own row of the node, and ``is`` reads it only through
+        the proposal."""
+        panel = self.long_panel()
+        spec = EnsembleSpec.geometric(2)
+        shaping = PrefixPotentialShaping(spec, panel)
+        rounds, reads = [], []
+        log_row, prefetch = shaping.log_row, shaping.prefetch
+        shaping.log_row = lambda x: reads.append(x) or log_row(x)
+        shaping.prefetch = lambda groups: rounds.append(list(groups)) or prefetch(groups)
+        name, _, proposal = method.partition(" ")
+        config = SamplerConfig(particles=24, max_len=40, seed=3, proposal=proposal or "optimal")
+        if name == "is":
+            importance_sample(
+                ensemble_log_target(spec, panel), OptimalProposal(shaping), 24, 40,
+                seed=3, prefetch=shaping.prefetch,
+            )
+        else:
+            {"sis": sis, "smc": smc}[name](spec, panel, config, shaping=shaping)
+        assert len(rounds) > 12
+        assert reads == [x for groups in rounds for x in groups]
+
     def test_direct_and_incremental_queries_agree_bitwise(self):
         spec = EnsembleSpec.power(0.5, [0.3, 0.7])
         incremental = PrefixPotentialShaping(spec, self.long_panel())

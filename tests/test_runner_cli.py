@@ -604,6 +604,8 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["sample", str(bad)]) == 2
+        assert main(["enumerate", str(bad)]) == 2
+        assert capsys.readouterr().err.count(f"{bad}: Expecting property name") == 2
         assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
         capsys.readouterr()
         records = tmp_path / "records.jsonl"
@@ -614,6 +616,7 @@ class TestCli:
             ('{"method":3}', "record 'method' must be a string, got 3"),
             ('{"method":"smc","accuracy":null}', "record 'accuracy' must be a number, got None"),
             ('{"method":"smc","log_z_hat":NaN}', "NaN is not JSON"),
+            ("{oops", "Expecting property name"),
         ]:
             records.write_text('{"method":"oracle","log_z":null}\n\n' + line + "\n")
             assert main(["report", str(records)]) == 2

@@ -53,10 +53,10 @@ def test_bulk_and_scalar_uniforms_match_numpy(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_particle_doubles_blocks_match_numpy(seed, monkeypatch):
     """Every round hands particle ``m`` stream ``(seed, 0, r, m)``'s first
-    double. With 9 particles and 16 rounds, rounds 3, 6 and 12 start
-    vectorised blocks of 3, 6 and 4 rounds; rounds 0-2 are too small for
-    one. Rounds up to 2**32 + 1 are exact: no block would reach round
-    2**32, so each such round derives its streams alone."""
+    double. With 9 particles and 16 rounds, round 0 starts one vectorised
+    block of all 16 rounds. Rounds up to 2**32 + 1 are exact: no block
+    would reach round 2**32, so each such round derives its streams
+    alone."""
     blocks = []
     first_doubles = streams._first_doubles
 
@@ -72,7 +72,31 @@ def test_particle_doubles_blocks_match_numpy(seed, monkeypatch):
         for r in rounds:
             want = np.array([reference(seed, _STREAM_PARTICLE, r, m).random() for m in range(9)])
             assert doubles(r, live).tobytes() == want.tobytes()
-    assert blocks == [(3, 9), (6, 9), (4, 9)]
+    assert blocks == [(16, 9)]
+
+
+def test_small_population_run_derives_few_blocks(monkeypatch):
+    """An ``smc`` run of 8 particles over an n-gram panel, up to 40
+    symbols, derives its particle streams in at most ``ceil(41 / span)``
+    vectorised blocks of ``span = BLOCK_STREAMS // 8`` rounds, and no
+    round derives its streams alone."""
+    blocks, alone = [], []
+    first_doubles, uniforms = streams._first_doubles, streams.uniforms
+    monkeypatch.setattr(
+        streams, "_first_doubles", lambda *a: blocks.append(a) or first_doubles(*a)
+    )
+    monkeypatch.setattr(streams, "uniforms", lambda *a: alone.append(a) or uniforms(*a))
+    alphabet = ensmc.Alphabet("abc")
+    panel = ensmc.ExpertPanel([
+        ensmc.fit_ngram(corpus, order=3, smoothing=0.5, alphabet=alphabet)
+        for corpus in (["abc" * 12, "cab" * 12], ["abcabc" * 6, "bcabca" * 6])
+    ])
+    config = ensmc.SamplerConfig(particles=8, max_len=40, seed=5)
+    estimate = ensmc.smc(ensmc.EnsembleSpec.geometric(2), panel, config)
+    span = streams.BLOCK_STREAMS // config.particles
+    assert estimate.diagnostics.rounds == config.max_len + 1
+    assert 1 <= len(blocks) <= -(-(config.max_len + 1) // span)
+    assert alone == []
 
 
 @settings(max_examples=60, deadline=None)

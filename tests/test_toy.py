@@ -263,6 +263,17 @@ class TestNGramModel:
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 NGramModel.load(path)
+        # Each header line carries its own key: swapped or renamed keys
+        # would read one value as another.
+        for lines, lineno, key, want in [
+            ([saved[0], "smoothing\t2", "order\t0.1", *saved[3:]], 2, "smoothing", "order"),
+            ([saved[0], "bogus\t3", *saved[2:]], 2, "bogus", "order"),
+        ]:
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {lineno}: header key {key!r}, expected {want!r}"
+            )):
+                NGramModel.load(path)
         # save writes each (context, event) pair once; a repeat would add
         # into one count (two "\ta\t1" rows: p(a | "") = 2/3).
         lines = [*saved[:4], "counts\t4", saved[5], *saved[5:]]
