@@ -10,7 +10,12 @@ vectorised stream derivation) under ``smc``, ``sis`` and ``is``, and a
 table panel with an expert proposal under ``is``, ``sis`` and ``local``,
 and two tokenized experts with different decode tables over one byte
 alphabet (``ab`` is a token of one, ``ba`` of the other) under all four
-samplers and the oracle at the samplers' horizon.
+samplers and the oracle at the samplers' horizon. One config is in the
+paper's byte regime: two order-3 n-grams over 189 symbols (U+0021-U+007E
+and U+00A1-U+00FF), fit on seeded random corpora, under the minimum
+operator with epsilon-shift shaping, 16 particles and strings of up to
+64 symbols, so each prefix node holds a shifted row 191 entries wide and
+round 64 derives the streams of its few live particles alone.
 A change that alters any sampled string, weight, estimate or counter fails
 here. ``workloads.txt`` pins the lines of ``tests/workload_digest.py``:
 each benchmark workload's record digest, and the requests and served
@@ -56,7 +61,9 @@ def record_lines(name: str) -> list[str]:
 
 
 def test_every_config_has_golden_records():
-    assert CONFIGS == ["epsilon", "expert", "mismatch", "ngram", "table", "tokenized", "wide"]
+    assert CONFIGS == [
+        "bytes_ngram", "epsilon", "expert", "mismatch", "ngram", "table", "tokenized", "wide"
+    ]
     for name in CONFIGS:
         assert (GOLDEN / f"{name}.jsonl").is_file()
 
