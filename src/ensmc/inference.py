@@ -188,9 +188,12 @@ class PrefixPotentialShaping:
     and, in the last column, its prefix mass at ``x``. Row ``K`` holds
     the operator applied down the prefix-plus-row columns (entry ``a`` is
     the prefix potential of ``x + a``, the end-marker entry the target of
-    ``x``) and, in the last column, the prefix potential of ``x``. A node
-    is only built from its parent: a child ``x + a`` adds column ``a`` to
-    the prefix masses (the float additions ``prefix_log_prob`` performs),
+    ``x``) and, in the last column, the prefix potential of ``x``. With
+    ``epsilon`` set, row ``K`` holds the shifted potentials: its symbol
+    and last columns are shifted once, when the node is built, and its
+    end-marker target is not. A node is only built from its parent: a
+    child ``x + a`` adds column ``a`` to the prefix masses (rows below
+    ``K``, never shifted; the float additions ``prefix_log_prob`` performs),
     so each new prefix costs one ``log_next`` row per live expert, and a
     direct query first builds the missing ancestors, root first. The
     samplers :meth:`prefetch` each round's new prefixes, so an expert is
@@ -258,19 +261,18 @@ class PrefixPotentialShaping:
         columns = nodes[:, :k].transpose(1, 0, 2).copy()
         columns[:, :, :-1] += masses.T[:, :, None]
         nodes[:, k] = self.spec.combine_columns(columns.reshape(k, -1)).reshape(len(xs), -1)
+        if self._log_eps is not None:
+            # The prefix potentials are shifted here, once; the end-marker target never.
+            shifted = np.r_[: self.alphabet.eos_index, -1]
+            nodes[:, k, shifted] = np.logaddexp(nodes[:, k, shifted], self._log_eps)
         for x, node in zip(xs, nodes):
             node = node.copy()  # a view of the batch would hold more heap per node
             node.flags.writeable = False
             self._nodes[x] = node
 
-    def _shift(self, log_v: float) -> float:
-        if self._log_eps is None:
-            return log_v
-        return float(np.logaddexp(log_v, self._log_eps))
-
     def log_value(self, x: str) -> float:
         """Shaping potential of the prefix ``x`` (shifted if configured)."""
-        return self._shift(float(self._node(x)[-1, -1]))
+        return float(self._node(x)[-1, -1])
 
     def log_target(self, x: str) -> float:
         """Unnormalized log target of the complete string ``x`` (never shifted)."""
@@ -278,17 +280,9 @@ class PrefixPotentialShaping:
 
     def log_row(self, x: str) -> np.ndarray:
         node = self._node(x)
-        cols = node[-1, :-1]
-        denom = self._shift(float(node[-1, -1]))
-        if denom == LOG_ZERO:
+        if node[-1, -1] == LOG_ZERO:
             raise DeadPrefixError(f"prefix {x!r} has zero shaping potential")
-        row = cols - denom
-        if self._log_eps is not None:
-            eos = self.panel.alphabet.eos_index
-            row = np.concatenate(
-                [np.logaddexp(cols[:eos], self._log_eps) - denom, row[eos:]]
-            )
-        return row
+        return node[-1, :-1] - node[-1, -1]
 
     def log_local_row(self, x: str) -> np.ndarray:
         """The step-local row at ``x``: the operator on the experts' raw

@@ -11,15 +11,18 @@ and outputs XSL-RR bits. This module does the same arithmetic itself:
 * :class:`Pool` is the hashed pool of ``(seed, *key)``, extendable by
   more key words, so a prefix shared by many streams is hashed once.
 * :func:`uniforms` is the first double of the streams ``key + (m,)`` for
-  many ``m`` at once, numpy-vectorised over ``m`` for large batches.
+  many ``m`` at once, numpy-vectorised over ``m`` whatever the batch's
+  size; only an ``m`` of 2**32 or more (two key words) takes Python ints.
 * :class:`Stream` is a stream's successive doubles, PCG64 stepped in
   Python ints, for callers that draw many doubles from one stream.
 * :func:`particle_doubles` and :func:`iid_doubles` hand the samplers
   their doubles round by round. The first derives every particle's
   streams for a block of rounds in one vectorised call, from the first
-  round on, when that pays (a small population's whole run is one
-  block); the vectorised kernel stacks the four pool words on one axis
-  and mixes each key word at its own shape before broadcasting.
+  round on (a small population's whole run is one block), and a round
+  no block covers derives its live particles' streams alone, through
+  the same kernel. The vectorised kernel stacks the four pool words on
+  one axis and mixes each key word at its own shape before
+  broadcasting.
 
 The results are the same bits as numpy's (pinned by
 ``tests/test_streams.py``), so the seed policy is unchanged.
@@ -47,18 +50,14 @@ _MIX_MULT_R = 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _TO_DOUBLE = 1.0 / 9007199254740992.0
 
-#: Batches of at least this many streams take the vectorised path. Its
-#: cost is nearly flat up to a few hundred streams (medians of 0.12 ms at
-#: 24 streams and 0.14 ms at 512, 0.17 ms at 1 024, on a 2-core Xeon host
-#: whose speed varies between runs), while Python ints cost 7-12 us a
-#: stream; the two meet near 16 streams, and 20 leaves a margin.
-VECTOR_MIN_STREAMS = 20
 #: At most about this many particle streams are derived in one block of
-#: rounds. A block of 512 costs about what 19 streams cost in Python ints
-#: (see above), and 512 is the smallest power of two that covers a whole
-#: run in one block at 8 particles and 41 rounds, 12 and 31, and 32 and
-#: 12. The rounds a block holds past the run's end cost little, and the
-#: block (8 bytes a stream) is freed with the run.
+#: rounds. The vectorised kernel's cost is nearly flat up to a few hundred
+#: streams (medians of 0.12 ms at 24 streams and 0.14 ms at 512, 0.17 ms
+#: at 1 024, on a 2-core Xeon host whose speed varies between runs), and
+#: 512 is the smallest power of two that covers a whole run in one block
+#: at 8 particles and 41 rounds, 12 and 31, and 32 and 12. The rounds a
+#: block holds past the run's end cost little, and the block (8 bytes a
+#: stream) is freed with the run.
 BLOCK_STREAMS = 512
 
 
@@ -288,28 +287,17 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     hi += lo < inc_lo
 
 
-def _one_word(values: np.ndarray) -> bool:
-    """Whether every value is a single key word, ``0 <= v < 2**32``."""
-    return bool(0 <= values.min() and values.max() <= _MASK32)
-
-
 def uniforms(base: Pool, ms: np.ndarray) -> np.ndarray:
     """First doubles of the streams ``base.extend(m)`` for each ``m`` in ``ms``.
 
-    Batches of :data:`VECTOR_MIN_STREAMS` or more, with every ``m`` below
-    2**32 (one key word), are vectorised; the rest use Python ints, which
-    handle any non-negative ``m`` and reject a negative one.
+    A batch whose every ``m`` is one key word (``0 <= m < 2**32``) is
+    vectorised, whatever its size; any other batch uses Python ints,
+    which handle an ``m`` of any number of words and reject a negative one.
     """
     ms = np.asarray(ms)
-    if len(ms) >= VECTOR_MIN_STREAMS and _one_word(ms):
+    if len(ms) and 0 <= ms.min() and ms.max() <= _MASK32:
         return _first_doubles(base, ms.astype(np.uint32))
-    out = np.empty(len(ms))
-    for j, m in enumerate(ms.tolist()):
-        if 0 <= m <= _MASK32:
-            out[j] = Stream(_absorb(base.words, base.hash_const, m)[0]).random()
-        else:
-            out[j] = Stream(base.extend(m).words).random()
-    return out
+    return np.array([Stream(base.extend(m).words).random() for m in ms.tolist()])
 
 
 def particle_doubles(base: Pool, particles: int, horizon: int):
@@ -320,10 +308,9 @@ def particle_doubles(base: Pool, particles: int, horizon: int):
     the first round that needs streams starts a block of
     ``BLOCK_STREAMS // particles`` rounds, none past ``horizon`` (the
     number of rounds a run can take), and the next block starts where
-    the held one ends. A block of one round, of fewer than
-    :data:`VECTOR_MIN_STREAMS` streams or reaching round 2**32 is not
-    made; that round derives the live particles' streams alone. Rounds
-    must be asked for in order.
+    the held one ends. A block of one round or reaching round 2**32 is
+    not made; that round derives the live particles' streams alone,
+    through :func:`uniforms`. Rounds must be asked for in order.
     """
     every = np.arange(particles, dtype=_U32)
     start = end = 0
@@ -333,7 +320,7 @@ def particle_doubles(base: Pool, particles: int, horizon: int):
         nonlocal start, end, block
         if not start <= round_no < end:
             size = min(BLOCK_STREAMS // particles, horizon - round_no)
-            if size <= 1 or size * particles < VECTOR_MIN_STREAMS or round_no + size > 1 << 32:
+            if size <= 1 or round_no + size > 1 << 32:
                 return uniforms(base.extend(round_no), live)
             start, end = round_no, round_no + size
             block = _first_doubles(base, np.arange(start, end, dtype=_U32)[:, None], every)
