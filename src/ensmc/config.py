@@ -256,6 +256,11 @@ def _read_expert(spec: dict, has_alphabet: bool) -> Callable[..., SequenceModel]
         def build(alphabet, base_dir):
             from .bridge import Tokenizer, as_byte_model
             tokenizer = Tokenizer.load(base_dir / path)
+            if alphabet is not None:  # the bytes are the config's, in its order
+                try:
+                    tokenizer = Tokenizer(tokenizer.token_alphabet, tokenizer.decode, alphabet)
+                except ValueError as exc:
+                    raise ValueError(f"{base_dir / path}: {exc}") from None
             inner = build_inner(tokenizer.token_alphabet, base_dir)
             return as_byte_model(inner, tokenizer, log_floor=log_floor)
         return build

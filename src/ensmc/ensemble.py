@@ -52,7 +52,9 @@ class ExpertPanel:
         alphabet = models[0].alphabet
         for m in models[1:]:
             if m.alphabet != alphabet:
-                raise ValueError("experts must share one alphabet")
+                raise ValueError(
+                    f"experts must share one alphabet: {alphabet!r} and {m.alphabet!r}"
+                )
         self.models = models
         self.alphabet: Alphabet = alphabet
 

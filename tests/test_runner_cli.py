@@ -12,6 +12,7 @@ from conftest import GEO_P1, GEO_P2, GEO_PROBS
 from ensmc import (
     Alphabet,
     EnsembleSpec,
+    ExpertPanel,
     ModelServer,
     NGramModel,
     PFSAModel,
@@ -335,6 +336,8 @@ class TestBuilders:
         model = build_expert(spec, Alphabet("a"), ".")
         assert isinstance(model, PFSAModel)
         assert_allclose(math.exp(model.log_next("aa")[1]), 0.5, rtol=1e-12)
+        with pytest.raises(ValueError, match="pfsa experts need 'alphabet'"):
+            config_from_dict({"experts": [spec]})
 
     def test_build_expert_tokenized(self, tmp_path):
         tokenizer = Tokenizer(Alphabet("ABC"), {"A": "a", "B": "b", "C": "ab"})
@@ -347,6 +350,58 @@ class TestBuilders:
         model = build_expert(spec, None, tmp_path)
         assert isinstance(model, TokenToByteModel)
         assert_allclose(math.exp(model.string_log_prob("ab")), 0.5, rtol=1e-12)
+
+    def test_tokenized_expert_takes_the_config_alphabet(self, tmp_path):
+        """With ``alphabet`` set, a tokenized expert's bytes are that
+        alphabet: a superset of its decodings' bytes runs beside an n-gram
+        over it, every method and the oracle included."""
+        Tokenizer(Alphabet("ABC"), {"A": "a", "B": "b", "C": "ab"}).save(tmp_path / "tok.tsv")
+        (tmp_path / "corpus.txt").write_text("abc\ncab\nbca\nab\n")
+        raw = {
+            "alphabet": "abc",
+            "experts": [
+                {"type": "ngram", "corpus": "corpus.txt", "order": 2, "smoothing": 0.5},
+                {"type": "tokenized", "tokenizer": "tok.tsv",
+                 "model": {"type": "table", "entries": {"AB": 0.3, "C": 0.2, "A": 0.5}}},
+            ],
+            "sampler": {"particles": 64, "max_len": 4, "seed": 1},
+            "oracle": {"max_len": 4},
+            "methods": ["smc", "sis", "is", "local"],
+        }
+        config = config_from_dict(raw, tmp_path)
+        panel, _ = build_panel(config)
+        assert [m.alphabet for m in panel] == [Alphabet("abc")] * 2
+        records = {r["method"]: r for r in run_experiment(config)}
+        assert sorted(records) == ["is", "local", "oracle", "sis", "smc"]
+        assert all("error" not in r for r in records.values())
+        assert math.isfinite(records["oracle"]["log_z"])
+        assert math.isfinite(records["smc"]["log_z_hat"])
+
+    def test_tokenized_expert_bytes_in_the_config_order(self, tmp_path):
+        """The same bytes in another order give the same marginal, laid
+        out in the config's order."""
+        Tokenizer(Alphabet("ABC"), {"A": "a", "B": "b", "C": "ab"}).save(tmp_path / "tok.tsv")
+        spec = {"type": "tokenized", "tokenizer": "tok.tsv",
+                "model": {"type": "table", "entries": {"AB": 0.3, "C": 0.2, "BA": 0.5}}}
+        derived = build_expert(spec, None, tmp_path)
+        ordered = build_expert(spec, Alphabet("ba"), tmp_path)
+        assert derived.alphabet == Alphabet("ab") and ordered.alphabet == Alphabet("ba")
+        for context in ("", "a", "b", "ba"):
+            want = derived.log_next(context)[[1, 0, 2]]
+            assert ordered.log_next(context).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match=re.escape(
+            "experts must share one alphabet: Alphabet('ab') and Alphabet('ba')"
+        )):
+            ExpertPanel([derived, ordered])
+
+    def test_tokenized_decoding_outside_the_config_alphabet_rejected(self, tmp_path):
+        Tokenizer(Alphabet("ABC"), {"A": "a", "B": "b", "C": "ab"}).save(tmp_path / "tok.tsv")
+        raw = {"alphabet": "a", "experts": [
+            {"type": "tokenized", "tokenizer": "tok.tsv",
+             "model": {"type": "table", "entries": {"A": 1.0}}},
+        ]}
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'tok.tsv'}: symbol 'b'")):
+            build_panel(config_from_dict(raw, tmp_path))
 
     def test_build_expert_remote(self):
         with ModelServer(TableModel(GEO_P1)) as server:
