@@ -25,6 +25,8 @@ from .textio import counted_rows, escape_field, unescape_field
 
 TABLE_MAGIC = "ensmc-table"
 TABLE_VERSION = 1
+#: The header keys of a table file, one a line, in their written order.
+_TABLE_HEADER = ("operator", "weights", "alphabet", "max_len", "log_residual_bound", "entries")
 
 #: Default enumeration budget; exceeding it is a refusal, not an attempt.
 DEFAULT_ALPHABET_CAP = 6
@@ -250,28 +252,33 @@ def load_table(path) -> ExactTable:
     """Read a file written by :func:`dump_table`; the normalizer is recomputed.
 
     A malformed file is a ValueError that names it (and the line, for a
-    body row, for weights no ``EnsembleSpec`` accepts and for a negative
-    ``max_len``). Rows must be strictly increasing, none past ``max_len``."""
+    body row, for a header key out of its written order, for weights no
+    ``EnsembleSpec`` accepts and for a negative ``max_len``). Rows must
+    be strictly increasing, none past ``max_len``."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     try:
         magic, version = lines[0].split("\t")
         if magic != TABLE_MAGIC or int(version) != TABLE_VERSION:
             raise ValueError
-        header = dict(line.split("\t", 1) for line in lines[1:7])
-        operator = header["operator"]
-        weights = tuple(float(w) for w in header["weights"].split("\t"))
-        alphabet = Alphabet(unescape_field(header["alphabet"]))
-        max_len = int(header["max_len"])
-        log_residual = float(header["log_residual_bound"])
+        header = [line.split("\t", 1) for line in lines[1:7]]
+        operator, weights, alpha, max_len, log_residual, n = (value for _, value in header)
+    except (IndexError, ValueError):
+        raise ValueError(f"{path}: not a {TABLE_MAGIC} v{TABLE_VERSION} file")
+    for lineno, ((key, _), want) in enumerate(zip(header, _TABLE_HEADER), start=2):
+        if key != want:
+            raise ValueError(f"{path}: line {lineno}: header key {key!r}, expected {want!r}")
+    try:
+        weights = tuple(float(w) for w in weights.split("\t"))
+        alphabet = Alphabet(unescape_field(alpha))
+        max_len, log_residual, n = int(max_len), float(log_residual), int(n)
         if not log_residual < math.inf:  # NaN or +inf
             raise ValueError
-        n = int(header["entries"])
-    except (IndexError, KeyError, ValueError):
+    except ValueError:
         raise ValueError(f"{path}: not a {TABLE_MAGIC} v{TABLE_VERSION} file")
 
     def bad_header(key, why):
-        lineno = 2 + list(header).index(key)
+        lineno = 2 + _TABLE_HEADER.index(key)
         return ValueError(f"{path}: line {lineno}: bad header {lines[lineno - 1]!r}: {why}")
 
     try:

@@ -576,6 +576,21 @@ class TestTableSerialization:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: bad header {line!r}")):
             load_table(path)
 
+    def test_load_rejects_header_keys_out_of_order(self, geo_panel, geo_spec, tmp_path):
+        """The six header keys come in their written order, as in an
+        n-gram file: swapping the ``operator`` and ``max_len`` lines is
+        rejected, naming the file and the first line out of place."""
+        path = tmp_path / "table.tsv"
+        dump_table(enumerate_ensemble(geo_spec, geo_panel, max_len=3), path)
+        saved = path.read_text().splitlines()
+        assert saved[1].startswith("operator\t") and saved[4].startswith("max_len\t")
+        saved[1], saved[4] = saved[4], saved[1]
+        path.write_text("\n".join(saved) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 2: header key 'max_len', expected 'operator'"
+        )):
+            load_table(path)
+
     def test_load_rejects_tampered_rows(self, geo_panel, geo_spec, tmp_path):
         path = tmp_path / "table.tsv"
         dump_table(enumerate_ensemble(geo_spec, geo_panel, max_len=3), path)
@@ -589,6 +604,7 @@ class TestTableSerialization:
             "z\t-1.0",  # symbol outside the header's alphabet
             "a\tnan",  # not a number
             "a\tinf",  # +inf is no log value
+            "\\x\t-1.0",  # a malformed escape
         ]:
             path.write_text("\n".join([*saved[:8], line, *saved[9:]]) + "\n")
             with pytest.raises(ValueError, match=re.escape(f"{path}: line 9: ")):
