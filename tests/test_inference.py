@@ -155,9 +155,10 @@ class TestPrefixShaping:
         assert_allclose(row[2], shaping.log_target(""), rtol=1e-12)
 
     def test_dead_prefix_raises(self, geo_panel, geo_spec):
-        shaping = PrefixPotentialShaping(geo_spec, geo_panel)
-        with pytest.raises(DeadPrefixError):
-            shaping.log_row("ab")
+        table = enumerate_ensemble(geo_spec, geo_panel, 3)
+        for shaping in (PrefixPotentialShaping(geo_spec, geo_panel), OracleShaping(table)):
+            with pytest.raises(DeadPrefixError):
+                shaping.log_row("ab")
 
     def test_epsilon_shifts_symbols_but_not_end(self, geo_panel, geo_spec):
         shaping = PrefixPotentialShaping(geo_spec, geo_panel, epsilon=1e-3)

@@ -1,12 +1,15 @@
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp as scipy_logsumexp
 
+import ensmc
 from ensmc import EnsembleSpec
 from ensmc.logtools import (
     LOG_ZERO,
@@ -144,8 +147,10 @@ def test_import_loads_no_scipy():
         "import sys, ensmc; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
+    src = str(Path(ensmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        timeout=60,
+        env=env, timeout=60,
     )
     assert out.stdout.strip() == "[]"

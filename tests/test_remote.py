@@ -339,16 +339,24 @@ class TestRetries:
                 remote.log_next("")
         assert len(attempts) == 3
 
-    def test_client_errors_never_retried(self):
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"error": "no such route"}, "HTTP 404: no such route"),
+            (b"<html>not found</html>", "HTTP 404$"),  # not JSON: no detail
+        ],
+        ids=["json", "not-json"],
+    )
+    def test_client_errors_never_retried(self, body, message):
         attempts = []
 
         def respond(method, path, payload):
             attempts.append(path)
-            return 404, {"error": "no such route"}
+            return 404, body
 
         with scripted_server(respond) as url:
             remote = RemoteModel(url, alphabet=Alphabet("a"), retries=3, backoff=0.001)
-            with pytest.raises(ExpertUnavailableError):
+            with pytest.raises(ExpertUnavailableError, match=message):
                 remote.log_next("")
         assert len(attempts) == 1
 
@@ -1171,10 +1179,16 @@ class TestWire:
             # 1 PiB announced, a few bytes sent: read as they arrive, a body cut short.
             http_reply(f"HTTP/1.1 200 OK\nContent-Length: {2 ** 50}\n", b"{}"),
             http_reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"%x\r\n{}" % 2 ** 50),
+            http_reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"2\r\n{}XX\r\n0\r\n\r\n"),
+            http_reply(
+                "HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n",
+                b"2\r\n{}\r\n0\r\n" + b"X-Trailer: 1\r\n" * 101 + b"\r\n",
+            ),
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",  # the connection ends in the headers
         ],
         ids=["status-protocol", "status-code", "truncated", "negative-length", "transfer-coding",
              "chunk-size", "chunk-truncated", "long-header", "many-headers", "conflicting-length",
-             "huge-length", "huge-chunk"],
+             "huge-length", "huge-chunk", "chunk-without-crlf", "many-trailers", "head-cut-short"],
     )
     def test_bad_framing_retried_then_unavailable(self, reply):
         with raw_server(lambda n: (reply, True)) as (url, seen):
@@ -1356,6 +1370,25 @@ class TestServerWire:
         ]
         assert replies[0][2]["error"]
         assert model.calls == 0
+
+    def test_body_shorter_than_its_length_gets_no_reply(self):
+        """A client that ends its side within the announced body gets the
+        connection closed without a reply, and the model is not asked."""
+        model = CountingModel(abc_ngram())
+        body = json.dumps({"contexts": ["a"]}).encode("utf-8")
+        head = b"POST /next_many HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (len(body) + 10)
+        with ModelServer(model) as server:
+            host, port = server.url.removeprefix("http://").split(":")
+            with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+                sock.sendall(head + body)
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(1 << 16) == b""
+        assert model.calls == 0
+
+    def test_url_before_start_raises(self):
+        server = ModelServer(abc_ngram())
+        with pytest.raises(RuntimeError, match="not running"):
+            server.url
 
     def test_unknown_method_gets_501(self):
         with ModelServer(abc_ngram()) as server:
