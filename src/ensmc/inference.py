@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -471,6 +471,58 @@ def _ancestors(log_w: np.ndarray, seed: int, round_no: int) -> tuple[np.ndarray,
     return draw_indices(probs, u), float(log_total) - math.log(m)
 
 
+class _Particles(NamedTuple):
+    """The round loop's population, one entry per particle. Resampling
+    permutes it in place, so one tuple serves a whole run."""
+
+    xs: list[str]
+    log_w: np.ndarray
+    log_proposal: np.ndarray
+    completed: np.ndarray
+    active: np.ndarray
+
+
+def _resample(pop: _Particles, seed: int, round_no: int) -> None:
+    """Multinomial resampling of ``pop`` in place: each particle takes its
+    ancestor's entries, and every weight becomes the preserved total over
+    M (:func:`_ancestors`)."""
+    idx, log_w = _ancestors(pop.log_w, seed, round_no)
+    pop.xs[:] = [pop.xs[i] for i in idx.tolist()]
+    pop.log_w[:] = log_w
+    for column in (pop.log_proposal, pop.completed, pop.active):
+        column[:] = column[idx]
+
+
+def _draw_group(pop: _Particles, ids: list[int], u, children: list[str], probs, row,
+                shaping_row, at_horizon: bool) -> int:
+    """The particles ``ids`` on one prefix draw from its proposal ``row``
+    (``probs`` in the linear domain) at once, with uniforms ``u[ids]``;
+    returns how many were truncated. ``children`` is the prefix extended
+    by each symbol, then the prefix itself: the string of a particle that
+    draws the end marker."""
+    at = np.array(ids)
+    idx = draw_indices(probs, u[at])
+    drawn = row[idx]
+    pop.log_proposal[at] += drawn
+    log_w = pop.log_w
+    if shaping_row is not None:
+        step = shaping_row[idx]
+        step -= drawn
+        log_w[at] += step
+    stop = idx == len(children) - 1
+    pop.completed[at[stop]] = True
+    xs = pop.xs
+    for i, j in zip(ids, idx.tolist()):
+        xs[i] = children[j]
+    truncated = 0
+    if at_horizon:
+        grown = at[~stop]
+        truncated = int(np.count_nonzero(log_w[grown] != LOG_ZERO))
+        log_w[grown] = LOG_ZERO
+    pop.active[at] = ~stop & (log_w[at] != LOG_ZERO)
+    return truncated
+
+
 def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, shaping=None,
                 resample_threshold: float = 0.0, seed: int = 0, debug_target=None,
                 prefetch=None) -> Estimate:
@@ -486,15 +538,20 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
     the error of the lowest-index particle that met one. Strings of up to
     ``max_len`` symbols complete: a particle that draws a symbol at length
     ``max_len`` is truncated (zero weight, counted in ``truncated``), so
-    rounds run from 0 to ``max_len``."""
+    rounds run from 0 to ``max_len``. No per-particle object of a round
+    outlives it: a wide population's heap peaks while a round derives its
+    streams, so the previous round's groups and index arrays must be gone."""
     eos = alphabet.eos_index
     symbols = alphabet.symbols
     init = shaping.log_value("") if shaping is not None else 0.0
-    xs = [""] * particles
-    log_w = np.full(particles, init, dtype=float)
-    log_proposal = np.zeros(particles)
-    active = np.full(particles, init > LOG_ZERO)
-    completed = np.zeros(particles, dtype=bool)
+    pop = _Particles(
+        [""] * particles,
+        np.full(particles, init, dtype=float),
+        np.zeros(particles),
+        np.zeros(particles, dtype=bool),
+        np.full(particles, init > LOG_ZERO),
+    )
+    xs, log_w, log_proposal, completed, active = pop
     u = np.empty(particles)
     diag = Diagnostics()
     dead: dict[int, DeadPrefixError] = {}
@@ -532,21 +589,12 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
                         diag.truncated += 1
                 active[i] = not done and log_w[i] != LOG_ZERO
                 continue
-            ids = np.array(ids)
-            idx = draw_indices(probs, u[ids])
-            log_proposal[ids] += row[idx]
-            if shaping_row is not None:
-                log_w[ids] += shaping_row[idx] - row[idx]
-            stop = idx == eos
-            completed[ids[stop]] = True
-            grown = ids[~stop]
             children = [x + s for s in symbols]
-            for i, j in zip(grown.tolist(), idx[~stop].tolist()):
-                xs[i] = children[j]
-            if at_horizon:
-                diag.truncated += int(np.count_nonzero(log_w[grown] != LOG_ZERO))
-                log_w[grown] = LOG_ZERO
-            active[ids] = ~stop & (log_w[ids] != LOG_ZERO)
+            children.append(x)
+            diag.truncated += _draw_group(
+                pop, ids, u, children, probs, row, shaping_row, at_horizon
+            )
+        del groups, ids
         if shaping is not None:
             try:
                 ess_val = ess(log_w)
@@ -554,12 +602,7 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
                 ess_val = None
             diag.ess_trace.append(0.0 if ess_val is None else ess_val)
             if ess_val is not None and ess_val < resample_threshold * particles:
-                idx, new_log_w = _ancestors(log_w, seed, diag.rounds)
-                xs = [xs[i] for i in idx.tolist()]
-                log_w = np.full(particles, new_log_w)
-                log_proposal = log_proposal[idx]
-                active = active[idx]
-                completed = completed[idx]
+                _resample(pop, seed, diag.rounds)
                 diag.resample_rounds.append(diag.rounds)
         diag.rounds += 1
     if dead and shaping is None:

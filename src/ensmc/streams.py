@@ -48,6 +48,13 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 # PCG64's 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Seeding PCG64 with (initstate, initseq) sets inc = 2 initseq + 1 and
+# state = (inc + initstate) M + inc; one step gives state M + inc. So the
+# state the first double is output from is initstate A + initseq B + C
+# mod 2**128, with A = M**2, C = M**2 + M + 1 and B = 2C.
+_FUSED_A = _PCG_MULT**2 & _MASK128
+_FUSED_C = (_PCG_MULT**2 + _PCG_MULT + 1) & _MASK128
+_FUSED_B = 2 * _FUSED_C & _MASK128
 _TO_DOUBLE = 1.0 / 9007199254740992.0
 
 #: At most about this many particle streams are derived in one block of
@@ -185,15 +192,17 @@ def _first_doubles(base: Pool, *key: np.ndarray) -> np.ndarray:
     """First doubles of the streams ``base.extend(*words)`` for the key
     words broadcast from ``key``, uint32 arrays (so each below 2**32).
 
-    The steps of the scalar path on uint32 and (hi, lo) uint64 arrays,
-    with the four pool words (and the four seed words) stacked on a
-    leading axis, so each step is one array operation whatever the
-    output's size: at a few hundred streams the count of operations,
-    not their width, sets the cost. Each key word is mixed at its own
-    shape (a round word once per round, a particle word once per
-    particle) before the pool words broadcast to the output's shape.
-    The uint64 steps run in place on views of the stacked seed words,
-    so the heap peaks at about 10 times the output's bytes.
+    The steps of the scalar path on uint32 and uint64 arrays, with the
+    four pool words stacked on a leading axis, so each step is one array
+    operation whatever the output's size: at a few hundred streams the
+    count of operations, not their width, sets the cost. Each key word is
+    mixed at its own shape (a round word once per round, a particle word
+    once per particle) before the pool words broadcast to the output's
+    shape. PCG64's seeding and first step are one affine map of the seed
+    words (``_FUSED_*``), applied as two 128-bit multiply-adds, one per
+    pair of seed words, each pair hashed just before its multiply-add
+    into a buffer whose little-endian uint64 view is the pair. The heap
+    peaks at about 7 times the output's bytes.
     """
     lead = (_POOL_SIZE,) + (1,) * max(w.ndim for w in key)
     words = np.array(base.words, dtype=_U32).reshape(lead)
@@ -209,38 +218,25 @@ def _first_doubles(base: Pool, *key: np.ndarray) -> np.ndarray:
         v ^= v >> _U32(_XSHIFT)
         v *= _U32(_MIX_MULT_R)
         words = words * _U32(_MIX_MULT_L) - v
+        del v
         words ^= words >> _U32(_XSHIFT)
-    del v
-
-    def halves(part: int) -> np.ndarray:
-        """_seed_words' halves ``2j + part`` for the four seed words ``j``:
-        half ``i`` hashes pool word ``i & 3``."""
-        i = np.arange(part, 2 * _POOL_SIZE, 2)
-        v = words[i & 3]  # a copy
-        v ^= _EXPAND_WORDS[i].reshape(lead)
-        v *= _EXPAND_WORDS[i + 1].reshape(lead)
-        v ^= v >> _U32(_XSHIFT)
-        return v
-
-    low, high = halves(0), halves(1)
-    del words
-    seed = low.astype(_U64)
-    del low
-    for j in range(_POOL_SIZE):  # one seed word at a time: a smaller peak
-        seed[j] |= high[j].astype(_U64) << _U64(32)
-    del high
-    # _pcg_state: inc = initseq << 1 | 1, state = (inc + initstate) * mult + inc
-    hi, lo, inc_hi, inc_lo = seed
-    inc_hi <<= _U64(1)
-    inc_hi |= inc_lo >> _U64(63)
-    inc_lo <<= _U64(1)
-    inc_lo |= _U64(1)
-    lo += inc_lo
-    hi += inc_hi
-    hi += lo < inc_lo
-    # Two PCG64 steps (seeding, then Stream.random), then the XSL-RR output.
-    for _ in range(2):
-        _pcg_step(hi, lo, inc_hi, inc_lo)
+    state = _U64(_FUSED_C >> 64), _U64(_FUSED_C & _MASK64)
+    for pair, mult in enumerate((_FUSED_A, _FUSED_B)):
+        # _seed_words: half n = 4 * pair + 2a + b, half b of seed word
+        # 2 * pair + a, hashes pool word n & 3 with constants n and n + 1.
+        # One half at a time, with scalar constants: numpy buffers a copy
+        # of an operation's size for a broadcast array operand.
+        seed = np.empty((2,) + words.shape[1:] + (2,), dtype="<u4")
+        for n in range(4 * pair, 4 * pair + 4):
+            half = seed[(n >> 1) & 1, ..., n & 1]
+            np.bitwise_xor(words[n & 3], _EXPAND_WORDS[n], out=half)
+            half *= _EXPAND_WORDS[n + 1]
+        if pair:
+            del words
+        seed ^= seed >> _U32(_XSHIFT)
+        hi, lo = seed.view("<u8")[..., 0]
+        _mul_add(hi, lo, mult, *state)
+        state = hi, lo
     lo ^= hi
     hi >>= _U64(58)
     out = lo >> hi
@@ -252,39 +248,40 @@ def _first_doubles(base: Pool, *key: np.ndarray) -> np.ndarray:
     return out.astype(np.float64) * _TO_DOUBLE
 
 
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
-    """One PCG64 step, ``state * mult + inc`` mod 2**128, in place on the
-    (hi, lo) uint64 arrays.
+def _mul_add(hi: np.ndarray, lo: np.ndarray, mult: int, add_hi, add_lo) -> None:
+    """``(hi, lo) * mult + (add_hi, add_lo)`` mod 2**128, in place on the
+    (hi, lo) uint64 arrays; the addend is uint64 arrays or scalars.
 
     The high word is ``mulhi(lo, mult_lo) + lo * mult_hi + hi * mult_lo``,
-    with the 64x64-bit high product from 32-bit halves.
+    with the 64x64-bit high product from 32-bit halves in two temporaries:
+    the middle sum ``(a0 c0 >> 32) + a0 c1 + a1 c0`` can pass 2**64, and
+    its carry is added back after the shift.
     """
-    c0 = _U64(_PCG_MULT & _MASK32)
-    c1 = _U64((_PCG_MULT >> 32) & _MASK32)
-    # mulhi(lo, mult_lo): a0 = lo & MASK32, a1 = lo >> 32
+    k, k_hi = _U64(mult & _MASK64), _U64(mult >> 64)
+    c0, c1 = _U64(mult & _MASK32), _U64((mult >> 32) & _MASK32)
+    half = _U64(32)
     t = lo & _U64(_MASK32)
     mid = t * c0
-    mid >>= _U64(32)
+    mid >>= half
     t *= c1
-    mid += t & _U64(_MASK32)
-    t >>= _U64(32)
-    a1 = lo >> _U64(32)
-    p = a1 * c0
-    mid += p & _U64(_MASK32)
-    p >>= _U64(32)
-    t += p
-    a1 *= c1
-    t += a1
-    mid >>= _U64(32)
+    mid += t
+    np.right_shift(lo, half, out=t)
+    t *= c0
+    mid += t
+    carry = mid < t
+    mid >>= half
+    np.add(mid, _U64(1 << 32), out=mid, where=carry)
+    np.right_shift(lo, half, out=t)
+    t *= c1
     t += mid
-    hi *= _U64(_PCG_MULT & _MASK64)
+    hi *= k
     hi += t
-    np.multiply(lo, _U64(_PCG_MULT >> 64), out=t)
+    np.multiply(lo, k_hi, out=t)
     hi += t
-    lo *= _U64(_PCG_MULT & _MASK64)
-    lo += inc_lo
-    hi += inc_hi
-    hi += lo < inc_lo
+    lo *= k
+    lo += add_lo
+    hi += add_hi
+    np.add(hi, _U64(1), out=hi, where=lo < add_lo)
 
 
 def uniforms(base: Pool, ms: np.ndarray) -> np.ndarray:

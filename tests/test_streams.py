@@ -118,18 +118,54 @@ def test_particle_doubles_are_each_rounds_streams(particles, max_len, seed, pick
 
 
 def test_vector_derivation_heap_is_bounded():
-    """Deriving 1 024 streams at once peaks below 20 times the bytes of
-    the doubles it returns."""
+    """Deriving 1 024 streams at once, as one batch and as a block of 32
+    rounds by 32 particles, peaks below 10 times the bytes of the doubles
+    it returns (about 7 times measured; 9.3 times before the fused step)."""
     base = streams.pool(3, _STREAM_PARTICLE, 7)
     ms = np.arange(1024)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = streams.uniforms(base, ms)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * out.nbytes
+    rounds, particles = np.arange(32, dtype=np.uint32)[:, None], np.arange(32, dtype=np.uint32)
+    for derive in (lambda: streams.uniforms(base, ms),
+                   lambda: streams._first_doubles(base, rounds, particles)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = derive()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.size == 1024
+        assert peak < 10 * out.nbytes
+
+
+WORD = st.integers(0, 2**32 - 1) | st.sampled_from([0, 2**32 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    words=st.tuples(WORD, WORD, WORD, WORD),
+    hash_const=WORD,
+    key=st.lists(WORD, max_size=2),
+    last=st.lists(WORD, min_size=1, max_size=6),
+)
+def test_fused_seed_and_step_is_pcg64s(words, hash_const, key, last):
+    """The state PCG64 holds after seeding and one draw is ``initstate A +
+    initseq B + C`` mod 2**128, and the vectorised kernel's doubles are
+    :class:`~ensmc.streams.Stream`'s first ones, for any pool and key words."""
+    base = streams.Pool(words, hash_const)
+    for m in last:
+        pool = base.extend(*key, m).words
+        s = streams._seed_words(pool)
+        initstate, initseq = s[0] << 64 | s[1], s[2] << 64 | s[3]
+        stream = streams.Stream(pool)
+        assert (stream.state, stream.inc) == streams._pcg_state(pool)
+        stream.random()
+        fused = initstate * streams._FUSED_A + initseq * streams._FUSED_B + streams._FUSED_C
+        assert fused % 2**128 == stream.state
+    want = np.array([streams.Stream(base.extend(*key, m).words).random() for m in last])
+    got = streams._first_doubles(
+        base, *[np.array([w], dtype=np.uint32) for w in key], np.array(last, dtype=np.uint32)
+    )
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

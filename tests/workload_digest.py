@@ -17,6 +17,7 @@ returns them; ``tests/golden/workloads.txt`` pins them, checked by
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
 import json
@@ -59,30 +60,43 @@ class CountingModel(ensmc.SequenceModel):
         return self.inner.log_next(context)
 
 
-def workload_records(workloads, name: str, seed: int, workdir: Path, panels: list):
-    """The records of one seed's ops, the remote requests they sent and the
-    rows the server served."""
+@contextlib.contextmanager
+def workload_config(workloads, name: str, seed: int, workdir: Path):
+    """One seed's config, as ``bench/worker.py`` sets it up: inputs written
+    to ``workdir`` and, for a served workload, a loopback server started
+    (and stopped on exit). Yields the config and the served model."""
     inputs = workloads.WORKLOADS[name](seed)
     inputs.write(workdir)
     config = inputs.config
-    server = served = None
-    if inputs.served_corpus is not None:
-        served = CountingModel(ensmc.fit_ngram(
-            inputs.served_corpus, order=inputs.served_order,
-            smoothing=inputs.served_smoothing, alphabet=ensmc.Alphabet(tuple(config["alphabet"])),
-        ))
-        server = ensmc.ModelServer(served).start()
-        config = json.loads(json.dumps(config).replace(workloads.SERVER_URL, server.url))
-    records, requests = [], 0
+    if inputs.served_corpus is None:
+        yield config, None
+        return
+    served = CountingModel(ensmc.fit_ngram(
+        inputs.served_corpus, order=inputs.served_order,
+        smoothing=inputs.served_smoothing, alphabet=ensmc.Alphabet(tuple(config["alphabet"])),
+    ))
+    server = ensmc.ModelServer(served).start()
     try:
-        for op in range(OPS):
-            cfg = dict(config, sampler=dict(config["sampler"], seed=(seed << 20) + op))
-            panels.clear()
-            records += ensmc.run_experiment(ensmc.config_from_dict(cfg, workdir))
-            requests += sum(getattr(model, "requests", 0) for panel in panels for model in panel)
+        yield json.loads(json.dumps(config).replace(workloads.SERVER_URL, server.url)), served
     finally:
-        if server is not None:
-            server.stop()
+        server.stop()
+
+
+def op_config(config: dict, op_seed: int, workdir: Path):
+    """The config of one op: ``config`` with the sampler seed replaced."""
+    cfg = dict(config, sampler=dict(config["sampler"], seed=op_seed))
+    return ensmc.config_from_dict(cfg, workdir)
+
+
+def workload_records(workloads, name: str, seed: int, workdir: Path, panels: list):
+    """The records of one seed's ops, the remote requests they sent and the
+    rows the server served."""
+    records, requests = [], 0
+    with workload_config(workloads, name, seed, workdir) as (config, served):
+        for op in range(OPS):
+            panels.clear()
+            records += ensmc.run_experiment(op_config(config, (seed << 20) + op, workdir))
+            requests += sum(getattr(model, "requests", 0) for panel in panels for model in panel)
     return records, requests, served.rows if served is not None else 0
 
 
