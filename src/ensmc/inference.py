@@ -496,10 +496,9 @@ def _resample(pop: _Particles, seed: int, round_no: int) -> None:
 def _draw_group(pop: _Particles, ids: list[int], u, children: list[str], probs, row,
                 shaping_row, at_horizon: bool) -> int:
     """The particles ``ids`` on one prefix draw from its proposal ``row``
-    (``probs`` in the linear domain) at once, with uniforms ``u[ids]``;
-    returns how many were truncated. ``children`` is the prefix extended
-    by each symbol, then the prefix itself: the string of a particle that
-    draws the end marker."""
+    (``probs`` linear) with uniforms ``u[ids]``; returns how many were
+    truncated. ``children`` is the prefix extended by each symbol, then
+    the prefix itself, which a particle drawing the end marker keeps."""
     at = np.array(ids)
     idx = draw_indices(probs, u[at])
     drawn = row[idx]
@@ -538,20 +537,17 @@ def _sequential(alphabet, particles: int, max_len: int, doubles, proposal_row, s
     the error of the lowest-index particle that met one. Strings of up to
     ``max_len`` symbols complete: a particle that draws a symbol at length
     ``max_len`` is truncated (zero weight, counted in ``truncated``), so
-    rounds run from 0 to ``max_len``. No per-particle object of a round
-    outlives it: a wide population's heap peaks while a round derives its
-    streams, so the previous round's groups and index arrays must be gone."""
+    rounds run from 0 to ``max_len``. A round's groups and index arrays die
+    with it, before the next round derives its streams (a heap peak)."""
     eos = alphabet.eos_index
     symbols = alphabet.symbols
     init = shaping.log_value("") if shaping is not None else 0.0
-    pop = _Particles(
-        [""] * particles,
-        np.full(particles, init, dtype=float),
-        np.zeros(particles),
-        np.zeros(particles, dtype=bool),
-        np.full(particles, init > LOG_ZERO),
-    )
-    xs, log_w, log_proposal, completed, active = pop
+    xs = [""] * particles
+    log_w = np.full(particles, init, dtype=float)
+    log_proposal = np.zeros(particles)
+    active = np.full(particles, init > LOG_ZERO)
+    completed = np.zeros(particles, dtype=bool)
+    pop = _Particles(xs, log_w, log_proposal, completed, active)
     u = np.empty(particles)
     diag = Diagnostics()
     dead: dict[int, DeadPrefixError] = {}

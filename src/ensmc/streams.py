@@ -231,7 +231,7 @@ def _first_doubles(base: Pool, *key: np.ndarray) -> np.ndarray:
             half = seed[(n >> 1) & 1, ..., n & 1]
             np.bitwise_xor(words[n & 3], _EXPAND_WORDS[n], out=half)
             half *= _EXPAND_WORDS[n + 1]
-        if pair:
+        if pair:  # the pool words' last use: gone before the temporaries below
             del words
         seed ^= seed >> _U32(_XSHIFT)
         hi, lo = seed.view("<u8")[..., 0]
