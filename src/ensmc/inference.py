@@ -505,9 +505,7 @@ def _draw_group(pop: _Particles, ids: list[int], u, children: list[str], probs, 
     pop.log_proposal[at] += drawn
     log_w = pop.log_w
     if shaping_row is not None:
-        step = shaping_row[idx]
-        step -= drawn
-        log_w[at] += step
+        log_w[at] += np.subtract(shaping_row[idx], drawn, out=drawn)
     stop = idx == len(children) - 1
     pop.completed[at[stop]] = True
     xs = pop.xs
