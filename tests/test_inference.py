@@ -548,7 +548,7 @@ class TestRoundScopeHeap:
     def test_wide_smc_peak_is_one_rounds(self, make_random_panel):
         """A 1 024-particle ``smc`` run over built nodes (4 rounds, one
         resampling): its traced peak above the heap it starts from, less
-        what its estimate retains, stays under 100 KB. Measured 80 KB; a
+        what its estimate retains, stays under 110 KB. Measured 88-90 KB; a
         round loop that kept round r's groups, draw arrays and resampling
         index alive while round r + 1 derived its streams peaked at 151 KB."""
         spec, panel, shaping = self._built(make_random_panel)
@@ -568,7 +568,7 @@ class TestRoundScopeHeap:
         finally:
             tracemalloc.stop()
         assert estimate.diagnostics.rounds == 4 and estimate.diagnostics.resample_rounds
-        assert peak - retained < 100_000, peak - retained
+        assert peak - retained < 110_000, peak - retained
 
 
 class TestDeterminism:
