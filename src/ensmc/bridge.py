@@ -148,6 +148,8 @@ class _Frontier:
 
     ``prefix`` and ``stop`` hold the prefix's log prefix and
     complete-string masses once they have been summed (``None`` before).
+    ``entries`` is ``None`` once the masses are summed and every one-byte
+    extension's frontier is stored: no later query reads the states then.
     """
 
     __slots__ = ("entries", "prefix", "stop")
@@ -165,7 +167,11 @@ class TokenToByteModel(SequenceModel):
     sampling walks and prefix queries reuse earlier work; each frontier
     keeps its prefix and complete-string masses once summed, and
     token-model rows are kept (read-only) per token context, so the token
-    model is asked for each row once. :meth:`log_next_many` asks a token
+    model is asked for each row once. A context :meth:`log_next_many`
+    answered has its masses and all its one-byte extensions stored, so
+    its frontier drops its segmentation states and keeps the masses: a
+    longer prefix extends from a stored extension, and nothing is
+    rebuilt. :meth:`log_next_many` asks a token
     model that batches (a served one) for the rows a batch of byte
     contexts needs in at most two ``log_next_many`` calls. With
     ``log_floor`` set, frontier entries whose weight falls below
@@ -225,6 +231,11 @@ class TokenToByteModel(SequenceModel):
         for t in range(start, len(x)):
             computed, dropped = self._advance(frontier, x[t])
             with self._lock:
+                if computed is None:
+                    # Another thread answered ``frontier`` as a context after
+                    # it was found here: its extensions are stored.
+                    frontier = self._frontiers[x[: t + 1]]
+                    continue
                 frontier = self._frontiers.setdefault(x[: t + 1], computed)
                 if frontier is computed:
                     for w in dropped:
@@ -233,11 +244,15 @@ class TokenToByteModel(SequenceModel):
                         )
         return frontier
 
-    def _advance(self, frontier: _Frontier, byte: str) -> tuple[_Frontier, list[float]]:
-        """The frontier one byte on, and the weights its pruning dropped."""
+    def _advance(self, frontier: _Frontier, byte: str) -> tuple[_Frontier | None, list[float]]:
+        """The frontier one byte on, and the weights its pruning dropped;
+        ``None`` when ``frontier`` has dropped its states."""
+        entries = frontier.entries
+        if entries is None:
+            return None, []
         out: dict[str, tuple[str, _TrieNode, float]] = {}
         symbols = self.tokenizer.token_alphabet.symbols
-        for context, node, log_w in frontier.entries:
+        for context, node, log_w in entries:
             node = node.children.get(byte)
             if node is None:
                 continue
@@ -267,12 +282,14 @@ class TokenToByteModel(SequenceModel):
         ``x`` reads the stored pair.
         """
         frontier = self._frontier(x)
+        # States are dropped only after the masses are set: read them first.
+        entries = frontier.entries
         if frontier.prefix is not None:
             return frontier.prefix, frontier.stop
         prefix_terms = []
         stop_terms = []
         eos_index = self.tokenizer.token_alphabet.eos_index
-        for context, node, log_w in frontier.entries:
+        for context, node, log_w in entries:
             row = self._token_row(context)
             if node is self._root:
                 prefix_terms.append(log_w)
@@ -296,9 +313,10 @@ class TokenToByteModel(SequenceModel):
         that the entries of ``frontiers`` still need, and keep them
         (read-only) in the token-row store that :meth:`_token_row` reads."""
         rows = self._token_rows
+        # ``or ()``: a frontier summed since by another thread has no states.
         missing = sorted({
             context for f in frontiers if f.prefix is None
-            for context, _, _ in f.entries if context not in rows
+            for context, _, _ in f.entries or () if context not in rows
         })
         if missing:
             fetched = self.token_model.log_next_many(missing)
@@ -338,6 +356,8 @@ class TokenToByteModel(SequenceModel):
             for j, b in enumerate(symbols):
                 row[j] = self._prefix_and_stop(x + b)[0]
             row[-1] = stop
+            # Summed, and every extension stored: no query reads its states.
+            self._frontiers[x].entries = None
         out -= bases
         return out
 

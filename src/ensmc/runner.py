@@ -48,14 +48,10 @@ def _finite_or_none(value: float | None):
     return float(value)
 
 
-def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
-    """Execute every (method, repeat) cell of the config.
-
-    When the config has an ``oracle`` section, one enumeration record is
-    appended after the sampler records. ``out`` may be a path or a
-    writable text file; records are written as JSON Lines.
-    """
-    panel, spec = build_panel(config)
+def _sampler_records(config: ExperimentConfig, panel, spec) -> list[dict]:
+    """The records of every (method, repeat) sampler cell. The shaping and
+    the last estimate die on return, so an oracle run after this does not
+    hold the samplers' prefix nodes."""
     # One shaping per experiment: its prefix nodes are shared by all runs.
     shaping = make_shaping(spec, panel, config.sampler)
     records: list[dict] = []
@@ -111,6 +107,18 @@ def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
                 record["error"] = f"degenerate run: {exc}"
             record["wall_time_s"] = time.perf_counter() - t0
             records.append(record)
+    return records
+
+
+def run_experiment(config: ExperimentConfig, out=None) -> list[dict]:
+    """Execute every (method, repeat) cell of the config.
+
+    When the config has an ``oracle`` section, one enumeration record is
+    appended after the sampler records. ``out`` may be a path or a
+    writable text file; records are written as JSON Lines.
+    """
+    panel, spec = build_panel(config)
+    records = _sampler_records(config, panel, spec)
     if config.oracle is not None:
         t0 = time.perf_counter()
         table = enumerate_ensemble(spec, panel, **config.oracle_limits())

@@ -7,14 +7,18 @@ this runs the ops of the benchmark's heap pass (op seeds ``seed << 20``
 plus ``1 << 18`` plus 0..8) as ``bench/worker.py`` runs them: each from
 a freshly collected heap under ``tracemalloc``, after two untraced
 warm-up ops. It prints each op's traced heap peak, the same figure as
-the benchmark's ``op_heap_mb``, and the call the peak falls in: the
-stream kernel (``streams._first_doubles``), a multi-particle group's
-draw (``inference._draw_group``), resampling (``inference._resample``),
-a prefix-node build (``PrefixPotentialShaping._build``), the oracle
-(``enumerate_ensemble``), or elsewhere (the rest of the round loop, the
-config and the panel). The last line per seed gives the median peak and
-the call that most ops peak in. Run by hand; tier-1 does not run it, and
-nothing is written under ``bench/``.
+the benchmark's ``op_heap_mb``, and the innermost of these calls the
+peak falls in: the stream kernel (``streams._first_doubles``), a
+multi-particle group's draw (``inference._draw_group``), resampling
+(``inference._resample``), a prefix-node build
+(``PrefixPotentialShaping._build``), a bridge batch
+(``TokenToByteModel.log_next_many``), a sampler run (``smc``, ``sis``,
+``is``, ``local``: the rest of its round loop), the oracle
+(``enumerate_ensemble``), or elsewhere (the config, the panel and the
+records). The last line per seed gives the median peak and the call that
+most ops peak in. Run by hand; tier-1 does not run it (it checks that
+every wrapped call still exists), and nothing is written under
+``bench/``.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import tracemalloc
 from pathlib import Path
 
 import ensmc
-from ensmc import inference, runner, streams
+from ensmc import bridge, inference, runner, streams
 from workload_digest import load_workloads, op_config, workload_config
 
 HEAP_OPS = 9
@@ -44,6 +48,11 @@ class PeakSites:
         (inference, "_draw_group", "group draw"),
         (inference, "_resample", "resampling"),
         (inference.PrefixPotentialShaping, "_build", "node build"),
+        (bridge.TokenToByteModel, "log_next_many", "bridge batch"),
+        (runner, "smc", "smc run"),
+        (runner, "sis", "sis run"),
+        (runner, "importance_sample", "is run"),
+        (runner, "local_sample", "local run"),
         (runner, "enumerate_ensemble", "oracle"),
     )
 

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -223,6 +224,44 @@ class TestByteMarginalProperties:
                 assert math.exp(want) - math.exp(got) <= (
                     math.exp(model.log_dropped_bound) + 1e-12
                 ), x
+
+    @settings(max_examples=40, deadline=None)
+    @given(_byte_marginal_cases(), st.integers(0, 3), st.data())
+    def test_answered_contexts_drop_states_and_keep_bits(self, case, depth, data):
+        """A model that answered every live context up to ``depth`` with
+        ``log_next_many``, level by level, has dropped those frontiers'
+        states. Every prefix up to one byte past ``depth``, queried in any
+        order, still gives the masses and row of a new model bit for bit,
+        and the dropped-mass bound of a model that asked the same
+        prefixes through the public masses, which never drops states."""
+        token_model, tokenizer, log_floor, _, _ = case
+        if data.draw(st.booleans()):
+            token_model = BatchingModel(token_model)
+        symbols = tokenizer.byte_alphabet.symbols
+        model = TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
+        mirror = TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
+        level = [""]
+        for _ in range(depth + 1):
+            live = [x for x in level if mirror.prefix_log_prob(x) != LOG_ZERO]
+            for x in live:
+                per_context_row(mirror, x)
+            model.log_next_many(live)
+            assert all(model._frontiers[x].entries is None for x in live)
+            level = [x + b for x in live for b in symbols]
+        prefixes = ["".join(t) for n in range(depth + 2)
+                    for t in itertools.product(symbols, repeat=n)]
+        for x in data.draw(st.permutations(prefixes)):
+            fresh = TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
+            for query in ("prefix_log_prob", "string_log_prob"):
+                got = getattr(model, query)(x)
+                assert got.hex() == getattr(fresh, query)(x).hex(), (query, x)
+                getattr(mirror, query)(x)
+            got, want = _row_or_none(model, x), _row_or_none(fresh, x)
+            assert (got is None) == (want is None), x
+            if want is not None:
+                assert got.tobytes() == want.tobytes(), x
+                per_context_row(mirror, x)
+        assert model.log_dropped_bound.hex() == mirror.log_dropped_bound.hex()
 
 
 class CountingModel(SequenceModel):
@@ -566,3 +605,98 @@ class TestFloorPruning:
         for x in ("ab", "ba", "abab"):
             assert loose.string_log_prob(x) == exact.string_log_prob(x)
         assert loose.log_dropped_bound == LOG_ZERO
+
+
+class TestDroppedStates:
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_extension_from_a_frontier_dropped_meanwhile(self, bridge_fixture, batching):
+        """A thread extends ``"ab"`` from the stored ``"a"``; before its
+        ``_advance`` reads ``"a"``'s states, another thread answers ``"a"``
+        as a context, which stores ``"ab"`` and drops them. Both get the
+        rows one thread alone gets, bit for bit, with no exception."""
+        token_model, tokenizer = bridge_fixture
+        if batching:
+            token_model = BatchingModel(token_model)
+        model = TokenToByteModel(token_model, tokenizer)
+        model.prefix_log_prob("a")
+        stored = model._frontiers["a"]
+        advance = model._advance
+        other = []
+
+        def racing_advance(frontier, byte):
+            if frontier is stored and not other:
+                other.append(None)
+                racer = threading.Thread(
+                    target=lambda: other.append(model.log_next_many(["a"]))
+                )
+                racer.start()
+                racer.join(timeout=60)
+                assert frontier.entries is None
+            return advance(frontier, byte)
+
+        model._advance = racing_advance
+        got = model.log_next_many(["ab"])
+        assert len(other) == 2, "the racing thread raised"
+        want = TokenToByteModel(token_model, tokenizer)
+        assert got.tobytes() == want.log_next_many(["ab"]).tobytes()
+        want = TokenToByteModel(token_model, tokenizer)
+        assert other[1].tobytes() == want.log_next_many(["a"]).tobytes()
+
+    @staticmethod
+    def bridge_oracle_run(monkeypatch, tmp_path):
+        """Run one ``bridge-oracle`` op (seed 1) as the benchmark does.
+        Returns its bridge, the contexts its ``log_next_many`` answered,
+        and whether the run's shaping was alive when the oracle started."""
+        from ensmc import runner
+        from workload_digest import load_workloads, op_config, workload_config
+
+        panels, answered, shaping_refs, alive_at_oracle = [], set(), [], []
+        build_panel, make_shaping = runner.build_panel, runner.make_shaping
+        log_next_many, enumerate_ensemble = (
+            TokenToByteModel.log_next_many, runner.enumerate_ensemble
+        )
+
+        def recording_build_panel(config):
+            panel, spec = build_panel(config)
+            panels.append(panel)
+            return panel, spec
+
+        def recording_make_shaping(*args):
+            shaping = make_shaping(*args)
+            shaping_refs.append(weakref.ref(shaping))
+            return shaping
+
+        def recording_log_next_many(self, contexts):
+            rows = log_next_many(self, contexts)
+            answered.update(contexts)
+            return rows
+
+        def checking_enumerate_ensemble(*args, **kwargs):
+            alive_at_oracle.extend(ref() is not None for ref in shaping_refs)
+            return enumerate_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_panel", recording_build_panel)
+        monkeypatch.setattr(runner, "make_shaping", recording_make_shaping)
+        monkeypatch.setattr(TokenToByteModel, "log_next_many", recording_log_next_many)
+        monkeypatch.setattr(runner, "enumerate_ensemble", checking_enumerate_ensemble)
+        with workload_config(load_workloads(), "bridge-oracle", 1, tmp_path) as (config, _):
+            runner.run_experiment(op_config(config, 1 << 20, tmp_path))
+        (bridge,) = [m for panel in panels for m in panel if isinstance(m, TokenToByteModel)]
+        return bridge, answered, alive_at_oracle
+
+    def test_bridge_oracle_frontiers_keep_states_only_until_answered(
+        self, monkeypatch, tmp_path
+    ):
+        """The frontiers that still hold states after a ``bridge-oracle``
+        op are those never answered as a context."""
+        bridge, answered, _ = self.bridge_oracle_run(monkeypatch, tmp_path)
+        frontiers = bridge._frontiers
+        assert frontiers.keys() > answered
+        holding = {x for x, f in frontiers.items() if f.entries is not None}
+        assert holding == frontiers.keys() - answered
+
+    def test_bridge_oracle_shaping_is_freed_before_the_oracle(self, monkeypatch, tmp_path):
+        """The samplers' shaping, and with it their prefix nodes, is gone
+        when a ``bridge-oracle`` op's oracle starts."""
+        _, _, alive_at_oracle = self.bridge_oracle_run(monkeypatch, tmp_path)
+        assert alive_at_oracle == [False]
