@@ -173,24 +173,27 @@ class EnsembleSpec:
         # One reduction: the max is +inf or nan exactly when some entry is.
         if log_matrix.size and not log_matrix.max() < np.inf:
             raise ValueError("values must be finite or -inf in log domain")
+        w = self._active_weights
+        every_weight = len(w) == self.k
+        if self.kind == "geometric":
+            # No mask: -inf times a positive weight is -inf, and -inf plus a
+            # finite value or -inf stays -inf, so a zero input zeroes its
+            # column by itself. Each column is its own products summed in
+            # expert order, elementwise, so the bits depend on neither the
+            # other columns nor the memory layout.
+            m = log_matrix if every_weight else log_matrix[self._active]
+            out = m[0] * w[0]
+            for k in range(1, len(w)):
+                out += m[k] * w[k]
+            return out
         # Without zero weights, no masked copy; a C-ordered matrix, as the
         # mask would give, because the layout sets the order of the sums.
-        if len(self._active_weights) == self.k:
-            m = np.ascontiguousarray(log_matrix)
-        else:
-            m = log_matrix[self._active]
-        w = self._active_weights
+        m = np.ascontiguousarray(log_matrix) if every_weight else log_matrix[self._active]
         if self.kind == "minimum":
             return m.min(axis=0)
         if self.kind == "maximum":
             return m.max(axis=0)
         any_zero = (m == LOG_ZERO).any(axis=0)
-        if self.kind == "geometric":
-            # Summed in expert order, so each column's bits depend on it alone.
-            z = np.where(any_zero[None, :], 0.0, m) * w[:, None]
-            out = sum(z[1:], z[0])
-            out[any_zero] = LOG_ZERO
-            return out
         # power: shifted weighted log-sum-exp on tau * log-values.
         tau = self.tau
         if tau < 0.0:

@@ -243,23 +243,26 @@ class PrefixPotentialShaping:
         """Build the nodes of ``xs``, each the root or a built node's child,
         with one ``log_next_many`` per expert live at any of them."""
         k = len(self.panel)
-        masses = np.zeros((len(xs), k))
-        for i, x in enumerate(xs):
+        index = self.alphabet.index
+        nodes = np.full((len(xs), k + 1, self.alphabet.size + 2), LOG_ZERO)
+        masses = nodes[:, :k, -1]
+        for x, mass in zip(xs, masses):
             if x:
                 parent = self._nodes[x[:-1]]
-                masses[i] = parent[:-1, -1] + parent[:-1, self.alphabet.index[x[-1]]]
-        nodes = np.full((len(xs), k + 1, self.alphabet.size + 2), LOG_ZERO)
-        nodes[:, :k, -1] = masses
-        for j, model in enumerate(self.panel):
-            live = masses[:, j] != LOG_ZERO
-            if live.all():
+                np.add(parent[:-1, -1], parent[:-1, index[x[-1]]], out=mass)
+            else:
+                mass[:] = 0.0
+        # Liveness is tested once per batch: one flag list per expert.
+        for j, (model, live) in enumerate(zip(self.panel, (masses != LOG_ZERO).T.tolist())):
+            if all(live):
                 nodes[:, j, :-1] = model.log_next_many(xs)
-            elif live.any():
-                at = np.flatnonzero(live)
+            elif any(live):
+                at = [i for i, alive in enumerate(live) if alive]
                 nodes[at, j, :-1] = model.log_next_many([xs[i] for i in at])
         # One combine per batch: each node's prefix-plus-row and mass columns.
-        columns = nodes[:, :k].transpose(1, 0, 2).copy()
-        columns[:, :, :-1] += masses.T[:, :, None]
+        columns = np.empty((k, len(xs), nodes.shape[2]))
+        np.add(nodes[:, :k, :-1].transpose(1, 0, 2), masses.T[:, :, None], out=columns[:, :, :-1])
+        columns[:, :, -1] = masses.T
         nodes[:, k] = self.spec.combine_columns(columns.reshape(k, -1)).reshape(len(xs), -1)
         if self._log_eps is not None:
             # The prefix potentials are shifted here, once; the end-marker target never.

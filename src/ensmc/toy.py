@@ -126,15 +126,27 @@ class NGramModel(SequenceModel):
         width = alphabet.size + 1
         # One count row per context key, then an all-zero row that every
         # unseen key shares.
-        self._key_row: dict[str, int] = {}
+        self._key_row: dict[str, int] = dict(zip(counts, range(len(counts))))
         self._counts = np.zeros((len(counts) + 1, width))
-        for i, (ctx, vec) in enumerate(counts.items()):
-            alphabet.check_string(ctx)
-            vec = np.asarray(vec, dtype=float)
-            if vec.shape != (width,) or not (np.isfinite(vec) & (vec >= 0)).all():
-                raise ValueError(f"bad count vector for context {ctx!r}")
-            self._key_row[ctx] = i
-            self._counts[i] = vec
+        # One vector pass over every key and count; on any defect, the
+        # per-context pass below names the first bad context in dict order.
+        try:
+            alphabet.check_string("".join(counts))
+            stacked = np.array(list(counts.values()), dtype=float)
+            valid = stacked.shape == (len(counts), width) and bool(
+                (np.isfinite(stacked) & (stacked >= 0)).all()
+            )
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if valid:
+            self._counts[:-1] = stacked
+        else:
+            for i, (ctx, vec) in enumerate(counts.items()):
+                alphabet.check_string(ctx)
+                vec = np.asarray(vec, dtype=float)
+                if vec.shape != (width,) or not (np.isfinite(vec) & (vec >= 0)).all():
+                    raise ValueError(f"bad count vector for context {ctx!r}")
+                self._counts[i] = vec
         # A row depends only on its key, so each one is built once here;
         # a key with no events (total 0, unsmoothed) has no row.
         self._totals = self._counts.sum(axis=1) + self.smoothing * width
@@ -260,22 +272,20 @@ def fit_ngram(
             yield key * width + eos
 
     # Counter keeps first-seen order, so keys get rows in the order they
-    # first occur in the corpus.
-    by_key: dict[int, np.ndarray] = {}
-    for code, n in Counter(events()).items():
-        key, event = divmod(code, width)
-        vec = by_key.get(key)
-        if vec is None:
-            vec = by_key[key] = np.zeros(width)
-        vec[event] = n
-    counts = {}
-    for key, vec in by_key.items():
+    # first occur in the corpus; one scatter fills the count matrix.
+    counted = Counter(events())
+    key_row: dict[int, int] = {}
+    rows = [key_row.setdefault(code // width, len(key_row)) for code in counted]
+    matrix = np.zeros((len(key_row), width))
+    matrix[rows, [code % width for code in counted]] = list(counted.values())
+    contexts = []
+    for key in key_row:
         ctx = []
         while key:
             key, digit = divmod(key, width)
             ctx.append(alphabet.symbols[digit - 1])
-        counts["".join(reversed(ctx))] = vec
-    return NGramModel(alphabet, order, smoothing, counts)
+        contexts.append("".join(reversed(ctx)))
+    return NGramModel(alphabet, order, smoothing, dict(zip(contexts, matrix)))
 
 
 class PFSAModel(SequenceModel):

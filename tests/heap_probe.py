@@ -14,7 +14,8 @@ multi-particle group's draw (``inference._draw_group``), resampling
 (``PrefixPotentialShaping._build``), a bridge batch
 (``TokenToByteModel.log_next_many``), a sampler run (``smc``, ``sis``,
 ``is``, ``local``: the rest of its round loop), the oracle
-(``enumerate_ensemble``), or elsewhere (the config, the panel and the
+(``enumerate_ensemble``), the panel build (``runner.build_panel``:
+reading and fitting the experts), or elsewhere (the config and the
 records). The last line per seed gives the median peak and the call that
 most ops peak in. Run by hand; tier-1 does not run it (it checks that
 every wrapped call still exists), and nothing is written under
@@ -54,6 +55,7 @@ class PeakSites:
         (runner, "importance_sample", "is run"),
         (runner, "local_sample", "local run"),
         (runner, "enumerate_ensemble", "oracle"),
+        (runner, "build_panel", "panel build"),
     )
 
     def __init__(self):

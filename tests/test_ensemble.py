@@ -25,6 +25,21 @@ def _logs(values):
         return np.log(np.asarray(values, dtype=float))
 
 
+def reference_geometric(spec, log_matrix):
+    """The masked geometric combine: on a C-ordered copy of the active
+    rows, every column holding a zero is summed as zeros and then set to
+    ``LOG_ZERO``; the other columns are their products summed in expert
+    order."""
+    active = np.asarray(spec.weights) > 0.0
+    m = np.ascontiguousarray(log_matrix)[active]
+    w = np.asarray(spec.weights)[active]
+    any_zero = (m == LOG_ZERO).any(axis=0)
+    z = np.where(any_zero[None, :], 0.0, m) * w[:, None]
+    out = sum(z[1:], z[0])
+    out[any_zero] = LOG_ZERO
+    return out
+
+
 class TestWeights:
     def test_integer_means_uniform(self):
         assert EnsembleSpec.geometric(4).weights == (0.25,) * 4
@@ -165,6 +180,33 @@ class TestCombine:
             for j in range(logmat.shape[1]):
                 want = np.float64(spec.combine(logmat[:, j]))
                 assert cols[j].tobytes() == want.tobytes(), (spec, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda k: st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=k, max_size=k,
+        ).filter(any)),
+        st.integers(1, 257),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["C", "F", "strided"]),
+    )
+    def test_geometric_bytes_equal_the_masked_reference(self, weights, width, seed, layout):
+        """The unmasked geometric combine gives the masked formula's bytes
+        for any K, zero weights, ``-inf`` entries and all-``-inf``
+        columns, in C order, F order or a ``node[:-1, :-1]``-style view."""
+        rng = np.random.default_rng(seed)
+        k = len(weights)
+        logmat = rng.uniform(-700.0, 5.0, size=(k, width))
+        logmat[rng.random((k, width)) < rng.uniform(0.0, 0.5)] = LOG_ZERO
+        logmat[:, rng.integers(width)] = LOG_ZERO
+        if layout == "F":
+            logmat = np.asfortranarray(logmat)
+        elif layout == "strided":
+            node = np.zeros((k + 1, width + 1))
+            node[:-1, :-1] = logmat
+            logmat = node[:-1, :-1]
+        spec = EnsembleSpec.geometric(weights)
+        assert spec.combine_columns(logmat).tobytes() == reference_geometric(spec, logmat).tobytes()
 
     def test_rejects_nan_and_positive_inf(self):
         spec = EnsembleSpec.geometric(2)

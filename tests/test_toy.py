@@ -300,6 +300,59 @@ class TestNGramModel:
                 NGramModel(Alphabet("ab"), order=2, smoothing=0.1, counts={"": [count, 1, 1]})
 
 
+def first_count_defect(alphabet, counts):
+    """The per-context check ``NGramModel`` must agree with: the error
+    for the first bad context in dict order (a foreign symbol before its
+    vector's conversion, shape or values), as its type and message, or
+    None."""
+    try:
+        for ctx, vec in counts.items():
+            alphabet.check_string(ctx)
+            vec = np.asarray(vec, dtype=float)
+            if vec.shape != (alphabet.size + 1,) or not (np.isfinite(vec) & (vec >= 0)).all():
+                raise ValueError(f"bad count vector for context {ctx!r}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_COUNT_ENTRIES = [
+    ("", [1.0, 2.0, 0.0]),
+    ("a", [0, 1, 3]),
+    ("ab", np.array([2.0, 0.0, 1.0])),
+    ("x", [1, 1, 1]),  # foreign symbol
+    ("ax", [-1, 1, 1]),  # foreign symbol and a negative count
+    ("b", [1, 1]),  # short
+    ("ba", [[1, 1, 1]]),  # two-dimensional
+    ("bb", [-1.0, 1, 1]),
+    ("aa", [float("nan"), 1, 1]),
+    ("bab", [1, float("inf"), 1]),
+    ("abb", [{}, 1, 1]),  # not a number: a TypeError
+    ("baa", [1, "x", 1]),  # not a number: a ValueError
+    ("bba", [10**400, 1, 1]),  # too large for a float
+]
+
+
+class TestCountChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_COUNT_ENTRIES), unique_by=lambda e: e[0], min_size=1))
+    def test_names_the_first_bad_context_in_dict_order(self, entries):
+        """With several defects in one counts dict, in any order, the model
+        raises the per-context check's error: its type, and its message
+        naming the first bad context."""
+        alphabet, counts = Alphabet("ab"), dict(entries)
+        want = first_count_defect(alphabet, counts)
+        if want is None:
+            model = NGramModel(alphabet, order=3, smoothing=0.5, counts=counts)
+            assert list(model._key_row) == list(counts)
+            for ctx, vec in counts.items():
+                assert model._counts[model._key_row[ctx]].tolist() == np.asarray(vec, float).tolist()
+        else:
+            with pytest.raises(want[0]) as got:
+                NGramModel(alphabet, order=3, smoothing=0.5, counts=counts)
+            assert (type(got.value), str(got.value)) == want
+
+
 class TestSharedRowsAreReadOnly:
     def test_writing_into_a_row_raises(self):
         """Memoized rows are shared by every caller, so they refuse writes."""

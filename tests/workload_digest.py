@@ -61,31 +61,33 @@ class CountingModel(ensmc.SequenceModel):
 
 
 @contextlib.contextmanager
-def workload_config(workloads, name: str, seed: int, workdir: Path):
+def workload_config(workloads, name: str, seed: int, workdir: Path, pkg=ensmc):
     """One seed's config, as ``bench/worker.py`` sets it up: inputs written
-    to ``workdir`` and, for a served workload, a loopback server started
-    (and stopped on exit). Yields the config and the served model."""
+    to ``workdir`` and, for a served workload, a loopback server of
+    package ``pkg`` started (and stopped on exit). Yields the config and
+    the served model."""
     inputs = workloads.WORKLOADS[name](seed)
     inputs.write(workdir)
     config = inputs.config
     if inputs.served_corpus is None:
         yield config, None
         return
-    served = CountingModel(ensmc.fit_ngram(
+    served = CountingModel(pkg.fit_ngram(
         inputs.served_corpus, order=inputs.served_order,
-        smoothing=inputs.served_smoothing, alphabet=ensmc.Alphabet(tuple(config["alphabet"])),
+        smoothing=inputs.served_smoothing, alphabet=pkg.Alphabet(tuple(config["alphabet"])),
     ))
-    server = ensmc.ModelServer(served).start()
+    server = pkg.ModelServer(served).start()
     try:
         yield json.loads(json.dumps(config).replace(workloads.SERVER_URL, server.url)), served
     finally:
         server.stop()
 
 
-def op_config(config: dict, op_seed: int, workdir: Path):
-    """The config of one op: ``config`` with the sampler seed replaced."""
+def op_config(config: dict, op_seed: int, workdir: Path, pkg=ensmc):
+    """The config of one op, read by package ``pkg``: ``config`` with the
+    sampler seed replaced."""
     cfg = dict(config, sampler=dict(config["sampler"], seed=op_seed))
-    return ensmc.config_from_dict(cfg, workdir)
+    return pkg.config_from_dict(cfg, workdir)
 
 
 def workload_records(workloads, name: str, seed: int, workdir: Path, panels: list):
