@@ -146,18 +146,18 @@ class _Frontier:
     """Segmentation states for one byte prefix: (token context, trie node
     of the pending tail, log weight); a tail-less entry holds the root.
 
-    ``prefix`` and ``stop`` hold the prefix's log prefix and
-    complete-string masses once they have been summed (``None`` before).
-    ``entries`` is ``None`` once the masses are summed and every one-byte
-    extension's frontier is stored: no later query reads the states then.
+    ``entries`` never changes. ``prefix`` and ``stop`` hold the prefix's
+    log prefix and complete-string masses, each once summed (``None``
+    before). A context :meth:`TokenToByteModel.log_next_many` answered is
+    stored as a new frontier with both masses and no states (``None``).
     """
 
     __slots__ = ("entries", "prefix", "stop")
 
-    def __init__(self, entries: tuple[tuple[str, _TrieNode, float], ...]):
+    def __init__(self, entries, prefix: float | None = None, stop: float | None = None):
         self.entries = entries
-        self.prefix: float | None = None
-        self.stop: float | None = None
+        self.prefix = prefix
+        self.stop = stop
 
 
 class TokenToByteModel(SequenceModel):
@@ -169,11 +169,11 @@ class TokenToByteModel(SequenceModel):
     token-model rows are kept (read-only) per token context, so the token
     model is asked for each row once. A context :meth:`log_next_many`
     answered has its masses and all its one-byte extensions stored, so
-    its frontier drops its segmentation states and keeps the masses: a
-    longer prefix extends from a stored extension, and nothing is
-    rebuilt. :meth:`log_next_many` asks a token
-    model that batches (a served one) for the rows a batch of byte
-    contexts needs in at most two ``log_next_many`` calls. With
+    its frontier is replaced by one that keeps the masses and no states:
+    a longer prefix extends from a stored extension, and nothing is
+    rebuilt. An extension's prefix mass reads only the rows of the
+    context's own states, so :meth:`log_next_many` asks a token model
+    that batches (a served one) for a batch's rows in one call. With
     ``log_floor`` set, frontier entries whose weight falls below
     ``log_floor`` plus the frontier's best weight are dropped;
     ``log_dropped_bound`` then tracks a running upper bound (log domain)
@@ -221,38 +221,34 @@ class TokenToByteModel(SequenceModel):
         have = self._frontiers.get(x)
         if have is not None:
             return have
-        # Extend from the longest cached ancestor; only the new bytes need
-        # checking, since a cached prefix was checked when it was built.
-        start = len(x)
-        while x[:start] not in self._frontiers:
+        # Extend from the longest stored ancestor. An answered frontier is
+        # replaced only after its extensions are stored, so an ancestor read
+        # before its next byte's frontier is seen missing holds its states.
+        start = len(x) - 1
+        while (frontier := self._frontiers.get(x[:start])) is None:
             start -= 1
+        while start < len(x) and (later := self._frontiers.get(x[: start + 1])) is not None:
+            frontier, start = later, start + 1
+        # Only the new bytes need checking; a stored prefix was checked when built.
         self.alphabet.check_string(x[start:])
-        frontier = self._frontiers[x[:start]]
+        stored = frontier
         for t in range(start, len(x)):
-            computed, dropped = self._advance(frontier, x[t])
+            # Advance from this thread's frontier: a stored one may be answered since.
+            frontier, dropped = self._advance(frontier, x[t])
             with self._lock:
-                if computed is None:
-                    # Another thread answered ``frontier`` as a context after
-                    # it was found here: its extensions are stored.
-                    frontier = self._frontiers[x[: t + 1]]
-                    continue
-                frontier = self._frontiers.setdefault(x[: t + 1], computed)
-                if frontier is computed:
+                stored = self._frontiers.setdefault(x[: t + 1], frontier)
+                if stored is frontier:
                     for w in dropped:
                         self.log_dropped_bound = float(
                             np.logaddexp(self.log_dropped_bound, w)
                         )
-        return frontier
+        return stored
 
-    def _advance(self, frontier: _Frontier, byte: str) -> tuple[_Frontier | None, list[float]]:
-        """The frontier one byte on, and the weights its pruning dropped;
-        ``None`` when ``frontier`` has dropped its states."""
-        entries = frontier.entries
-        if entries is None:
-            return None, []
+    def _advance(self, frontier: _Frontier, byte: str) -> tuple[_Frontier, list[float]]:
+        """The frontier one byte on, and the weights its pruning dropped."""
         out: dict[str, tuple[str, _TrieNode, float]] = {}
         symbols = self.tokenizer.token_alphabet.symbols
-        for context, node, log_w in entries:
+        for context, node, log_w in frontier.entries:
             node = node.children.get(byte)
             if node is None:
                 continue
@@ -275,48 +271,46 @@ class TokenToByteModel(SequenceModel):
             entries = tuple(e for e in entries if e[2] >= cut)
         return _Frontier(entries=entries), dropped
 
-    def _prefix_and_stop(self, x: str) -> tuple[float, float]:
-        """(log prefix mass, log complete-string mass) at byte prefix ``x``.
+    def _prefix(self, frontier: _Frontier) -> float:
+        """Log prefix mass of ``frontier``'s byte prefix, summed once. A
+        tail-less state's term is its weight: only pending states' token
+        rows are read."""
+        if frontier.prefix is None:
+            terms = []
+            for context, node, log_w in frontier.entries:
+                if node is self._root:
+                    terms.append(log_w)
+                else:
+                    # A pending state's tail has tokens strictly below it.
+                    total = logsumexp(self._token_row(context)[node.strict])
+                    if total != LOG_ZERO:
+                        terms.append(log_w + total)
+            frontier.prefix = logsumexp(terms)
+        return frontier.prefix
 
-        Summed once per frontier and kept on it: every later query for
-        ``x`` reads the stored pair.
-        """
-        frontier = self._frontier(x)
-        # States are dropped only after the masses are set: read them first.
-        entries = frontier.entries
-        if frontier.prefix is not None:
-            return frontier.prefix, frontier.stop
-        prefix_terms = []
-        stop_terms = []
-        eos_index = self.tokenizer.token_alphabet.eos_index
-        for context, node, log_w in entries:
-            row = self._token_row(context)
-            if node is self._root:
-                prefix_terms.append(log_w)
-                eos = row[eos_index]
-                if eos != LOG_ZERO:
-                    stop_terms.append(log_w + eos)
-            else:
-                # A pending entry's tail has tokens strictly below it.
-                total = logsumexp(row[node.strict])
-                if total != LOG_ZERO:
-                    prefix_terms.append(log_w + total)
-        prefix = logsumexp(prefix_terms)
-        stop = logsumexp(stop_terms)
-        # ``stop`` first: a reader that sees ``prefix`` set finds both.
-        frontier.stop = stop
-        frontier.prefix = prefix
-        return prefix, stop
+    def _stop(self, frontier: _Frontier) -> float:
+        """Log complete-string mass of ``frontier``'s byte prefix, summed
+        once over its tail-less states."""
+        if frontier.stop is None:
+            terms = []
+            eos_index = self.tokenizer.token_alphabet.eos_index
+            for context, node, log_w in frontier.entries:
+                if node is self._root:
+                    eos = self._token_row(context)[eos_index]
+                    if eos != LOG_ZERO:
+                        terms.append(log_w + eos)
+            frontier.stop = logsumexp(terms)
+        return frontier.stop
 
     def _fetch_token_rows(self, frontiers) -> None:
         """Ask the token model, in one ``log_next_many`` call, for the rows
-        that the entries of ``frontiers`` still need, and keep them
-        (read-only) in the token-row store that :meth:`_token_row` reads."""
+        the states of ``frontiers`` lack, and keep them (read-only) where
+        :meth:`_token_row` reads. A frontier needs them while either mass is
+        unsummed: an extension has only its prefix mass summed."""
         rows = self._token_rows
-        # ``or ()``: a frontier summed since by another thread has no states.
         missing = sorted({
-            context for f in frontiers if f.prefix is None
-            for context, _, _ in f.entries or () if context not in rows
+            context for f in frontiers if f.prefix is None or f.stop is None
+            for context, _, _ in f.entries if context not in rows
         })
         if missing:
             fetched = self.token_model.log_next_many(missing)
@@ -335,18 +329,18 @@ class TokenToByteModel(SequenceModel):
         subtracted once. The first context with zero prefix mass raises.
 
         A token model that fetches rows together (one that overrides
-        ``log_next_many``, as a served model does) is asked at most twice:
-        for the token rows of the contexts' frontiers, then for the new
-        token contexts of their one-byte extensions' frontiers. Any other
-        one is asked row by row, and each row once."""
+        ``log_next_many``, as a served model does) is asked once, for the
+        token rows of the contexts' frontiers' states: an extension's
+        prefix mass reads only those. Any other one is asked row by row,
+        and each row once."""
         symbols = self.alphabet.symbols
         if type(self.token_model).log_next_many is not SequenceModel.log_next_many:
-            self._fetch_token_rows(self._frontier(x) for x in contexts)
-            self._fetch_token_rows(self._frontier(x + b) for x in contexts for b in symbols)
+            self._fetch_token_rows([self._frontier(x) for x in contexts])
         out = np.empty((len(contexts), len(symbols) + 1))
         bases = np.empty((len(contexts), 1))
         for i, x in enumerate(contexts):
-            base, stop = self._prefix_and_stop(x)
+            frontier = self._frontier(x)
+            base = self._prefix(frontier)
             if base == LOG_ZERO:
                 raise UndefinedConditionalError(
                     f"byte context {x!r} has zero probability under the marginal"
@@ -354,20 +348,20 @@ class TokenToByteModel(SequenceModel):
             bases[i] = base
             row = out[i]
             for j, b in enumerate(symbols):
-                row[j] = self._prefix_and_stop(x + b)[0]
-            row[-1] = stop
-            # Summed, and every extension stored: no query reads its states.
-            self._frontiers[x].entries = None
+                row[j] = self._prefix(self._frontier(x + b))
+            row[-1] = stop = self._stop(frontier)
+            # Every extension is stored: no query reads the states again.
+            self._frontiers[x] = _Frontier(None, base, stop)
         out -= bases
         return out
 
     def prefix_log_prob(self, x: str) -> float:
         """Log byte-prefix mass (direct frontier evaluation)."""
-        return self._prefix_and_stop(x)[0]
+        return self._prefix(self._frontier(x))
 
     def string_log_prob(self, x: str) -> float:
         """Log probability of the complete byte string (sum over tokenizations)."""
-        return self._prefix_and_stop(x)[1]
+        return self._stop(self._frontier(x))
 
 
 def as_byte_model(

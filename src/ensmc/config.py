@@ -165,7 +165,7 @@ def config_from_dict(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     if spec.k != len(experts):
         raise ValueError(f"config 'weights' has {spec.k} entries for {len(experts)} experts")
     symbols = read("alphabet", "string", None)
-    alphabet = Alphabet(tuple(symbols)) if symbols else None
+    alphabet = None if symbols is None else Alphabet(tuple(symbols))
     builders = tuple(_read_expert(e, alphabet is not None) for e in experts)
     methods = read("methods", "list of strings", ("smc",))
     for m in methods:

@@ -140,8 +140,11 @@ class EnsembleSpec:
     @classmethod
     def from_name(cls, name: str, weights, tau: float | None = None) -> "EnsembleSpec":
         """Build from an operator name: minimum/min, maximum/max,
-        geometric/product, sum, harmonic, quadratic, or power (with tau)."""
+        geometric/product, sum, harmonic, quadratic, or power (with tau,
+        which no other name takes)."""
         name = name.lower()
+        if tau is not None and name != "power":
+            raise ValueError(f"{name} operator takes no tau")
         if name in ("minimum", "min"):
             return cls.minimum(weights)
         if name in ("maximum", "max"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 import sys
 import threading
@@ -128,16 +129,19 @@ def per_context_row(model, x):
 
 
 class BatchingModel(SequenceModel):
-    """A token model that overrides ``log_next_many``, as a served one does."""
+    """A token model that overrides ``log_next_many``, as a served one does;
+    ``batches`` lists the contexts of each ``log_next_many`` call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.alphabet = inner.alphabet
+        self.batches = []
 
     def log_next(self, context):
         return self.inner.log_next(context)
 
     def log_next_many(self, contexts):
+        self.batches.append(list(contexts))
         return super().log_next_many(contexts)
 
 
@@ -265,16 +269,75 @@ class TestByteMarginalProperties:
 
 
 class CountingModel(SequenceModel):
-    """Delegating wrapper that counts conditional-row requests."""
+    """Delegating wrapper that records the context of each conditional-row
+    request in ``asked``."""
 
     def __init__(self, inner):
         self.inner = inner
         self.alphabet = inner.alphabet
-        self.calls = 0
+        self.asked = []
 
     def log_next(self, context):
-        self.calls += 1
+        self.asked.append(context)
         return self.inner.log_next(context)
+
+
+class TestRowsAsked:
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_root_row_reads_only_the_root_token_row(self, bridge_fixture, batching):
+        """Answering ``""`` reads the token row of ``""`` alone: the prefix
+        masses of ``"a"`` and ``"b"`` sum over the root's states, so the new
+        token contexts ``"A"`` and ``"B"`` wait until they are contexts."""
+        token_model, tokenizer = bridge_fixture
+        counted = CountingModel(token_model)
+        model = TokenToByteModel(BatchingModel(counted) if batching else counted, tokenizer)
+        model.log_next_many([""])
+        assert counted.asked == [""]
+
+    def test_batch_after_a_complete_string_query_asks_once(self):
+        """``"b"`` has no one-byte token, so building its frontier reads no
+        row, and ``string_log_prob`` sums its complete-string mass from no
+        tail-less state. A batch that then answers ``"b"`` still asks for
+        the pending state's row in its one call."""
+        tokenizer = Tokenizer(Alphabet("AB"), {"A": "a", "B": "bb"})
+        token_model = fit_ngram(["AB", "BA", "A"], order=1, smoothing=0.2,
+                                alphabet=tokenizer.token_alphabet)
+        counted = CountingModel(token_model)
+        batching = BatchingModel(counted)
+        model = TokenToByteModel(batching, tokenizer)
+        assert model.string_log_prob("b") == LOG_ZERO
+        assert counted.asked == []
+        model.log_next_many(["b"])
+        assert batching.batches == [[""]] and counted.asked == [""]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_byte_marginal_cases(), st.data())
+    def test_rows_asked_are_named_by_the_batch(self, case, data):
+        """Every token row asked while a batch of stored contexts is
+        answered is named by a state of a frontier in that batch; a token
+        model that batches is asked in at most one call per batch, and for
+        no row outside it, whichever masses earlier queries summed."""
+        token_model, tokenizer, log_floor, queries, order = case
+        counted = CountingModel(token_model)
+        batching = data.draw(st.booleans())
+        asked_model = BatchingModel(counted) if batching else counted
+        model = TokenToByteModel(asked_model, tokenizer, log_floor=log_floor)
+        mirror = TokenToByteModel(token_model, tokenizer, log_floor=log_floor)
+        for x in queries:
+            getattr(model, data.draw(st.sampled_from(["prefix_log_prob", "string_log_prob"])))(x)
+        live = [x for x in order if mirror.prefix_log_prob(x) != LOG_ZERO]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(live)), max_size=4)))
+        for start, end in zip([0] + cuts, cuts + [len(live)]):
+            batch = live[start:end]
+            named = {context for x in batch for context, _, _ in model._frontier(x).entries or ()}
+            counted.asked.clear()
+            if batching:
+                asked_model.batches.clear()
+            model.log_next_many(batch)
+            assert set(counted.asked) <= named, batch
+            if batching:
+                assert len(asked_model.batches) <= 1, batch
+                assert counted.asked == sum(asked_model.batches, []), batch
 
 
 class TestTokenizer:
@@ -442,11 +505,11 @@ class TestByteMarginal:
         counted = CountingModel(token_model)
         byte_model = as_byte_model(counted, tokenizer)
         byte_model.string_log_prob("abab")
-        first = counted.calls
+        first = len(counted.asked)
         assert first > 0
         byte_model.string_log_prob("abab")
         byte_model.prefix_log_prob("aba")
-        assert counted.calls == first
+        assert len(counted.asked) == first
 
 
     def test_memoized_token_rows_are_read_only(self):
@@ -612,8 +675,9 @@ class TestDroppedStates:
     def test_extension_from_a_frontier_dropped_meanwhile(self, bridge_fixture, batching):
         """A thread extends ``"ab"`` from the stored ``"a"``; before its
         ``_advance`` reads ``"a"``'s states, another thread answers ``"a"``
-        as a context, which stores ``"ab"`` and drops them. Both get the
-        rows one thread alone gets, bit for bit, with no exception."""
+        as a context, which stores ``"ab"`` and replaces ``"a"``'s frontier
+        by one with no states. Both get the rows one thread alone gets, bit
+        for bit, with no exception."""
         token_model, tokenizer = bridge_fixture
         if batching:
             token_model = BatchingModel(token_model)
@@ -631,7 +695,8 @@ class TestDroppedStates:
                 )
                 racer.start()
                 racer.join(timeout=60)
-                assert frontier.entries is None
+                replaced = model._frontiers["a"]
+                assert replaced is not frontier and not replaced.entries
             return advance(frontier, byte)
 
         model._advance = racing_advance
@@ -641,6 +706,88 @@ class TestDroppedStates:
         assert got.tobytes() == want.log_next_many(["ab"]).tobytes()
         want = TokenToByteModel(token_model, tokenizer)
         assert other[1].tobytes() == want.log_next_many(["a"]).tobytes()
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_ancestor_answered_during_the_lookup(self, bridge_fixture, batching):
+        """A thread finds ``"ab"`` missing; before it reads the stored
+        ``"a"``, another thread answers ``"a"`` as a context, which stores
+        ``"ab"`` and replaces ``"a"``'s frontier by one with no states. The
+        lookup still extends from states or finds ``"ab"``, and both threads
+        get the rows one thread alone gets, bit for bit."""
+        token_model, tokenizer = bridge_fixture
+        if batching:
+            token_model = BatchingModel(token_model)
+        model = TokenToByteModel(token_model, tokenizer)
+        model.prefix_log_prob("a")
+        missed, other = [], []
+
+        class RacingDict(dict):
+            def get(self, key, default=None):
+                if key == "a" and missed and not other:
+                    other.append(None)
+                    racer = threading.Thread(
+                        target=lambda: other.append(model.log_next_many(["a"]))
+                    )
+                    racer.start()
+                    racer.join(timeout=60)
+                    assert not super().get("a").entries
+                found = super().get(key, default)
+                if key == "ab" and found is None:
+                    missed.append(key)
+                return found
+
+        model._frontiers = RacingDict(model._frontiers)
+        got = model.log_next_many(["ab"])
+        assert len(other) == 2, "the racing thread raised"
+        want = TokenToByteModel(token_model, tokenizer)
+        assert got.tobytes() == want.log_next_many(["ab"]).tobytes()
+        want = TokenToByteModel(token_model, tokenizer)
+        assert other[1].tobytes() == want.log_next_many(["a"]).tobytes()
+
+    def test_threads_answering_shared_contexts_get_the_serial_rows(self):
+        """Four threads answer the same contexts in different orders while
+        querying longer prefixes, so frontiers are replaced while others
+        look them up and extend from them. Every row and mass equals the
+        one a single thread gets, bit for bit."""
+        tokenizer = Tokenizer(Alphabet("ABCDEFG"), {
+            "A": "a", "B": "b", "C": "c", "D": "ab", "E": "bc", "F": "ca", "G": "abc",
+        })
+        token_model = fit_ngram(
+            ["ADB", "GE", "CFA", "EGD", "FB"], order=2, smoothing=0.3,
+            alphabet=tokenizer.token_alphabet,
+        )
+        contexts = ["".join(t) for n in range(4) for t in itertools.product("abc", repeat=n)]
+        serial = as_byte_model(token_model, tokenizer)
+        want = {x: (serial.log_next(x).tobytes(), serial.prefix_log_prob(x + "ab").hex())
+                for x in contexts}
+        shared = as_byte_model(token_model, tokenizer)
+        got, errors = [], []
+
+        def work(seed):
+            order = list(contexts)
+            random.Random(seed).shuffle(order)
+            try:
+                for x in order:
+                    got.append((x, shared.log_next_many([x])[0].tobytes(),
+                                shared.prefix_log_prob(x + "ab").hex()))
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(got) == 4 * len(contexts)
+        for x, row, mass in got:
+            assert (row, mass) == want[x], x
 
     @staticmethod
     def bridge_oracle_run(monkeypatch, tmp_path):

@@ -82,6 +82,13 @@ class TestSpecConstruction:
         with pytest.raises(ValueError, match="unknown operator kind 'median'"):
             EnsembleSpec("median", (1.0,))
 
+    @pytest.mark.parametrize("name", ["sum", "harmonic", "geometric", "product", "min", "max"])
+    def test_named_operator_rejects_tau(self, name):
+        """A name other than ``power`` fixes its exponent or limit, so a
+        ``tau`` given with it is an error, not silently replaced."""
+        with pytest.raises(ValueError, match=f"{name} operator takes no tau"):
+            EnsembleSpec.from_name(name, 2, tau=3.0)
+
     def test_consensus_classification(self):
         assert is_consensus(EnsembleSpec.minimum(2))
         assert is_consensus(EnsembleSpec.geometric(2))

@@ -951,27 +951,28 @@ class TestOneRequestPerRound:
             assert requests <= estimate.diagnostics.rounds
 
     @pytest.mark.parametrize("method", ["smc", "sis", "is", "local"])
-    def test_token_requests_per_run_at_most_twice_rounds(self, tmp_path, monkeypatch, method):
-        """Behind the byte bridge, a round's token rows come in two requests:
-        the frontiers' rows, then those of their one-byte extensions."""
+    def test_token_requests_per_run_at_most_rounds(self, tmp_path, monkeypatch, method):
+        """Behind the byte bridge, a round's token rows come in one request:
+        the rows of the frontiers' states, which are all that the prefix
+        masses of their one-byte extensions read."""
         name = {"is": "importance_sample", "local": "local_sample"}.get(method, method)
         runs, _, _ = self.served_run(tmp_path, monkeypatch, True, name,
                                      methods=[method], proposal="optimal")
         assert len(runs) == 2
         assert runs[0][0] > 0
         for requests, estimate in runs:
-            assert requests <= 2 * estimate.diagnostics.rounds
+            assert requests <= estimate.diagnostics.rounds
 
     @pytest.mark.parametrize("tokenized", [False, True], ids=["served", "token"])
     def test_oracle_requests_per_level(self, tmp_path, monkeypatch, tokenized):
-        """The oracle sends one request per level to a served expert, two to
-        a served token model, and its table equals the in-process one."""
+        """The oracle sends one request per level to a served expert or a
+        served token model, and its table equals the in-process one."""
         max_len = 6 if tokenized else 4
         calls, _, _ = self.served_run(tmp_path, monkeypatch, tokenized, "enumerate_ensemble",
                                       methods=["smc"], proposal="optimal", oracle_len=max_len)
         assert len(calls) == 1
         assert calls[0][0] > 0
-        assert calls[0][0] <= (2 if tokenized else 1) * (max_len + 1)
+        assert calls[0][0] <= max_len + 1
 
         # On its own, with nothing cached: the table of the in-process panel.
         inner, alphabet = self.servable(tokenized)
@@ -988,7 +989,7 @@ class TestOneRequestPerRound:
             panel, spec = runner.build_panel(config)
             got = enumerate_ensemble(spec, panel, max_len)
             sent = (panel[0].token_model if tokenized else panel[0]).requests
-        assert 0 < sent <= (2 if tokenized else 1) * (max_len + 1)
+        assert 0 < sent <= max_len + 1
         assert got.strings == want.strings
         assert got.log_values.tobytes() == want.log_values.tobytes()
         assert got.log_residual_bound == want.log_residual_bound

@@ -224,6 +224,15 @@ class TestConfigLoading:
         captured = capsys.readouterr()
         assert named in captured.err and captured.out == ""
 
+    def test_empty_alphabet_is_a_config_error(self, tmp_path, capsys):
+        """``"alphabet": ""`` names no symbols: a config error (exit 2), not
+        an alphabet left out."""
+        with pytest.raises(ValueError, match="alphabet must be non-empty"):
+            config_from_dict({**BASE_CONFIG, "alphabet": ""})
+        assert main(["sample", str(write_config(tmp_path, {"alphabet": ""}))]) == 2
+        captured = capsys.readouterr()
+        assert "alphabet must be non-empty" in captured.err and captured.out == ""
+
     def test_oracle_limits_default_to_horizon_and_node_cap(self):
         bare = {k: v for k, v in BASE_CONFIG.items() if k != "oracle"}
         assert config_from_dict(bare).oracle_limits() == {
