@@ -43,13 +43,15 @@ TOKENIZER_VERSION = 1
 
 
 class _TrieNode:
-    __slots__ = ("children", "exact", "strict")
+    __slots__ = ("children", "exact", "strict", "only")
 
     def __init__(self):
         self.children: dict[str, _TrieNode] = {}
         self.exact: list[int] = []
         #: Token indices whose decoding lies strictly below this node.
         self.strict: np.ndarray | list[int] = []
+        #: The one index in ``strict`` when it holds exactly one, else None.
+        self.only: int | None = None
 
 
 class Tokenizer:
@@ -97,6 +99,8 @@ class Tokenizer:
                 below.extend(child.exact)
                 below.extend(annotate(child))
             node.strict = np.array(sorted(below), dtype=int)
+            if len(below) == 1:
+                node.only = below[0]
             node.exact.sort()
             return below
 
@@ -150,6 +154,7 @@ class _Frontier:
     log prefix and complete-string masses, each once summed (``None``
     before). A context :meth:`TokenToByteModel.log_next_many` answered is
     stored as a new frontier with both masses and no states (``None``).
+    Every prefix that no state reaches shares :data:`_EMPTY`.
     """
 
     __slots__ = ("entries", "prefix", "stop")
@@ -160,6 +165,10 @@ class _Frontier:
         self.stop = stop
 
 
+#: The frontier of every prefix no segmentation state reaches: zero masses.
+_EMPTY = _Frontier((), LOG_ZERO, LOG_ZERO)
+
+
 class TokenToByteModel(SequenceModel):
     """The byte-level marginal of a token-level model, as a sequence model.
 
@@ -167,15 +176,15 @@ class TokenToByteModel(SequenceModel):
     sampling walks and prefix queries reuse earlier work; each frontier
     keeps its prefix and complete-string masses once summed, and
     token-model rows are kept (read-only) per token context, so the token
-    model is asked for each row once. A context :meth:`log_next_many`
-    answered has its masses and all its one-byte extensions stored, so
-    its frontier is replaced by one that keeps the masses and no states:
-    a longer prefix extends from a stored extension, and nothing is
-    rebuilt. An extension's prefix mass reads only the rows of the
-    context's own states, so :meth:`log_next_many` asks a token model
-    that batches (a served one) for a batch's rows in one call. With
-    ``log_floor`` set, frontier entries whose weight falls below
-    ``log_floor`` plus the frontier's best weight are dropped;
+    model is asked for each row once. :meth:`log_next_many` advances a
+    context's missing one-byte extensions straight from the context's own
+    frontier; once answered, that frontier is replaced by one that keeps
+    the masses and no states: a longer prefix extends from a stored
+    extension, and nothing is rebuilt. An extension's prefix mass reads
+    only the rows of the context's own states, so :meth:`log_next_many`
+    asks a token model that batches (a served one) for a batch's rows in
+    one call. With ``log_floor`` set, frontier entries whose weight falls
+    below ``log_floor`` plus the frontier's best weight are dropped;
     ``log_dropped_bound`` then tracks a running upper bound (log domain)
     on the total prefix mass ever discarded. By default no pruning
     happens and the marginal is exact.
@@ -196,8 +205,8 @@ class TokenToByteModel(SequenceModel):
         self.alphabet = tokenizer.byte_alphabet
         self.log_floor = log_floor
         self.log_dropped_bound = LOG_ZERO
-        # Guards the frontier cache and the bound: a frontier's pruned
-        # terms count once, when that frontier is the one stored.
+        # Guards the dropped-mass bound: a frontier's pruned terms count
+        # once, when that frontier is the one stored (see _store).
         self._lock = threading.Lock()
         self._root = tokenizer.root
         self._frontiers: dict[str, _Frontier] = {
@@ -218,6 +227,9 @@ class TokenToByteModel(SequenceModel):
         return row
 
     def _frontier(self, x: str) -> _Frontier:
+        """The stored frontier of ``x``, else one extended byte by byte from
+        its longest stored ancestor, each step stored. For a prefix asked
+        directly; a batch extends its contexts from their own frontiers."""
         have = self._frontiers.get(x)
         if have is not None:
             return have
@@ -235,19 +247,28 @@ class TokenToByteModel(SequenceModel):
         for t in range(start, len(x)):
             # Advance from this thread's frontier: a stored one may be answered since.
             frontier, dropped = self._advance(frontier, x[t])
-            with self._lock:
-                stored = self._frontiers.setdefault(x[: t + 1], frontier)
-                if stored is frontier:
-                    for w in dropped:
-                        self.log_dropped_bound = float(
-                            np.logaddexp(self.log_dropped_bound, w)
-                        )
+            stored = self._store(x[: t + 1], frontier, dropped)
+        return stored
+
+    def _store(self, x: str, frontier: _Frontier, dropped: list[float]) -> _Frontier:
+        """Store ``frontier`` as ``x``'s unless one is stored, and return the
+        stored one. The weights pruning ``dropped`` join the bound only if
+        ``frontier`` is the one stored; only then is the lock taken."""
+        if not dropped:
+            return self._frontiers.setdefault(x, frontier)
+        with self._lock:
+            stored = self._frontiers.setdefault(x, frontier)
+            if stored is frontier:
+                for w in dropped:
+                    self.log_dropped_bound = float(np.logaddexp(self.log_dropped_bound, w))
         return stored
 
     def _advance(self, frontier: _Frontier, byte: str) -> tuple[_Frontier, list[float]]:
-        """The frontier one byte on, and the weights its pruning dropped."""
+        """The frontier one byte on, and the weights its pruning dropped;
+        :data:`_EMPTY`, with nothing dropped, when no state continues."""
         out: dict[str, tuple[str, _TrieNode, float]] = {}
         symbols = self.tokenizer.token_alphabet.symbols
+        root = self._root
         for context, node, log_w in frontier.entries:
             node = node.children.get(byte)
             if node is None:
@@ -255,21 +276,23 @@ class TokenToByteModel(SequenceModel):
             if node.exact:
                 row = self._token_row(context)
                 for tok_idx in node.exact:
-                    lp = row[tok_idx]
+                    lp = row.item(tok_idx)
                     if lp != LOG_ZERO:
                         key = context + symbols[tok_idx]
                         assert key not in out
-                        out[key] = (key, self._root, log_w + lp)
+                        out[key] = (key, root, log_w + lp)
             if len(node.strict):
                 assert context not in out
                 out[context] = (context, node, log_w)
-        entries = tuple(out[ctx] for ctx in sorted(out))
+        if not out:
+            return _EMPTY, []
+        entries = tuple([out[ctx] for ctx in sorted(out)])
         dropped = []
-        if self.log_floor is not None and entries:
+        if self.log_floor is not None:
             cut = max(w for _, _, w in entries) + self.log_floor
             dropped = [w for _, _, w in entries if w < cut]
             entries = tuple(e for e in entries if e[2] >= cut)
-        return _Frontier(entries=entries), dropped
+        return _Frontier(entries), dropped
 
     def _prefix(self, frontier: _Frontier) -> float:
         """Log prefix mass of ``frontier``'s byte prefix, summed once. A
@@ -277,12 +300,16 @@ class TokenToByteModel(SequenceModel):
         rows are read."""
         if frontier.prefix is None:
             terms = []
+            root = self._root
             for context, node, log_w in frontier.entries:
-                if node is self._root:
+                if node is root:
                     terms.append(log_w)
                 else:
-                    # A pending state's tail has tokens strictly below it.
-                    total = logsumexp(self._token_row(context)[node.strict])
+                    # A pending state's tail has tokens strictly below it;
+                    # one term's sum is logsumexp's bits for it.
+                    row = self._token_row(context)
+                    only = node.only
+                    total = logsumexp(row[node.strict]) if only is None else row.item(only) + 0.0
                     if total != LOG_ZERO:
                         terms.append(log_w + total)
             frontier.prefix = logsumexp(terms)
@@ -296,7 +323,7 @@ class TokenToByteModel(SequenceModel):
             eos_index = self.tokenizer.token_alphabet.eos_index
             for context, node, log_w in frontier.entries:
                 if node is self._root:
-                    eos = self._token_row(context)[eos_index]
+                    eos = self._token_row(context).item(eos_index)
                     if eos != LOG_ZERO:
                         terms.append(log_w + eos)
             frontier.stop = logsumexp(terms)
@@ -325,35 +352,50 @@ class TokenToByteModel(SequenceModel):
     def log_next_many(self, contexts) -> np.ndarray:
         """The rows of ``contexts``, in one ``(n, |Σ| + 1)`` array: each
         row holds the prefix masses of the context's one-byte extensions
-        and its complete-string mass, and the contexts' prefix masses are
-        subtracted once. The first context with zero prefix mass raises.
+        and its complete-string mass, less the context's prefix mass. The
+        first context with zero prefix mass raises.
 
-        A token model that fetches rows together (one that overrides
-        ``log_next_many``, as a served model does) is asked once, for the
-        token rows of the contexts' frontiers' states: an extension's
-        prefix mass reads only those. Any other one is asked row by row,
-        and each row once."""
+        Each context's frontier is read once, and an extension not yet
+        stored is advanced from it and stored. A token model that fetches
+        rows together (one that overrides ``log_next_many``, as a served
+        model does) is asked once, for the token rows of the contexts'
+        frontiers' states: an extension's prefix mass reads only those.
+        Any other one is asked row by row, and each row once."""
         symbols = self.alphabet.symbols
+        frontiers = [self._frontier(x) for x in contexts]
         if type(self.token_model).log_next_many is not SequenceModel.log_next_many:
-            self._fetch_token_rows([self._frontier(x) for x in contexts])
-        out = np.empty((len(contexts), len(symbols) + 1))
-        bases = np.empty((len(contexts), 1))
-        for i, x in enumerate(contexts):
-            frontier = self._frontier(x)
-            base = self._prefix(frontier)
+            self._fetch_token_rows(frontiers)
+        stored = self._frontiers
+        # Row by row: the extensions' prefix masses, the complete-string
+        # mass, then the context's prefix mass, the base subtracted last.
+        flat = []
+        frontiers.reverse()
+        for x in contexts:
+            # Popped, so a replaced frontier's states die as it is answered.
+            frontier = frontiers.pop()
+            base = frontier.prefix
+            if base is None:
+                base = self._prefix(frontier)
             if base == LOG_ZERO:
                 raise UndefinedConditionalError(
                     f"byte context {x!r} has zero probability under the marginal"
                 )
-            bases[i] = base
-            row = out[i]
-            for j, b in enumerate(symbols):
-                row[j] = self._prefix(self._frontier(x + b))
-            row[-1] = stop = self._stop(frontier)
+            for b in symbols:
+                # Missing only while ``frontier`` holds states: an answered
+                # one had its extensions stored first.
+                ext = stored.get(x + b)
+                if ext is None:
+                    ext = self._store(x + b, *self._advance(frontier, b))
+                flat.append(self._prefix(ext) if ext.prefix is None else ext.prefix)
+            stop = frontier.stop
+            if stop is None:
+                stop = self._stop(frontier)
+            flat.append(stop)
+            flat.append(base)
             # Every extension is stored: no query reads the states again.
-            self._frontiers[x] = _Frontier(None, base, stop)
-        out -= bases
-        return out
+            stored[x] = _Frontier(None, base, stop)
+        out = np.array(flat, dtype=float).reshape(len(contexts), len(symbols) + 2)
+        return out[:, :-1] - out[:, -1:]
 
     def prefix_log_prob(self, x: str) -> float:
         """Log byte-prefix mass (direct frontier evaluation)."""

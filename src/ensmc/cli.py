@@ -103,6 +103,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if not args.rel_tol >= 0.0:  # NaN too, which every agreement would fail
+        raise ValueError(f"--rel-tol must be a non-negative number, got {args.rel_tol}")
     config = load_config(args.config)
     panel, spec = build_panel(config)
     table = enumerate_ensemble(spec, panel, **config.oracle_limits())

@@ -100,8 +100,11 @@ def intersection_report(
 
     Enumerates each expert alone and the geometric (product) ensemble,
     reporting predicate accuracy for each and the ensemble's highest
-    probability strings.
+    probability strings, ``top`` of them (a negative ``top`` is a
+    ValueError).
     """
+    if top < 0:
+        raise ValueError(f"top must be non-negative, got {top}")
     spec = EnsembleSpec.geometric(weights if weights is not None else len(panel))
     table = enumerate_ensemble(spec, panel, max_len, max_nodes)
     probs = table.probs()

@@ -12,8 +12,10 @@ built by that side's package. Op ``i`` runs op seed ``seed << 20`` plus
 two of them are warm-up and not timed, and each later one is a pair:
 A runs first in even pairs, B in odd ones. The two sides' records of
 every op, dumped as JSON without ``wall_time_s``, must be equal, or the
-script stops and names the op. It prints each side's median op time,
-the median over pairs of B's time relative to A's, and the pairs B won.
+script stops and names the op. It prints each side's median op time
+with its first and third quartiles (the spread a claimed gain must
+exceed), the median over pairs of B's time relative to A's, and the
+pairs B won.
 The process is pinned to one CPU, as ``bench/worker.py`` pins itself.
 Run by hand; tier-1 runs it on two pairs of one checkout against itself.
 Nothing is written under ``bench/``.
@@ -85,6 +87,15 @@ def compare(roots: dict[str, Path], name: str, seed: int, pairs: int) -> dict[st
     return times
 
 
+def quartiles(times: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of ``times`` (inclusive
+    method: each lies within the data)."""
+    if len(times) < 2:
+        return times[0], times[0], times[0]
+    q1, p50, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q1, p50, q3
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", type=Path, help="checkout root of side A (the parent)")
@@ -98,7 +109,8 @@ def main(argv=None) -> int:
                     args.workload, args.seed, args.pairs)
     a, b = times["A"], times["B"]
     for label, root in (("A", args.a), ("B", args.b)):
-        print(f"{label} {root}  p50 {statistics.median(times[label]) * 1e3:.3f} ms")
+        q1, p50, q3 = (q * 1e3 for q in quartiles(times[label]))
+        print(f"{label} {root}  p50 {p50:.3f} ms  q1 {q1:.3f} ms  q3 {q3:.3f} ms")
     paired = statistics.median(tb / ta - 1.0 for ta, tb in zip(a, b))
     won = sum(tb < ta for ta, tb in zip(a, b))
     print(f"{args.workload} seed {args.seed}: B/A - 1 paired median {paired * 100:+.1f} %,"

@@ -21,6 +21,10 @@ def test_ab_probe_runs_one_checkout_against_itself():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split()[0] for line in lines[:2]] == ["A", "B"]
-    assert "p50" in lines[0] and "p50" in lines[1]
+    for line in lines[:2]:
+        fields = line.split()
+        assert fields[2::3] == ["p50", "q1", "q3"] and fields[4::3] == ["ms"] * 3, line
+        p50, q1, q3 = (float(v) for v in fields[3::3])
+        assert q1 <= p50 <= q3, line
     assert lines[2].startswith("ngram-long seed 5: B/A - 1 paired median ")
     assert lines[2].endswith(" of 2 pairs")

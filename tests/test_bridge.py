@@ -26,6 +26,7 @@ from ensmc import (
     prefix_log_prob,
     string_log_prob,
 )
+from ensmc import bridge
 from ensmc.bridge import TokenToByteModel
 from ensmc.lmcore import ROW_TOL
 
@@ -359,6 +360,19 @@ class TestTokenizer:
         tok = Tokenizer(Alphabet("AB"), {"A": "ba", "B": "c"})
         assert tok.byte_alphabet.symbols == ("a", "b", "c")
 
+    def test_trie_nodes_name_their_one_strict_token(self):
+        """A trie node with exactly one token strictly below it names that
+        token; every other node names none."""
+        tok = Tokenizer(Alphabet("ABCD"), {"A": "a", "B": "ab", "C": "abc", "D": "b"})
+        nodes, named = [("", tok.root)], {}
+        while nodes:
+            path, node = nodes.pop()
+            nodes.extend((path + b, child) for b, child in node.children.items())
+            assert node.only == (int(node.strict[0]) if len(node.strict) == 1 else None)
+            if node.only is not None:
+                named[path] = node.only
+        assert named == {"ab": tok.token_alphabet.index["C"]}
+
     def test_save_load_round_trip(self, bridge_fixture, tmp_path):
         _, tokenizer = bridge_fixture
         path = tmp_path / "tok.tsv"
@@ -487,6 +501,24 @@ class TestByteMarginal:
         byte_model = as_byte_model(token_model, tokenizer)
         with pytest.raises(UndefinedConditionalError):
             byte_model.log_next("aa")
+
+    def test_dead_extensions_share_one_empty_frontier(self):
+        """``"ba"`` and ``"bbba"`` continue no segmentation state (a pending
+        ``"b"`` can only become ``"bb"``): both are stored as the one shared
+        empty frontier, with zero masses, and so is a prefix extending one."""
+        tokenizer = Tokenizer(Alphabet("AB"), {"A": "a", "B": "bb"})
+        token_model = fit_ngram(["AB", "BA", "A"], order=1, smoothing=0.2,
+                                alphabet=tokenizer.token_alphabet)
+        model = TokenToByteModel(token_model, tokenizer)
+        rows = model.log_next_many(["b", "bb", "bbb"])
+        assert rows[0, 0] == rows[2, 0] == LOG_ZERO and rows[1, 0] != LOG_ZERO
+        assert model._frontiers["ba"] is model._frontiers["bbba"] is bridge._EMPTY
+        assert model.string_log_prob("bab") == LOG_ZERO
+        assert model._frontiers["bab"] is bridge._EMPTY
+
+    def test_empty_batch_has_a_row_shape(self, bridge_fixture):
+        model = as_byte_model(*bridge_fixture)
+        assert model.log_next_many([]).shape == (0, model.alphabet.size + 1)
 
     def test_fresh_model_matches_warm_methods(self, bridge_fixture):
         """A one-off query on a new model equals one on a model whose
@@ -668,6 +700,60 @@ class TestFloorPruning:
         for x in ("ab", "ba", "abab"):
             assert loose.string_log_prob(x) == exact.string_log_prob(x)
         assert loose.log_dropped_bound == LOG_ZERO
+
+
+class CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.taken += 1
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+class TestLockTaken:
+    """The lock guards only the dropped-mass bound, so a batch takes it
+    only to store a frontier whose pruning dropped weight."""
+
+    @staticmethod
+    def answer_levels(model, depth):
+        """Answer ``""`` and then each live level below it with one
+        ``log_next_many`` call per level."""
+        level = [""]
+        for _ in range(depth):
+            rows = model.log_next_many(level)
+            level = [x + b for x, row in zip(level, rows)
+                     for b, lp in zip(model.alphabet.symbols, row) if lp != LOG_ZERO]
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_no_floor_takes_no_lock(self, bridge_fixture, batching):
+        token_model, tokenizer = bridge_fixture
+        if batching:
+            token_model = BatchingModel(token_model)
+        model = TokenToByteModel(token_model, tokenizer)
+        model._lock = lock = CountingLock()
+        self.answer_levels(model, 4)
+        assert len(model._frontiers) > 20
+        assert lock.taken == 0
+        assert model.log_dropped_bound == LOG_ZERO
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_a_floor_that_drops_weight_takes_the_lock(self, bridge_fixture, batching):
+        token_model, tokenizer = bridge_fixture
+        if batching:
+            token_model = BatchingModel(token_model)
+        model = TokenToByteModel(token_model, tokenizer, log_floor=math.log(0.25))
+        model._lock = lock = CountingLock()
+        self.answer_levels(model, 4)
+        assert model.log_dropped_bound > LOG_ZERO
+        assert 1 <= lock.taken < len(model._frontiers)
 
 
 class TestDroppedStates:

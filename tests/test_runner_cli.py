@@ -31,6 +31,7 @@ from ensmc import (
 )
 from ensmc.bridge import TokenToByteModel
 from ensmc.config import build_panel, build_predicate
+from ensmc.metrics import intersection_report
 from ensmc.oracle import DEFAULT_NODE_CAP
 from ensmc.runner import summarize_records, write_records
 
@@ -621,9 +622,19 @@ class TestCli:
         assert main(["check", str(config)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["rel_error"] < 0.05
-        # An impossible tolerance turns the same agreement into a failure.
-        assert main(["check", str(config), "--rel-tol", "-1.0"]) == 1
+        # A zero tolerance turns the same (inexact) agreement into a failure.
+        assert report["rel_error"] > 0.0
+        assert main(["check", str(config), "--rel-tol", "0"]) == 1
         assert "check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-0.5"])
+    def test_check_tolerance_must_be_a_non_negative_number(self, tmp_path, capsys, tol):
+        """A NaN or negative ``--rel-tol`` is a usage mistake (exit 2), not
+        a failed check (exit 1)."""
+        assert main(["check", str(write_config(tmp_path)), "--rel-tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--rel-tol must be a non-negative number" in err
+        assert "check failed" not in err
 
     def test_intersect(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -631,6 +642,22 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert len(report["top_strings"]) == 2
         assert report["ensemble_accuracy"] == pytest.approx(GEO_PROBS["a"], rel=1e-9)
+
+    @pytest.mark.parametrize("top", ["-1", "-100"])
+    def test_intersect_negative_top_is_a_usage_error(self, tmp_path, capsys, top):
+        """``--top -1`` would print all top strings but the last, and
+        ``--top -100`` none; both exit 2 and print no report."""
+        assert main(["intersect", str(write_config(tmp_path)), "--top", top]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "top must be non-negative" in err
+
+    def test_intersection_report_rejects_negative_top(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        panel, spec = build_panel(config)
+        with pytest.raises(ValueError, match="top must be non-negative"):
+            intersection_report(panel, config.predicate, max_len=3, top=-1)
+        report = intersection_report(panel, config.predicate, max_len=3, top=0)
+        assert report["top_strings"] == []
 
     def test_readme_worked_example(self, tmp_path, capsys, monkeypatch):
         """The README's ``ensemble.json`` prints the lines the README shows
