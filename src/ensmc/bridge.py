@@ -153,8 +153,9 @@ class _Frontier:
     ``entries`` never changes. ``prefix`` and ``stop`` hold the prefix's
     log prefix and complete-string masses, each once summed (``None``
     before). A context :meth:`TokenToByteModel.log_next_many` answered is
-    stored as a new frontier with both masses and no states (``None``).
-    Every prefix that no state reaches shares :data:`_EMPTY`.
+    stored, after all its children, as a new frontier with both masses
+    and no states (``None``). Every prefix that no state reaches shares
+    :data:`_EMPTY`.
     """
 
     __slots__ = ("entries", "prefix", "stop")
@@ -172,15 +173,16 @@ _EMPTY = _Frontier((), LOG_ZERO, LOG_ZERO)
 class TokenToByteModel(SequenceModel):
     """The byte-level marginal of a token-level model, as a sequence model.
 
-    Frontiers are cached per byte context and extended incrementally, so
-    sampling walks and prefix queries reuse earlier work; each frontier
-    keeps its prefix and complete-string masses once summed, and
-    token-model rows are kept (read-only) per token context, so the token
-    model is asked for each row once. :meth:`log_next_many` advances a
-    context's missing one-byte extensions straight from the context's own
-    frontier; once answered, that frontier is replaced by one that keeps
-    the masses and no states: a longer prefix extends from a stored
-    extension, and nothing is rebuilt. An extension's prefix mass reads
+    Frontiers are stored per byte prefix, each built from its parent's
+    frontier in one child step (:meth:`_child`): :meth:`log_next_many`
+    takes it for a context's one-byte extensions, and a prefix asked
+    directly is walked forward from the root through it, so sampling walks
+    and prefix queries reuse earlier work. Each frontier keeps its prefix
+    and complete-string masses once summed, and token-model rows are kept
+    (read-only) per token context, so the token model is asked for each
+    row once. Once a context is answered, its frontier is replaced by one
+    that keeps the masses and no states; its extensions are stored first,
+    so nothing is rebuilt. An extension's prefix mass reads
     only the rows of the context's own states, so :meth:`log_next_many`
     asks a token model that batches (a served one) for a batch's rows in
     one call. With ``log_floor`` set, frontier entries whose weight falls
@@ -227,28 +229,25 @@ class TokenToByteModel(SequenceModel):
         return row
 
     def _frontier(self, x: str) -> _Frontier:
-        """The stored frontier of ``x``, else one extended byte by byte from
-        its longest stored ancestor, each step stored. For a prefix asked
-        directly; a batch extends its contexts from their own frontiers."""
-        have = self._frontiers.get(x)
-        if have is not None:
-            return have
-        # Extend from the longest stored ancestor. An answered frontier is
-        # replaced only after its extensions are stored, so an ancestor read
-        # before its next byte's frontier is seen missing holds its states.
-        start = len(x) - 1
-        while (frontier := self._frontiers.get(x[:start])) is None:
-            start -= 1
-        while start < len(x) and (later := self._frontiers.get(x[: start + 1])) is not None:
-            frontier, start = later, start + 1
-        # Only the new bytes need checking; a stored prefix was checked when built.
-        self.alphabet.check_string(x[start:])
-        stored = frontier
-        for t in range(start, len(x)):
-            # Advance from this thread's frontier: a stored one may be answered since.
-            frontier, dropped = self._advance(frontier, x[t])
-            stored = self._store(x[: t + 1], frontier, dropped)
-        return stored
+        """The stored frontier of ``x``, else one walked forward from the
+        root through :meth:`_child`, each missing level stored."""
+        frontier = self._frontiers.get(x)
+        if frontier is None:
+            self.alphabet.check_string(x)
+            frontier = self._frontiers[""]
+            for t in range(1, len(x) + 1):
+                frontier = self._child(x[:t], frontier)
+        return frontier
+
+    def _child(self, xb: str, parent: _Frontier) -> _Frontier:
+        """The stored frontier of ``xb``, else one advanced from ``parent``,
+        the frontier of ``xb[:-1]``, and stored. A frontier loses its states
+        only after all its children are stored, so a state-less ``parent``
+        always finds ``xb`` stored."""
+        child = self._frontiers.get(xb)
+        if child is None:
+            child = self._store(xb, *self._advance(parent, xb[-1]))
+        return child
 
     def _store(self, x: str, frontier: _Frontier, dropped: list[float]) -> _Frontier:
         """Store ``frontier`` as ``x``'s unless one is stored, and return the
@@ -355,8 +354,8 @@ class TokenToByteModel(SequenceModel):
         and its complete-string mass, less the context's prefix mass. The
         first context with zero prefix mass raises.
 
-        Each context's frontier is read once, and an extension not yet
-        stored is advanced from it and stored. A token model that fetches
+        Each context's frontier is read once, and each extension is one
+        child step (:meth:`_child`) from it. A token model that fetches
         rows together (one that overrides ``log_next_many``, as a served
         model does) is asked once, for the token rows of the contexts'
         frontiers' states: an extension's prefix mass reads only those.
@@ -373,23 +372,14 @@ class TokenToByteModel(SequenceModel):
         for x in contexts:
             # Popped, so a replaced frontier's states die as it is answered.
             frontier = frontiers.pop()
-            base = frontier.prefix
-            if base is None:
-                base = self._prefix(frontier)
+            base = self._prefix(frontier)
             if base == LOG_ZERO:
                 raise UndefinedConditionalError(
                     f"byte context {x!r} has zero probability under the marginal"
                 )
             for b in symbols:
-                # Missing only while ``frontier`` holds states: an answered
-                # one had its extensions stored first.
-                ext = stored.get(x + b)
-                if ext is None:
-                    ext = self._store(x + b, *self._advance(frontier, b))
-                flat.append(self._prefix(ext) if ext.prefix is None else ext.prefix)
-            stop = frontier.stop
-            if stop is None:
-                stop = self._stop(frontier)
+                flat.append(self._prefix(self._child(x + b, frontier)))
+            stop = self._stop(frontier)
             flat.append(stop)
             flat.append(base)
             # Every extension is stored: no query reads the states again.

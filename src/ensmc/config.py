@@ -33,9 +33,11 @@ with its JSON kind: a value of the wrong kind (a string or bool where a
 number belongs) or a key nothing reads is a ValueError naming the key,
 raised at load; ``build_panel`` alone reads expert files or opens
 connections. ``sampler`` values are checked by ``SamplerConfig`` itself.
-``weights`` defaults to uniform. ``alphabet`` may be omitted when every
-expert determines its own (tables, files). The ``regex`` predicate uses
-full-string matching.
+``oracle.max_nodes`` (default ``DEFAULT_NODE_CAP``) is the only
+enumeration budget: the alphabet size and ``oracle.max_len`` have no
+cap of their own. ``weights`` defaults to uniform. ``alphabet`` may be
+omitted when every expert determines its own (tables, files). The
+``regex`` predicate uses full-string matching.
 """
 from __future__ import annotations
 

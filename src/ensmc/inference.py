@@ -194,13 +194,14 @@ class PrefixPotentialShaping:
     end-marker target is not. A node is only built from its parent: a
     child ``x + a`` adds column ``a`` to the prefix masses (rows below
     ``K``, never shifted; the float additions ``prefix_log_prob`` performs),
-    so each new prefix costs one ``log_next`` row per live expert, and a
-    direct query first builds the missing ancestors, root first. The
-    samplers :meth:`prefetch` each round's new prefixes, so an expert is
-    asked once per round for all of them (``log_next_many``). Nodes are
-    read-only once built: an :class:`ExpertProposal` hands out its rows
-    as views. One instance can be shared across runs over the same
-    (spec, panel), the step-local baseline included.
+    so each new prefix costs one ``log_next`` row per live expert. A
+    direct query walks forward from the root and builds each missing
+    level from its parent. The samplers :meth:`prefetch` each round's new
+    prefixes, so an expert is asked once per round for all of them
+    (``log_next_many``). Nodes are read-only once built: an
+    :class:`ExpertProposal` hands out its rows as views. One instance can
+    be shared across runs over the same (spec, panel), the step-local
+    baseline included.
     """
 
     def __init__(self, spec: EnsembleSpec, panel: ExpertPanel, epsilon: float | None = None):
@@ -215,18 +216,15 @@ class PrefixPotentialShaping:
 
     def _node(self, x: str) -> np.ndarray:
         node = self._nodes.get(x)
-        if node is not None:
-            return node
-        # Build forward from the longest cached proper prefix (from a new
-        # root when none is cached), one level at a time: a loop, so no
-        # query recurses.
-        t = len(x) - 1
-        while t >= 0 and x[:t] not in self._nodes:
-            t -= 1
-        self.panel.alphabet.check_string(x[max(t, 0):])
-        for end in range(t + 1, len(x) + 1):
-            self._build([x[:end]])
-        return self._nodes[x]
+        if node is None:
+            # Walk forward from the root, building each missing level from
+            # its parent: a loop, so no query recurses.
+            self.alphabet.check_string(x)
+            for end in range(len(x) + 1):
+                if x[:end] not in self._nodes:
+                    self._build([x[:end]])
+            node = self._nodes[x]
+        return node
 
     def prefetch(self, prefixes) -> None:
         """Build together the nodes of ``prefixes`` that are missing but

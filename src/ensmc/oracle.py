@@ -29,8 +29,6 @@ TABLE_VERSION = 1
 _TABLE_HEADER = ("operator", "weights", "alphabet", "max_len", "log_residual_bound", "entries")
 
 #: Default enumeration budget; exceeding it is a refusal, not an attempt.
-DEFAULT_ALPHABET_CAP = 6
-DEFAULT_LEN_CAP = 10
 DEFAULT_NODE_CAP = 500_000
 #: Most nodes enumerate_ensemble takes in one batch: whole levels of a
 #: large enumeration would hold about twice the heap of the sliced walk.
@@ -133,17 +131,12 @@ def enumerate_ensemble(
     is subadditive), so the conservative sum of surviving experts'
     prefix masses is used instead.
 
-    Exceeding any budget raises EnumerationBudgetError before partial
-    results are returned; the node budget is checked before a level is
-    fetched.
+    ``max_nodes`` is the only budget: exceeding it raises
+    EnumerationBudgetError before partial results are returned, as soon
+    as the nodes visited plus the next level's children found so far
+    exceed it, so no level outgrows it.
     """
     alphabet = panel.alphabet
-    if alphabet.size > DEFAULT_ALPHABET_CAP:
-        raise EnumerationBudgetError(
-            f"alphabet size {alphabet.size} exceeds the cap {DEFAULT_ALPHABET_CAP}"
-        )
-    if max_len > DEFAULT_LEN_CAP:
-        raise EnumerationBudgetError(f"max_len {max_len} exceeds the cap {DEFAULT_LEN_CAP}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
 
@@ -218,6 +211,8 @@ def _walk_levels(
             if depth < max_len:
                 children += [xs[p] + symbols[a] for p, a in zip(parent.tolist(), sym.tolist())]
                 child_masses.append(child)
+                if nodes + len(children) > max_nodes:
+                    raise EnumerationBudgetError(f"enumeration exceeded {max_nodes} nodes")
             elif summed_residual:
                 residual_terms += [float(logsumexp(c[active])) for c in child]
             else:

@@ -795,11 +795,12 @@ class TestDroppedStates:
 
     @pytest.mark.parametrize("batching", [False, True])
     def test_ancestor_answered_during_the_lookup(self, bridge_fixture, batching):
-        """A thread finds ``"ab"`` missing; before it reads the stored
-        ``"a"``, another thread answers ``"a"`` as a context, which stores
-        ``"ab"`` and replaces ``"a"``'s frontier by one with no states. The
-        lookup still extends from states or finds ``"ab"``, and both threads
-        get the rows one thread alone gets, bit for bit."""
+        """A thread finds ``"ab"`` missing and walks forward from the root;
+        before its child step reads the stored ``"a"``, another thread
+        answers ``"a"`` as a context, which stores ``"ab"`` and replaces
+        ``"a"``'s frontier by one with no states. The walk finds ``"ab"``
+        stored under the state-less ``"a"``, and both threads get the rows
+        one thread alone gets, bit for bit."""
         token_model, tokenizer = bridge_fixture
         if batching:
             token_model = BatchingModel(token_model)

@@ -25,11 +25,13 @@ from ensmc import (
     TableModel,
     Tokenizer,
     as_byte_model,
+    config_from_dict,
     dump_table,
     enumerate_ensemble,
     fit_ngram,
     load_table,
     minimize_divergence_simplex,
+    run_experiment,
     sis,
     string_log_prob,
     total_variation,
@@ -500,20 +502,70 @@ class TestResidualBound:
         assert table.log_residual_bound == LOG_ZERO
 
 
-class TestBudgets:
-    def test_alphabet_cap(self):
-        big = Alphabet("abcdefgh")
-        model = TableModel({"a": 1.0}, alphabet=big)
-        with pytest.raises(EnumerationBudgetError):
-            enumerate_ensemble(EnsembleSpec.geometric(1), ExpertPanel([model]), max_len=2)
+def _bigram_panel(symbols, experts, seed):
+    """``experts`` full-support bigrams over ``symbols``, each fitted to its
+    own seeded random corpus."""
+    rng = np.random.default_rng(seed)
+    alphabet = Alphabet(symbols)
+    return ExpertPanel([
+        fit_ngram(
+            ["".join(rng.choice(list(symbols), size=n)) for n in rng.integers(0, 12, size=40)],
+            order=2, smoothing=0.1, alphabet=alphabet,
+        )
+        for _ in range(experts)
+    ])
 
-    def test_length_cap(self, geo_panel, geo_spec):
-        with pytest.raises(EnumerationBudgetError):
-            enumerate_ensemble(geo_spec, geo_panel, max_len=11)
+
+class TestBudgets:
+    """``max_nodes`` is the only enumeration budget."""
 
     def test_node_cap(self, geo_panel, geo_spec):
         with pytest.raises(EnumerationBudgetError):
             enumerate_ensemble(geo_spec, geo_panel, max_len=3, max_nodes=2)
+
+    def test_byte_wide_alphabet_equals_depth_first_walk_bitwise(self):
+        """Two full-support bigrams over 29 symbols (the paper's letters,
+        space, full stop and comma) at horizon 2: 871 nodes, every one
+        live, with the table the node-at-a-time walk gives, bit for bit."""
+        panel = _bigram_panel("abcdefghijklmnopqrstuvwxyz .,", 2, seed=3)
+        case = (EnsembleSpec.geometric(2), panel, 2, 500_000)
+        got = _outcome(enumerate_ensemble, *case)
+        assert got == _outcome(reference_enumerate, *case)
+        assert got[-1] == 1 + 29 + 29**2
+
+    def test_documented_oracle_block_gives_a_record(self):
+        """The README's ``"oracle": {"max_len": 16, "max_nodes": 500000}``
+        block over two finite-support tables: the enumeration stops where
+        the support ends and the run ends with an oracle record."""
+        config = config_from_dict({
+            "alphabet": "ab",
+            "experts": [
+                {"type": "table", "entries": {"": 0.1, "a": 0.2, "ab": 0.3, "ba": 0.4}},
+                {"type": "table", "entries": {"": 0.4, "a": 0.3, "ab": 0.2, "ba": 0.1}},
+            ],
+            "sampler": {"particles": 4, "max_len": 4},
+            "oracle": {"max_len": 16, "max_nodes": 500000},
+        })
+        records = run_experiment(config)
+        assert [r["method"] for r in records] == ["smc", "oracle"]
+        oracle = records[-1]
+        assert oracle["strings"] == 4
+        assert oracle["residual_bound"] == 0.0
+
+    def test_refused_before_a_level_outgrows_the_budget(self):
+        """A 95-symbol bigram at ``max_len`` 3 visits 9 121 nodes through
+        depth 2, whose 857 375 children exceed ``max_nodes`` 10 000. The
+        walk is refused while it gathers them, within 32 MB of traced
+        heap; gathering the whole level first peaked at about 66 MB."""
+        panel = _bigram_panel("".join(map(chr, range(0x20, 0x7F))), 1, seed=5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBudgetError, match="exceeded 10000 nodes"):
+                enumerate_ensemble(EnsembleSpec.geometric(1), panel, max_len=3, max_nodes=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestTableSerialization:
